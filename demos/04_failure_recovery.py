@@ -5,7 +5,7 @@ regular users spread over five wide rectangles and a 20-user pocket far
 down the strip.  Five cells die mid-run; the survivors re-spread, regular
 coverage dips and recovers, and the premium mean barely moves.
 
-Takes about ten seconds.
+Takes a few seconds.
 """
 
 from uavswarm import load_scenario, run

@@ -1,7 +1,7 @@
 """Coverage staircase: the same field served by 6 to 21 cells.
 
 Reduced version of the full sweep (a subset of fleet sizes, so it
-finishes in about two minutes instead of five).  Every run shares the
+finishes in about a third of the time).  Every run shares the
 same 600-user field; each count takes one more entry from the scenario's
 ordered start list.  Served and fulfilled percentages climb the staircase
 until 16 cells saturate the field.

@@ -29,7 +29,6 @@ from .model import (
     ScenarioError,
     UavState,
     UserState,
-    distance,
     round_half_up,
     vec3,
 )
@@ -43,6 +42,8 @@ class WorldState:
     uavs: list[UavState]
     users: list[UserState]
     failure_rng: np.random.Generator
+    fired: set[int] = field(default_factory=set)   # failure_events indices
+    failures: list[tuple[float, list[int]]] = field(default_factory=list)
 
 
 @dataclass
@@ -138,6 +139,18 @@ def inject_failures(world: WorldState, fraction: float) -> list[int]:
     return killed
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between broadcast (..., 3) point arrays.
+
+    Sums the squared components in x, y, z order, as np.linalg.norm over
+    the last axis does, without its strided (..., 3) reduction.
+    """
+    dx = a[..., 0] - b[..., 0]
+    dy = a[..., 1] - b[..., 1]
+    dz = a[..., 2] - b[..., 2]
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def associate_users(world: WorldState, gains: ControlGains) -> None:
     """Greedy nearest-feasible association with per-UAV capacity.
 
@@ -149,50 +162,61 @@ def associate_users(world: WorldState, gains: ControlGains) -> None:
     uavs, users = world.uavs, world.users
     for uav in uavs:
         uav.connected_users = []
+    for user in users:
+        user.serving_uav = None
     if not uavs or not users:
-        for user in users:
-            user.serving_uav = None
         return
     uav_pos = np.array([u.position for u in uavs])
     user_pos = np.array([u.position for u in users])
-    dist = np.linalg.norm(uav_pos[:, None, :] - user_pos[None, :, :], axis=2)
+    dist = _distances(uav_pos[:, None, :], user_pos[None, :, :])
     alive = np.array([u.alive for u in uavs])
     on_default = np.array([u.channel == L0 for u in uavs])
     prem = np.array([u.klass == PREMIUM for u in users])
     eligible = alive[:, None] & (dist <= gains.r) & \
         (prem[None, :] | on_default[:, None])
-    nearest = np.where(eligible, dist, np.inf).min(axis=0)
-    order = sorted(range(len(users)), key=lambda m: (nearest[m], m))
+    ids = np.arange(len(users))
+    masked = np.where(eligible, dist, np.inf)
+    closest = masked.argmin(axis=0)         # lowest id among equal distances
+    nearest = masked[closest, ids]
+    order = np.lexsort((ids, nearest))
+    order = order[:np.count_nonzero(np.isfinite(nearest))].tolist()
+    closest = closest.tolist()
     load = [0] * len(uavs)
     for m in order:
-        user = users[m]
-        user.serving_uav = None
-        if not np.isfinite(nearest[m]):
-            continue
-        candidates = sorted((n for n in range(len(uavs)) if eligible[n, m]),
-                            key=lambda n: (dist[n, m], n))
-        for n in candidates:
-            if load[n] < gains.n_max:
-                user.serving_uav = n
-                load[n] += 1
-                uavs[n].connected_users.append(m)
-                break
+        n = closest[m]
+        if load[n] >= gains.n_max:
+            # spill: rank only this user's eligible UAVs, nearest first
+            candidates = np.flatnonzero(eligible[:, m])
+            candidates = candidates[np.argsort(dist[candidates, m],
+                                               kind="stable")]
+            n = next((c for c in candidates.tolist()
+                      if load[c] < gains.n_max), None)
+            if n is None:
+                continue
+        users[m].serving_uav = n
+        load[n] += 1
+        uavs[n].connected_users.append(m)
     for uav in uavs:
         uav.connected_users.sort()
 
 
 def _apply_rates(world: WorldState, powers: np.ndarray, chan_power: np.ndarray,
                  radio: RadioParams, gains: ControlGains, record: bool) -> None:
-    noise_mw = float(dbm_to_mw(radio.noise))
-    for m, user in enumerate(world.users):
-        n = user.serving_uav
-        if n is None:
-            rate = 0.0
-        else:
-            signal = powers[n, m]
-            interference = chan_power[world.uavs[n].channel, m] - signal
-            rate = float(data_rate(signal / (noise_mw + interference),
-                                   radio.bandwidth))
+    users = world.users
+    # unserved users share one 0.0 object; rate windows hold 50 per user
+    rates = [0.0] * len(users)
+    served = [m for m, user in enumerate(users) if user.serving_uav is not None]
+    if served:
+        cells = [users[m].serving_uav for m in served]
+        channels = [world.uavs[n].channel for n in cells]
+        signal = powers[cells, served]
+        interference = chan_power[channels, served] - signal
+        noise_mw = float(dbm_to_mw(radio.noise))
+        served_rates = data_rate(signal / (noise_mw + interference),
+                                 radio.bandwidth)
+        for m, rate in zip(served, served_rates.tolist()):
+            rates[m] = rate
+    for user, rate in zip(users, rates):
         user.achieved_rate = rate
         if record:
             user.record_rate(world.time, rate, gains.tau)
@@ -357,10 +381,12 @@ def advance(world: WorldState, controls: np.ndarray, gains: ControlGains,
 
 
 def _check_invariants(world: WorldState, config: ScenarioConfig) -> None:
-    for uav in world.uavs:
+    positions = np.array([u.position for u in world.uavs]).reshape(-1, 3)
+    finite = np.isfinite(positions).all(axis=1).tolist()
+    for uav, is_finite in zip(world.uavs, finite):
         if uav.load > config.gains.n_max:
             raise RuntimeError(f"UAV {uav.id} over capacity: {uav.load}")
-        if not np.all(np.isfinite(uav.position)):
+        if not is_finite:
             raise RuntimeError(f"UAV {uav.id} position not finite")
         if uav.alive:
             if uav.position[2] != config.H:
@@ -369,13 +395,19 @@ def _check_invariants(world: WorldState, config: ScenarioConfig) -> None:
                 raise RuntimeError(f"UAV {uav.id} has vertical velocity")
         if not 0 <= uav.channel < config.radio.num_channels:
             raise RuntimeError(f"UAV {uav.id} on invalid channel {uav.channel}")
-    for user in world.users:
-        if user.serving_uav is None:
-            continue
-        server = world.uavs[user.serving_uav]
+    served = [u for u in world.users if u.serving_uav is not None]
+    if not served:
+        return
+    servers = [world.uavs[u.serving_uav] for u in served]
+    # the same arithmetic as associate_users, so a user it found in range
+    # at exactly r passes here too
+    dist = _distances(np.array([s.position for s in servers]),
+                      np.array([u.position for u in served]))
+    for user, server, far in zip(served, servers,
+                                 (dist > config.gains.r).tolist()):
         if not server.alive:
             raise RuntimeError(f"user {user.id} served by dead UAV {server.id}")
-        if distance(server.position, user.position) > config.gains.r:
+        if far:
             raise RuntimeError(f"user {user.id} served out of range")
         if user.klass == REGULAR and server.channel != L0:
             raise RuntimeError(
@@ -385,11 +417,13 @@ def _check_invariants(world: WorldState, config: ScenarioConfig) -> None:
 def _record_min_distance(world: WorldState, gains: ControlGains,
                          out: list[tuple[float, int, int, float]]) -> None:
     alive = [u for u in world.uavs if u.alive]
-    for i in range(len(alive)):
-        for j in range(i + 1, len(alive)):
-            dist = distance(alive[i].position, alive[j].position)
-            if dist < gains.d:
-                out.append((world.time, alive[i].id, alive[j].id, dist))
+    if len(alive) < 2:
+        return
+    pos = np.array([u.position for u in alive])
+    dist = _distances(pos[:, None, :], pos[None, :, :])
+    # row-major order: the (i, j > i) pairs in the order of a nested loop
+    for i, j in zip(*np.nonzero(np.triu(dist < gains.d, k=1))):
+        out.append((world.time, alive[i].id, alive[j].id, float(dist[i, j])))
 
 
 def step(world: WorldState, config: ScenarioConfig, kp: KernelParams,
@@ -397,25 +431,23 @@ def step(world: WorldState, config: ScenarioConfig, kp: KernelParams,
     """One full evaluate-and-advance cycle for callers driving a world by hand.
 
     The run() loop inlines the same sequence so that the final tick is
-    evaluated without a trailing integration step.
+    evaluated without a trailing integration step.  Due failure events fire
+    here too; the world keeps which have fired and what they killed.
     """
-    metrics, events = _evaluate(world, config, mode, fired=None,
-                                failures_out=None)
+    metrics, events = _evaluate(world, config, mode)
     controls = control_all(world, kp, config.gains, mode)
     advance(world, controls, config.gains, config.H)
     return metrics, events
 
 
-def _evaluate(world: WorldState, config: ScenarioConfig, mode: str,
-              fired: Optional[set], failures_out: Optional[list]):
-    if fired is not None:
-        for idx, ev in enumerate(config.failure_events):
-            if idx in fired or world.time < ev.at_time:
-                continue
-            killed = inject_failures(world, ev.fraction)
-            fired.add(idx)
-            if killed and failures_out is not None:
-                failures_out.append((world.time, killed))
+def _evaluate(world: WorldState, config: ScenarioConfig, mode: str):
+    for idx, ev in enumerate(config.failure_events):
+        if idx in world.fired or world.time < ev.at_time:
+            continue
+        killed = inject_failures(world, ev.fraction)
+        world.fired.add(idx)
+        if killed:
+            world.failures.append((world.time, killed))
     associate_users(world, config.gains)
     powers, chan_power = update_rates(world, config.radio, config.gains)
     events: list[SwitchEvent] = []
@@ -455,11 +487,9 @@ def run(config: ScenarioConfig, mode: Optional[str] = None,
     trace: list[tuple] = []
     user_trace: list[tuple] = []
     switch_events: list[SwitchEvent] = []
-    failures: list[tuple[float, list[int]]] = []
     min_dist: list[tuple[float, int, int, float]] = []
-    fired: set[int] = set()
     for k in range(ticks + 1):
-        metrics, events = _evaluate(world, config, mode, fired, failures)
+        metrics, events = _evaluate(world, config, mode)
         switch_events.extend(events)
         metrics_rows.append(metrics)
         _record_min_distance(world, gains, min_dist)
@@ -480,5 +510,5 @@ def run(config: ScenarioConfig, mode: Optional[str] = None,
             advance(world, controls, gains, config.H)
     return RunResult(config=config, mode=mode, seed=seed, metrics=metrics_rows,
                      trace=trace, user_trace=user_trace,
-                     switch_events=switch_events, failures=failures,
+                     switch_events=switch_events, failures=world.failures,
                      min_distance_violations=min_dist, world=world)

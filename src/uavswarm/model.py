@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -42,13 +43,6 @@ class ScenarioError(ValueError):
 
 def vec3(x: float = 0.0, y: float = 0.0, z: float = 0.0) -> np.ndarray:
     return np.array([float(x), float(y), float(z)])
-
-
-def distance(a, b) -> float:
-    """Euclidean distance between two points, in meters."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(np.linalg.norm(a - b))
 
 
 def elevation_angle(uav, user) -> float:
@@ -99,21 +93,8 @@ class UserState:
         self.rate_window.append((time, rate))
         while self.rate_window and self.rate_window[0][0] <= time - tau:
             self.rate_window.popleft()
-        self.mean_rate = sum(r for _, r in self.rate_window) / len(self.rate_window)
-
-
-def neighbor_set(uav_id: int, uavs: list[UavState], comm_range: float) -> list[int]:
-    """Ids of alive UAVs within comm_range of uav_id, excluding itself."""
-    me = uavs[uav_id]
-    if not me.alive:
-        return []
-    out = []
-    for other in uavs:
-        if other.id == uav_id or not other.alive:
-            continue
-        if distance(me.position, other.position) <= comm_range:
-            out.append(other.id)
-    return out
+        window = self.rate_window
+        self.mean_rate = sum(map(itemgetter(1), window)) / len(window)
 
 
 @dataclass

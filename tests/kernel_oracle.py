@@ -1,0 +1,110 @@
+"""Per-neighbor loop forms of the controller terms and of greedy association.
+
+These are the scalar reference versions that the package's masked array
+reductions replace.  They walk one neighbor or user at a time, summing in
+index order, and rank association candidates with Python's sorted(); the
+tests compare the array code against them.  Only the scalar kernel
+primitives (bump, sigma-norm, sigmoid) are shared with the package, since
+the rewrite did not touch them.
+"""
+
+import numpy as np
+
+from uavswarm.kernels import (
+    bump,
+    pair_potential,
+    phi_sigmoid,
+    sigma_grad,
+    sigma_norm_scalar,
+)
+from uavswarm.model import L0, PREMIUM
+
+
+def oracle_f_term(i, positions, loads, alive, p):
+    out = np.zeros(3)
+    qi = positions[i]
+    for j in range(len(positions)):
+        if j == i or not alive[j]:
+            continue
+        rel = positions[j] - qi
+        dist = float(np.linalg.norm(rel))
+        if dist > p.r or dist <= 0.0:
+            continue
+        z_sig = sigma_norm_scalar(dist, p.eps)
+        overload = max(loads[j] - p.n_max, 0)
+        crowd = p.a * (1.0 - bump(
+            sigma_norm_scalar(float(overload), p.eps) / p.n_max_sig, 0.0))
+        out += (pair_potential(z_sig, p) + crowd) * sigma_grad(rel, p.eps)
+    return out
+
+
+def oracle_g_term(i, positions, velocities, alive, p):
+    out = np.zeros(3)
+    qi = positions[i]
+    vi = velocities[i]
+    for j in range(len(positions)):
+        if j == i or not alive[j]:
+            continue
+        rel = positions[j] - qi
+        dist = float(np.linalg.norm(rel))
+        if dist > p.r:
+            continue
+        weight = bump(sigma_norm_scalar(dist, p.eps) / p.r_sig, 0.2)
+        out += weight * (velocities[j] - vi)
+    return out
+
+
+def oracle_h_term(uav_pos, connected, user_pos, rates, targets, premium, p):
+    out = np.zeros(3)
+    for m in range(len(user_pos)):
+        rel = user_pos[m] - uav_pos
+        if connected[m]:
+            gain = p.c2_prem if premium[m] else p.c2_reg
+            gate = bump(rates[m] / (p.beta * targets[m]), 0.0)
+            deficit_mbps = (targets[m] - rates[m]) / 1e6
+            out += gain * gate * phi_sigmoid(deficit_mbps, p) * \
+                sigma_grad(rel, p.eps)
+        else:
+            dist = float(np.linalg.norm(rel))
+            if dist > p.r:
+                continue
+            shortfall = max(targets[m] - rates[m], 0.0) / targets[m]
+            out += p.c1 * shortfall * sigma_grad(-rel, p.eps)
+    return out
+
+
+def oracle_associate(uavs, users, gains):
+    """Greedy nearest-feasible association, one user and one sort at a time.
+
+    Returns (serving cell or None per user, sorted user ids per cell)
+    without touching the states passed in.
+    """
+    serving = [None] * len(users)
+    connected = [[] for _ in uavs]
+    if not uavs or not users:
+        return serving, connected
+    uav_pos = np.array([u.position for u in uavs])
+    user_pos = np.array([u.position for u in users])
+    dist = np.linalg.norm(uav_pos[:, None, :] - user_pos[None, :, :], axis=2)
+    alive = np.array([u.alive for u in uavs])
+    on_default = np.array([u.channel == L0 for u in uavs])
+    prem = np.array([u.klass == PREMIUM for u in users])
+    eligible = alive[:, None] & (dist <= gains.r) & \
+        (prem[None, :] | on_default[:, None])
+    nearest = np.where(eligible, dist, np.inf).min(axis=0)
+    order = sorted(range(len(users)), key=lambda m: (nearest[m], m))
+    load = [0] * len(uavs)
+    for m in order:
+        if not np.isfinite(nearest[m]):
+            continue
+        candidates = sorted((n for n in range(len(uavs)) if eligible[n, m]),
+                            key=lambda n: (dist[n, m], n))
+        for n in candidates:
+            if load[n] < gains.n_max:
+                serving[m] = n
+                load[n] += 1
+                connected[n].append(m)
+                break
+    for ids in connected:
+        ids.sort()
+    return serving, connected

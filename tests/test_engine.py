@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from uavswarm.engine import (
+    _check_invariants,
+    _distances,
     advance,
     associate_users,
     channel_switching,
@@ -17,6 +19,7 @@ from uavswarm.engine import (
 from uavswarm.kernels import KernelParams
 from uavswarm.model import (
     ControlGains,
+    FailureEvent,
     RadioParams,
     ScenarioConfig,
     ScenarioError,
@@ -141,6 +144,14 @@ def _assoc_world(uav_xy, channels, user_specs, gains=None):
     return world, gains
 
 
+def test_distances_match_linalg_norm_bits():
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-5e3, 5e3, size=(7, 3))
+    b = rng.uniform(-5e3, 5e3, size=(11, 3))
+    assert np.array_equal(_distances(a[:, None, :], b[None, :, :]),
+                          np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
+
+
 class TestAssociation:
     def test_nearest_eligible_wins(self):
         world, gains = _assoc_world(
@@ -187,6 +198,38 @@ class TestAssociation:
         world.uavs[0].alive = False
         associate_users(world, gains)
         assert world.users[0].serving_uav is None
+
+
+class TestInvariants:
+    def _served_world(self):
+        cfg = ScenarioConfig(
+            users=[UserSpec(klass="regular", position=(240.0, 0.0))],
+            uav_count=2, uav_initial_positions=[(0.0, 0.0), (900.0, 0.0)],
+            H=180.0)
+        world = make_world(cfg)
+        associate_users(world, cfg.gains)
+        assert world.users[0].serving_uav == 0    # slant range exactly r
+        return world, cfg
+
+    def test_consistent_state_passes(self):
+        world, cfg = self._served_world()
+        _check_invariants(world, cfg)
+
+    @pytest.mark.parametrize("breach, message", [
+        (lambda w: setattr(w.uavs[0], "alive", False), "served by dead UAV"),
+        (lambda w: w.uavs[0].position.__setitem__(0, -1e-9),
+         "served out of range"),
+        (lambda w: setattr(w.uavs[0], "channel", 3), "off the default channel"),
+        (lambda w: w.uavs[1].position.__setitem__(1, np.nan),
+         "UAV 1 position not finite"),
+        (lambda w: w.uavs[1].connected_users.extend(range(81)),
+         "UAV 1 over capacity"),
+    ])
+    def test_each_breach_raises(self, breach, message):
+        world, cfg = self._served_world()
+        breach(world)
+        with pytest.raises(RuntimeError, match=message):
+            _check_invariants(world, cfg)
 
 
 def _switch_world(num_channels=8, extra_uav=None, regular_too=True,
@@ -345,6 +388,16 @@ class TestRun:
         t, i, j, dist = result.min_distance_violations[0]
         assert (t, i, j) == (0.0, 0, 1) and dist == pytest.approx(50.0)
 
+    def test_min_distance_violations_in_pair_order(self):
+        cfg = ScenarioConfig(
+            users=[], uav_count=4,
+            uav_initial_positions=[(0.0, 0.0), (500.0, 0.0), (60.0, 0.0),
+                                   (30.0, 40.0)], duration=0.0)
+        result = run(cfg)
+        pairs = [(i, j) for _, i, j, _ in result.min_distance_violations]
+        assert pairs == [(0, 2), (0, 3), (2, 3)]
+        assert result.min_distance_violations[1][3] == 50.0
+
     def test_bad_mode_rejected(self, fig3_config):
         with pytest.raises(ScenarioError):
             run(fig3_config, mode="hover")
@@ -369,3 +422,22 @@ def test_step_matches_run_loop(fig3_config):
         rows.append(metrics)
     full = run(fig3_config)
     assert rows == full.metrics[:11]
+
+
+def test_step_fires_failures_like_run():
+    cfg = ScenarioConfig(
+        users=[UserSpec(klass="premium", region=(0.0, 0.0, 300.0, 200.0),
+                        count=12),
+               UserSpec(klass="regular", region=(0.0, 0.0, 300.0, 200.0),
+                        count=12)],
+        uav_count=4, uav_region=(0.0, 0.0, 300.0, 200.0), seed=11,
+        duration=1.0, failure_events=[FailureEvent(at_time=0.3,
+                                                   fraction=0.5)])
+    kp = KernelParams.from_gains(cfg.gains)
+    world = make_world(cfg)
+    ticks = int(round(cfg.duration / cfg.gains.dt))
+    rows = [step(world, cfg, kp, "qos_driven")[0] for _ in range(ticks + 1)]
+    full = run(cfg)
+    assert full.failures and full.failures[0][0] == pytest.approx(0.3)
+    assert rows == full.metrics
+    assert world.failures == full.failures

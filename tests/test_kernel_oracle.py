@@ -1,0 +1,174 @@
+"""Cross-check the array controller terms and association against loop forms.
+
+Random small worlds on an integer grid, so that coincident cells, equal
+distances and links at exactly the range r (integer right triangles) occur
+and are exact under any summation order.  The worlds also hold dead cells,
+cells off the default channel, empty user sets and capacities small enough
+to force spills.
+"""
+
+import numpy as np
+import pytest
+
+from kernel_oracle import (
+    oracle_associate,
+    oracle_f_term,
+    oracle_g_term,
+    oracle_h_term,
+)
+from uavswarm.engine import WorldState, associate_users
+from uavswarm.kernels import KernelParams, f_term, g_term, h_term
+from uavswarm.model import (
+    PREMIUM,
+    REGULAR,
+    TARGET_RATE,
+    ControlGains,
+    UavState,
+    UserState,
+    vec3,
+)
+
+GAINS = ControlGains()
+KP = KernelParams.from_gains(GAINS)
+SEEDS = range(200)
+
+# The array forms sum in another order, so forces agree to rounding only.
+# One pair's term is at most 1.5 * c2_reg * a / sqrt(eps) ~ 95 in size at
+# the default gains, which sets the absolute floor for sums that cancel.
+REL = 1e-12
+TERM_BOUND = 100.0
+
+# Cells fly at this height, so the offsets below are exactly r = 300 m.
+HEIGHT = 180.0
+CELL_AT_RANGE = [(180.0, 240.0, 0.0), (0.0, -300.0, 0.0)]
+USER_AT_RANGE = [(240.0, 0.0, -HEIGHT), (-144.0, 192.0, -HEIGHT)]
+
+
+def _assert_close(got, want, terms):
+    np.testing.assert_allclose(got, want, rtol=REL,
+                               atol=REL * TERM_BOUND * max(terms, 1))
+
+
+def _cells(rng, n):
+    positions = np.column_stack([
+        rng.integers(0, 600, n), rng.integers(0, 600, n),
+        np.full(n, HEIGHT)]).astype(float)
+    if n >= 2:
+        positions[1] = positions[0]                         # coincident
+    for k, offset in enumerate(CELL_AT_RANGE, start=2):
+        if n > k:
+            positions[k] = positions[0] + offset            # exactly at r
+    alive = rng.random(n) < 0.75
+    loads = rng.integers(0, 2 * GAINS.n_max, n)
+    velocities = rng.normal(scale=8.0, size=(n, 3))
+    velocities[:, 2] = 0.0
+    return positions, alive, loads, velocities
+
+
+def _users(rng, n, uav_pos):
+    """Users around one cell, as h_term's (connected, positions, rates,
+    targets, premium) arguments."""
+    user_pos = np.column_stack([
+        uav_pos[0] + rng.integers(-400, 400, n),
+        uav_pos[1] + rng.integers(-400, 400, n), np.zeros(n)])
+    for k, offset in enumerate(USER_AT_RANGE):
+        if n > k:
+            user_pos[k] = uav_pos + offset
+    premium = rng.random(n) < 0.4
+    targets = np.where(premium, TARGET_RATE[PREMIUM], TARGET_RATE[REGULAR])
+    rates = targets * rng.choice([0.0, 0.5, 1.0, GAINS.beta, 2.0], n) * \
+        rng.choice([1.0, rng.uniform(0.5, 1.5)], n)
+    connected = rng.random(n) < 0.5
+    return connected, user_pos, rates, targets, premium
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_spacing_and_consensus_match_loops(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    positions, alive, loads, velocities = _cells(rng, n)
+    for i in range(n):
+        _assert_close(f_term(i, positions, loads, alive, KP),
+                      oracle_f_term(i, positions, loads, alive, KP), n)
+        _assert_close(g_term(i, positions, velocities, alive, KP),
+                      oracle_g_term(i, positions, velocities, alive, KP), n)
+
+
+def test_coincident_cells_count_in_consensus_only():
+    positions = np.array([[0.0, 0.0, HEIGHT], [0.0, 0.0, HEIGHT]])
+    velocities = np.array([[0.0, 0.0, 0.0], [3.0, -1.0, 0.0]])
+    alive = np.array([True, True])
+    loads = np.array([GAINS.n_max * 2, 0])
+    assert np.array_equal(f_term(0, positions, loads, alive, KP), np.zeros(3))
+    assert np.array_equal(g_term(0, positions, velocities, alive, KP),
+                          velocities[1])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_user_coupling_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    uav_pos = vec3(rng.integers(0, 600), rng.integers(0, 600), HEIGHT)
+    n = int(rng.integers(0, 30))
+    args = _users(rng, n, uav_pos)
+    _assert_close(h_term(uav_pos, *args, KP),
+                  oracle_h_term(uav_pos, *args, KP), n)
+
+
+def test_user_coupling_counts_unconnected_user_at_exact_range():
+    uav_pos = vec3(0.0, 0.0, HEIGHT)
+    user_pos = np.array([uav_pos + USER_AT_RANGE[0]])
+    args = (np.array([False]), user_pos, np.array([0.0]),
+            np.array([TARGET_RATE[REGULAR]]), np.array([False]))
+    got = h_term(uav_pos, *args, KP)
+    assert got[0] < 0.0
+    _assert_close(got, oracle_h_term(uav_pos, *args, KP), 1)
+
+
+def _assoc_world(rng):
+    n_cells = int(rng.integers(0, 7))
+    n_users = int(rng.integers(0, 40))
+    positions, alive, _, _ = _cells(rng, n_cells)
+    uavs = [UavState(id=n, position=positions[n], velocity=vec3(),
+                     channel=int(rng.choice([0, 0, 2])),
+                     alive=bool(alive[n]))
+            for n in range(n_cells)]
+    anchor = positions[0] if n_cells else vec3(0.0, 0.0, HEIGHT)
+    _, user_pos, _, _, premium = _users(rng, n_users, anchor)
+    users = [UserState(id=m, position=user_pos[m],
+                       klass=PREMIUM if premium[m] else REGULAR,
+                       target_rate=TARGET_RATE[PREMIUM if premium[m]
+                                               else REGULAR])
+             for m in range(n_users)]
+    gains = ControlGains(n_max=int(rng.integers(1, 5)))
+    return WorldState(time=0.0, tick=0, uavs=uavs, users=users,
+                      failure_rng=np.random.default_rng(0)), gains
+
+
+def _spilled(world, serving, gains):
+    """Users served by a cell other than their nearest eligible one."""
+    count = 0
+    for m, n in enumerate(serving):
+        if n is None:
+            continue
+        user = world.users[m]
+        dists = [np.linalg.norm(uav.position - user.position)
+                 for uav in world.uavs]
+        eligible = [d for uav, d in zip(world.uavs, dists)
+                    if uav.alive and d <= gains.r
+                    and (user.klass == PREMIUM or uav.channel == 0)]
+        count += dists[n] > min(eligible)
+    return count
+
+
+def test_association_matches_greedy_loop():
+    spills = 0
+    for seed in range(400):
+        world, gains = _assoc_world(np.random.default_rng(seed))
+        want_serving, want_connected = oracle_associate(
+            world.uavs, world.users, gains)
+        associate_users(world, gains)
+        assert [u.serving_uav for u in world.users] == want_serving, seed
+        assert [u.connected_users for u in world.uavs] == want_connected, seed
+        spills += _spilled(world, want_serving, gains)
+    # the worlds must reach the spill path, not only the nearest-cell one
+    assert spills > 50
