@@ -8,14 +8,13 @@ the target is met.
 
 import numpy as np
 
-from uavswarm import KernelParams, bump, pair_potential, phi_sigmoid
-from uavswarm.engine import advance, associate_users, make_world, update_rates
-from uavswarm.engine import control_all
+from uavswarm import bump, pair_potential, phi_sigmoid
+from uavswarm.engine import (advance, associate_users, control_all,
+                             make_world, update_rates)
 from uavswarm.kernels import sigma_norm_scalar
 from uavswarm.model import ControlGains, RadioParams, ScenarioConfig, UserSpec
 
 gains = ControlGains()
-p = KernelParams.from_gains(gains)
 
 print("bump gate: flat at 1, cosine taper, hard zero")
 for z in (0.0, 0.2, 0.5, 0.8, 1.0, 1.3):
@@ -24,13 +23,13 @@ for z in (0.0, 0.2, 0.5, 0.8, 1.0, 1.3):
 print()
 print("pair potential over the sigma-distance (zero crossing at 100 m)")
 for dist in (40, 70, 100, 150, 250, 299):
-    z = sigma_norm_scalar(float(dist), p.eps)
-    print(f"  {dist:4d} m -> {pair_potential(z, p):+8.4f}")
+    z = sigma_norm_scalar(float(dist), gains.eps)
+    print(f"  {dist:4d} m -> {pair_potential(z, gains):+8.4f}")
 
 print()
 print("odd deficit sigmoid, saturates near +/-5 within a few Mbit/s")
 for mbps in (-50, -2, 0, 2, 50):
-    print(f"  phi({mbps:+4d} Mbps) = {phi_sigmoid(float(mbps), p):+7.4f}")
+    print(f"  phi({mbps:+4d} Mbps) = {phi_sigmoid(float(mbps), gains):+7.4f}")
 
 # two free-floating UAVs released 40 m apart with no users: the spacing
 # force alone should push them out to the 100 m rest distance
@@ -43,7 +42,7 @@ print("two UAVs released 40 m apart, spacing term only:")
 for tick in range(1200):
     associate_users(world, gains)
     update_rates(world, cfg.radio, gains)
-    controls = control_all(world, p, gains, "qos_driven")
+    controls = control_all(world, gains, "qos_driven")
     advance(world, controls, gains, cfg.H)
     if tick % 200 == 199:
         sep = float(np.linalg.norm(world.uavs[0].position -
@@ -64,7 +63,7 @@ print("single cell chasing one premium user 250 m away:")
 for tick in range(600):
     associate_users(world, gains)
     update_rates(world, cfg.radio, gains)
-    controls = control_all(world, p, gains, "qos_driven")
+    controls = control_all(world, gains, "qos_driven")
     advance(world, controls, gains, cfg.H)
     if tick % 100 == 99:
         user = world.users[0]

@@ -7,72 +7,15 @@ orchestrator handles association, link rates, channel switching, and
 failure injection.
 """
 
-from .engine import (
-    RunResult,
-    SwitchEvent,
-    WorldState,
-    associate_users,
-    channel_switching,
-    inject_failures,
-    make_world,
-    run,
-    step,
-    update_rates,
-)
-from .harness import (
-    SweepResult,
-    export_run,
-    export_sweep_csv,
-    generate_scenario,
-    run_sweep,
-)
-from .kernels import (
-    KernelParams,
-    bump,
-    control_input,
-    pair_potential,
-    phi_sigmoid,
-    sigma_grad,
-    sigma_norm,
-)
-from .metrics import TickMetrics, compute_metrics, steady_state
-from .model import (
-    FLOCKING_MODE,
-    PREMIUM,
-    QOS_MODE,
-    REGULAR,
-    ControlGains,
-    RadioParams,
-    ScenarioConfig,
-    ScenarioError,
-    UavState,
-    UserSpec,
-    UserState,
-    load_scenario,
-    save_scenario,
-)
-from .radio import (
-    LinkBudget,
-    data_rate,
-    link_budget,
-    los_probability,
-    p0_objective,
-    path_loss,
-    received_power_mw,
-    sinr,
-)
+from .engine import run
+from .kernels import bump, pair_potential, phi_sigmoid
+from .metrics import steady_state
+from .model import RadioParams, load_scenario
+from .radio import link_budget, los_probability
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ControlGains", "FLOCKING_MODE", "KernelParams", "LinkBudget", "PREMIUM",
-    "QOS_MODE", "REGULAR", "RadioParams", "RunResult", "ScenarioConfig",
-    "ScenarioError", "SweepResult", "SwitchEvent", "TickMetrics", "UavState",
-    "UserSpec", "UserState", "WorldState", "associate_users", "bump",
-    "channel_switching", "compute_metrics", "control_input", "data_rate",
-    "export_run", "export_sweep_csv", "generate_scenario", "inject_failures",
-    "link_budget", "load_scenario", "los_probability", "make_world",
-    "p0_objective", "pair_potential", "path_loss", "phi_sigmoid",
-    "received_power_mw", "run", "run_sweep", "save_scenario", "sigma_grad",
-    "sigma_norm", "sinr", "step", "steady_state", "update_rates",
+    "RadioParams", "bump", "link_budget", "load_scenario", "los_probability",
+    "pair_potential", "phi_sigmoid", "run", "steady_state",
 ]

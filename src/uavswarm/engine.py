@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import KernelParams, control_input
+from .kernels import control_input
 from .metrics import TickMetrics, compute_metrics
 from .model import (
     L0,
@@ -29,6 +29,7 @@ from .model import (
     ScenarioError,
     UavState,
     UserState,
+    distances,
     round_half_up,
     vec3,
 )
@@ -139,18 +140,6 @@ def inject_failures(world: WorldState, fraction: float) -> list[int]:
     return killed
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between broadcast (..., 3) point arrays.
-
-    Sums the squared components in x, y, z order, as np.linalg.norm over
-    the last axis does, without its strided (..., 3) reduction.
-    """
-    dx = a[..., 0] - b[..., 0]
-    dy = a[..., 1] - b[..., 1]
-    dz = a[..., 2] - b[..., 2]
-    return np.sqrt(dx * dx + dy * dy + dz * dz)
-
-
 def associate_users(world: WorldState, gains: ControlGains) -> None:
     """Greedy nearest-feasible association with per-UAV capacity.
 
@@ -168,7 +157,7 @@ def associate_users(world: WorldState, gains: ControlGains) -> None:
         return
     uav_pos = np.array([u.position for u in uavs])
     user_pos = np.array([u.position for u in users])
-    dist = _distances(uav_pos[:, None, :], user_pos[None, :, :])
+    dist = distances(uav_pos[:, None, :], user_pos[None, :, :])
     alive = np.array([u.alive for u in uavs])
     on_default = np.array([u.channel == L0 for u in uavs])
     prem = np.array([u.klass == PREMIUM for u in users])
@@ -329,7 +318,7 @@ def channel_switching(world: WorldState, powers: np.ndarray,
     return events
 
 
-def control_all(world: WorldState, kp: KernelParams, gains: ControlGains,
+def control_all(world: WorldState, gains: ControlGains,
                 mode: str) -> np.ndarray:
     """Control inputs for all UAVs from one frozen state snapshot."""
     n_uavs = len(world.uavs)
@@ -359,7 +348,7 @@ def control_all(world: WorldState, kp: KernelParams, gains: ControlGains,
             connected[np.array(uav.connected_users)] = True
         controls[i] = control_input(
             i, positions, velocities, loads, alive, connected, user_pos,
-            rates, targets, premium, kp, gains.u_max, mode)
+            rates, targets, premium, gains, mode)
     return controls
 
 
@@ -401,8 +390,8 @@ def _check_invariants(world: WorldState, config: ScenarioConfig) -> None:
     servers = [world.uavs[u.serving_uav] for u in served]
     # the same arithmetic as associate_users, so a user it found in range
     # at exactly r passes here too
-    dist = _distances(np.array([s.position for s in servers]),
-                      np.array([u.position for u in served]))
+    dist = distances(np.array([s.position for s in servers]),
+                     np.array([u.position for u in served]))
     for user, server, far in zip(served, servers,
                                  (dist > config.gains.r).tolist()):
         if not server.alive:
@@ -420,13 +409,13 @@ def _record_min_distance(world: WorldState, gains: ControlGains,
     if len(alive) < 2:
         return
     pos = np.array([u.position for u in alive])
-    dist = _distances(pos[:, None, :], pos[None, :, :])
+    dist = distances(pos[:, None, :], pos[None, :, :])
     # row-major order: the (i, j > i) pairs in the order of a nested loop
     for i, j in zip(*np.nonzero(np.triu(dist < gains.d, k=1))):
         out.append((world.time, alive[i].id, alive[j].id, float(dist[i, j])))
 
 
-def step(world: WorldState, config: ScenarioConfig, kp: KernelParams,
+def step(world: WorldState, config: ScenarioConfig,
          mode: str) -> tuple[TickMetrics, list[SwitchEvent]]:
     """One full evaluate-and-advance cycle for callers driving a world by hand.
 
@@ -435,7 +424,7 @@ def step(world: WorldState, config: ScenarioConfig, kp: KernelParams,
     here too; the world keeps which have fired and what they killed.
     """
     metrics, events = _evaluate(world, config, mode)
-    controls = control_all(world, kp, config.gains, mode)
+    controls = control_all(world, config.gains, mode)
     advance(world, controls, config.gains, config.H)
     return metrics, events
 
@@ -481,7 +470,6 @@ def run(config: ScenarioConfig, mode: Optional[str] = None,
     seed = config.seed if run_seed is None else int(run_seed)
     world = make_world(config, seed)
     gains = config.gains
-    kp = KernelParams.from_gains(gains)
     ticks = int(round(config.duration / gains.dt))
     metrics_rows: list[TickMetrics] = []
     trace: list[tuple] = []
@@ -506,7 +494,7 @@ def run(config: ScenarioConfig, mode: Optional[str] = None,
                                    else user.serving_uav,
                                    user.achieved_rate, user.mean_rate))
         if k < ticks:
-            controls = control_all(world, kp, gains, mode)
+            controls = control_all(world, gains, mode)
             advance(world, controls, gains, config.H)
     return RunResult(config=config, mode=mode, seed=seed, metrics=metrics_rows,
                      trace=trace, user_trace=user_trace,

@@ -196,8 +196,6 @@ def summary_dict(result: RunResult) -> dict:
     for key, value in steady.items():
         if "rate" in key or key == "p0_objective":
             scaled[key + "_mbps"] = round(value / 1e6, 3)
-        elif key == "time":
-            scaled[key] = round(value, 3)
         else:
             scaled[key] = round(value, 3)
     return {

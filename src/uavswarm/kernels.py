@@ -13,7 +13,9 @@ The controller output for UAV i is u_i = f_i + g_i + h_i:
   gated off once the trailing rate clears beta times the target.
 
 All kernels are built on the sigma-norm, a smooth everywhere-differentiable
-surrogate for the Euclidean norm.
+surrogate for the Euclidean norm.  They take the scenario's ControlGains
+directly; the sigma-norm images of r, d and n_max and the sigmoid shift are
+read-only properties on it.
 
 The terms follow Olfati-Saber's flocking construction, which is defined over
 neighbor sets, so each is one masked array reduction: f and g over the alive
@@ -25,52 +27,9 @@ results agree with a per-neighbor loop to rounding, within 1e-12 relative.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import PREMIUM, ControlGains, FLOCKING_MODE, QOS_MODE
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Controller gains plus sigma-norm images of the key distances."""
-
-    eps: float
-    a: float
-    b: float
-    c_sig: float        # sigmoid shift |a - b| / sqrt(4ab)
-    c1: float
-    c2_reg: float
-    c2_prem: float
-    beta: float
-    n_max: int
-    r: float
-    d: float
-    r_sig: float        # sigma-norm of r
-    d_sig: float        # sigma-norm of d
-    n_max_sig: float    # sigma-norm of n_max
-
-    @classmethod
-    def from_gains(cls, gains: ControlGains) -> "KernelParams":
-        eps = gains.eps
-        return cls(
-            eps=eps,
-            a=gains.a,
-            b=gains.b,
-            c_sig=abs(gains.a - gains.b) / math.sqrt(4.0 * gains.a * gains.b),
-            c1=gains.c1,
-            c2_reg=gains.c2_reg,
-            c2_prem=gains.c2_prem,
-            beta=gains.beta,
-            n_max=gains.n_max,
-            r=gains.r,
-            d=gains.d,
-            r_sig=sigma_norm_scalar(gains.r, eps),
-            d_sig=sigma_norm_scalar(gains.d, eps),
-            n_max_sig=sigma_norm_scalar(gains.n_max, eps),
-        )
+from .model import ControlGains, FLOCKING_MODE, QOS_MODE
 
 
 def bump(z, gamma: float):
@@ -113,7 +72,7 @@ def sigma_grad(vec, eps: float) -> np.ndarray:
     return vec / np.sqrt(1.0 + eps * float(vec @ vec))
 
 
-def phi_sigmoid(z, p: KernelParams):
+def phi_sigmoid(z, p: ControlGains):
     """Uneven sigmoid through the origin with limits -b and a.
 
     phi(z) = 0.5 * [(a + b) * s(z + c) + (a - b)], s(y) = y / sqrt(1 + y^2).
@@ -128,7 +87,7 @@ def phi_sigmoid(z, p: KernelParams):
     return val
 
 
-def pair_potential(z_sig, p: KernelParams):
+def pair_potential(z_sig, p: ControlGains):
     """Action function for UAV pairs: bump-windowed sigmoid of spacing error.
 
     Zero crossing at the sigma-image of the desired spacing d; support ends
@@ -148,7 +107,7 @@ def _sigma_grads(rel: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def f_term(i: int, positions: np.ndarray, loads: np.ndarray,
-           alive: np.ndarray, p: KernelParams) -> np.ndarray:
+           alive: np.ndarray, p: ControlGains) -> np.ndarray:
     """Inter-UAV spacing force on UAV i.
 
     For each alive neighbor within range r: pair potential of the
@@ -168,7 +127,7 @@ def f_term(i: int, positions: np.ndarray, loads: np.ndarray,
 
 
 def g_term(i: int, positions: np.ndarray, velocities: np.ndarray,
-           alive: np.ndarray, p: KernelParams) -> np.ndarray:
+           alive: np.ndarray, p: ControlGains) -> np.ndarray:
     """Velocity consensus force on UAV i over alive neighbors within r.
 
     Coincident neighbors count, with full weight.
@@ -183,7 +142,7 @@ def g_term(i: int, positions: np.ndarray, velocities: np.ndarray,
 
 def h_term(uav_pos: np.ndarray, connected: np.ndarray, user_pos: np.ndarray,
            rates: np.ndarray, targets: np.ndarray, premium: np.ndarray,
-           p: KernelParams) -> np.ndarray:
+           p: ControlGains) -> np.ndarray:
     """User-coupling force on one UAV.
 
     Non-connected users within range r and short of their target repel in
@@ -202,7 +161,7 @@ def h_term(uav_pos: np.ndarray, connected: np.ndarray, user_pos: np.ndarray,
 
 
 def flocking_goal_term(uav_pos: np.ndarray, user_pos: np.ndarray,
-                       p: KernelParams) -> np.ndarray:
+                       p: ControlGains) -> np.ndarray:
     """Baseline navigation force: pull toward the user centroid."""
     if len(user_pos) == 0:
         return np.zeros(3)
@@ -214,9 +173,9 @@ def control_input(i: int, positions: np.ndarray, velocities: np.ndarray,
                   loads: np.ndarray, alive: np.ndarray,
                   connected: np.ndarray, user_pos: np.ndarray,
                   rates: np.ndarray, targets: np.ndarray,
-                  premium: np.ndarray, p: KernelParams, u_max: float,
+                  premium: np.ndarray, p: ControlGains,
                   mode: str = QOS_MODE) -> np.ndarray:
-    """Full control input for UAV i, z zeroed, clamped to u_max."""
+    """Full control input for UAV i, z zeroed, clamped to p.u_max."""
     u = f_term(i, positions, loads, alive, p) + \
         g_term(i, positions, velocities, alive, p)
     if mode == QOS_MODE:
@@ -228,6 +187,6 @@ def control_input(i: int, positions: np.ndarray, velocities: np.ndarray,
         raise ValueError(f"unknown controller mode {mode!r}")
     u[2] = 0.0
     norm = float(np.linalg.norm(u))
-    if norm > u_max:
-        u = u * (u_max / norm)
+    if norm > p.u_max:
+        u = u * (p.u_max / norm)
     return u

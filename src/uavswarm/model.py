@@ -1,10 +1,17 @@
-"""Core domain types, geometry helpers, and scenario configuration.
+"""Core domain types, the distance helper, and scenario configuration.
 
 Everything internal is SI (m, s, Hz, bits/s).  Transmit and noise powers are
 carried in dBm at the configuration boundary and converted to mW exactly once,
 inside the radio module.  Positions are numpy float arrays of shape (3,).
 UAVs fly at a fixed height with zero vertical velocity; ground users sit at
 z = 0 and do not move.
+
+`distances` is the one Euclidean distance code: association, the invariant
+check, the spacing log and the radio's slant ranges all use it.  Values the
+model fixes are derived, not configured: ControlGains computes the premium
+gain and the sigma-norm images the kernels need.  A scenario file is
+rejected at load, with the field named, when a number is not finite or an
+integer field is not integral.
 """
 
 from __future__ import annotations
@@ -45,16 +52,18 @@ def vec3(x: float = 0.0, y: float = 0.0, z: float = 0.0) -> np.ndarray:
     return np.array([float(x), float(y), float(z)])
 
 
-def elevation_angle(uav, user) -> float:
-    """Elevation angle in radians from a ground user up to a UAV.
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between broadcast (..., 3) point arrays.
 
-    atan2(height difference, horizontal distance); pi/2 when the UAV is
-    directly overhead.
+    Sums the squared components in x, y, z order, as np.linalg.norm over
+    the last axis does, without its strided (..., 3) reduction.  Every
+    range test and slant distance uses this one arithmetic, so a user that
+    association finds at exactly r is at exactly r everywhere else.
     """
-    dx = float(uav[0]) - float(user[0])
-    dy = float(uav[1]) - float(user[1])
-    dz = float(uav[2]) - float(user[2])
-    return math.atan2(dz, math.hypot(dx, dy))
+    dx = a[..., 0] - b[..., 0]
+    dy = a[..., 1] - b[..., 1]
+    dz = a[..., 2] - b[..., 2]
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def round_half_up(x: float) -> int:
@@ -138,7 +147,6 @@ class ControlGains:
     b: float = 5.0                  # sigmoid floor
     c1: float = 6.0                 # repulsion / navigation gain
     c2_reg: float = 4.0             # attraction gain, regular users
-    c2_prem: float | None = None    # attraction gain, premium; 1.5 * c2_reg
     beta: float = 1.5               # satisfaction ceiling factor
     n_max: int = 80                 # per-UAV serving capacity
     r: float = 300.0                # communication range, m
@@ -148,9 +156,32 @@ class ControlGains:
     v_max: float = 20.0             # speed clamp, m/s
     u_max: float = 10.0             # control clamp, m/s^2
 
-    def __post_init__(self) -> None:
-        if self.c2_prem is None:
-            self.c2_prem = 1.5 * self.c2_reg
+    @property
+    def c2_prem(self) -> float:
+        """Attraction gain for premium users, fixed at 1.5 x the regular one."""
+        return 1.5 * self.c2_reg
+
+    # Sigma-norm images used by the kernels: sigma(x) = (sqrt(1 + eps x^2)
+    # - 1) / eps, the same bits as kernels.sigma_norm_scalar.
+    def _sigma(self, x: float) -> float:
+        return (math.sqrt(1.0 + self.eps * x * x) - 1.0) / self.eps
+
+    @property
+    def c_sig(self) -> float:
+        """Shift of the uneven sigmoid, |a - b| / sqrt(4ab)."""
+        return abs(self.a - self.b) / math.sqrt(4.0 * self.a * self.b)
+
+    @property
+    def r_sig(self) -> float:
+        return self._sigma(self.r)
+
+    @property
+    def d_sig(self) -> float:
+        return self._sigma(self.d)
+
+    @property
+    def n_max_sig(self) -> float:
+        return self._sigma(float(self.n_max))
 
     def validate(self) -> None:
         if self.eps <= 0:
@@ -159,8 +190,6 @@ class ControlGains:
             raise ScenarioError("gains.a and gains.b must be positive")
         if self.c1 < 0 or self.c2_reg < 0:
             raise ScenarioError("gains.c1 and gains.c2_reg must be non-negative")
-        if abs(self.c2_prem - 1.5 * self.c2_reg) > 1e-9 * max(1.0, self.c2_reg):
-            raise ScenarioError("gains.c2_prem must equal 1.5 * c2_reg")
         if self.beta <= 0:
             raise ScenarioError("gains.beta must be positive")
         if self.n_max < 1:
@@ -288,20 +317,32 @@ def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _as_float_pair(value, where: str) -> tuple[float, float]:
+def _as_float(value, where: str) -> float:
+    """A real-valued field: any finite number."""
     try:
-        x, y = value
-        return (float(x), float(y))
+        number = float(value)
     except (TypeError, ValueError):
-        raise ScenarioError(f"{where}: expected [x, y]") from None
+        raise ScenarioError(f"{where}: expected a number") from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"{where}: must be finite, got {number}")
+    return number
 
 
-def _as_region(value, where: str) -> tuple[float, float, float, float]:
-    try:
-        x0, y0, x1, y1 = value
-        return (float(x0), float(y0), float(x1), float(y1))
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where}: expected [x0, y0, x1, y1]") from None
+def _as_int(value, where: str) -> int:
+    """An integer field: integers and integral floats, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int):
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _as_floats(value, form: str, where: str) -> tuple[float, ...]:
+    """A fixed-length list of finite numbers, written as ``form``."""
+    if not isinstance(value, (list, tuple)) or \
+            len(value) != form.count(",") + 1:
+        raise ScenarioError(f"{where}: expected {form}")
+    return tuple(_as_float(v, where) for v in value)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
@@ -319,11 +360,13 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             raise ScenarioError(f"{where}: klass required")
         spec = UserSpec(
             klass=str(entry["klass"]),
-            position=_as_float_pair(entry["position"], where)
+            position=_as_floats(entry["position"], "[x, y]",
+                                f"{where}.position")
             if entry.get("position") is not None else None,
-            region=_as_region(entry["region"], where)
+            region=_as_floats(entry["region"], "[x0, y0, x1, y1]",
+                              f"{where}.region")
             if entry.get("region") is not None else None,
-            count=int(entry.get("count", 1)),
+            count=_as_int(entry.get("count", 1), f"{where}.count"),
         )
         users.append(spec)
 
@@ -332,12 +375,13 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raw = data["uav_initial_positions"]
         if not isinstance(raw, list):
             raise ScenarioError("uav_initial_positions: expected a list")
-        positions = [_as_float_pair(p, f"uav_initial_positions[{i}]")
+        positions = [_as_floats(p, "[x, y]", f"uav_initial_positions[{i}]")
                      for i, p in enumerate(raw)]
 
     region = None
     if data.get("uav_region") is not None:
-        region = _as_region(data["uav_region"], "uav_region")
+        region = _as_floats(data["uav_region"], "[x0, y0, x1, y1]",
+                            "uav_region")
 
     failures = []
     for i, entry in enumerate(data.get("failure_events", []) or []):
@@ -345,8 +389,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         _reject_unknown(entry, _FAILURE_KEYS, where)
         if "at_time" not in entry or "fraction" not in entry:
             raise ScenarioError(f"{where}: at_time and fraction required")
-        failures.append(FailureEvent(float(entry["at_time"]),
-                                     float(entry["fraction"])))
+        failures.append(FailureEvent(
+            _as_float(entry["at_time"], f"{where}.at_time"),
+            _as_float(entry["fraction"], f"{where}.fraction")))
 
     radio_data = data.get("radio", {}) or {}
     _reject_unknown(radio_data, _RADIO_KEYS, "radio")
@@ -355,9 +400,9 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if key == "plos_form":
             radio_kwargs[key] = str(value)
         elif key == "num_channels":
-            radio_kwargs[key] = int(value)
+            radio_kwargs[key] = _as_int(value, f"radio.{key}")
         else:
-            radio_kwargs[key] = float(value)
+            radio_kwargs[key] = _as_float(value, f"radio.{key}")
     radio = RadioParams(**radio_kwargs)
 
     gains_data = data.get("gains", {}) or {}
@@ -365,19 +410,19 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     gains_kwargs = {}
     for key, value in gains_data.items():
         if key == "n_max":
-            gains_kwargs[key] = int(value)
+            gains_kwargs[key] = _as_int(value, f"gains.{key}")
         else:
-            gains_kwargs[key] = float(value)
+            gains_kwargs[key] = _as_float(value, f"gains.{key}")
     gains = ControlGains(**gains_kwargs)
 
     return ScenarioConfig(
         users=users,
-        uav_count=int(data["uav_count"]),
+        uav_count=_as_int(data["uav_count"], "uav_count"),
         uav_initial_positions=positions,
         uav_region=region,
-        H=float(data.get("H", 100.0)),
-        duration=float(data.get("duration", 30.0)),
-        seed=int(data.get("seed", 0)),
+        H=_as_float(data.get("H", 100.0), "H"),
+        duration=_as_float(data.get("duration", 30.0), "duration"),
+        seed=_as_int(data.get("seed", 0), "seed"),
         failure_events=failures,
         controller_mode=str(data.get("controller_mode", QOS_MODE)),
         radio=radio,

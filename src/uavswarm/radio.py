@@ -1,9 +1,11 @@
 """Air-to-ground radio link model.
 
-Chain: elevation angle -> LoS probability -> mean path loss -> received
-power -> SINR -> Shannon rate.  All primitives broadcast over numpy arrays
-so the per-tick engine path and the scalar convenience wrappers share one
-code route.
+Chain: slant distance and elevation angle -> LoS probability -> mean path
+loss -> received power -> SINR -> Shannon rate.  There is one code path:
+received_power_field evaluates the chain for every UAV/user pair at once,
+and the engine forms each served user's SINR from that field and its
+per-channel sums.  link_budget runs the same primitives on a single link,
+without interference, for inspection and for the oracle tests.
 
 Interference is network wide: every alive UAV on the same channel as a
 user's serving UAV contributes its received power at that user, whether or
@@ -17,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    PLOS_AS_WRITTEN,
-    PLOS_STANDARD,
-    RadioParams,
-    UavState,
-    UserState,
-    elevation_angle,
-)
+from .model import PLOS_AS_WRITTEN, PLOS_STANDARD, RadioParams, distances
 
 
 def los_probability(elevation_rad, params: RadioParams):
@@ -65,77 +60,30 @@ def path_loss_db(distance_m, elevation_rad, params: RadioParams):
     return fspl + p_los * params.eta_los + (1.0 - p_los) * params.eta_nlos
 
 
-def path_loss(uav_pos, user_pos, params: RadioParams) -> float:
-    """Path loss in dB between a UAV and a ground user position."""
-    uav_pos = np.asarray(uav_pos, dtype=float)
-    user_pos = np.asarray(user_pos, dtype=float)
-    dist = float(np.linalg.norm(uav_pos - user_pos))
-    if dist <= 0:
-        raise ValueError("path loss undefined at zero distance")
-    elev = elevation_angle(uav_pos, user_pos)
-    return float(path_loss_db(dist, elev, params))
-
-
 def dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
 
 
-def received_power_mw(uav_pos, user_pos, params: RadioParams) -> float:
-    """Received power in mW at a user from one UAV's transmission."""
-    pl = path_loss(uav_pos, user_pos, params)
-    return float(dbm_to_mw(params.p_t - pl))
+def _geometry(uav_positions, user_positions):
+    """Slant distances and elevation angles, each of shape (n_uavs, n_users)."""
+    uavs = np.asarray(uav_positions, dtype=float).reshape(-1, 3)
+    users = np.asarray(user_positions, dtype=float).reshape(-1, 3)
+    dist = distances(uavs[:, None, :], users[None, :, :])
+    dx = uavs[:, None, 0] - users[None, :, 0]
+    dy = uavs[:, None, 1] - users[None, :, 1]
+    dz = uavs[:, None, 2] - users[None, :, 2]
+    return dist, np.arctan2(dz, np.hypot(dx, dy))
 
 
 def received_power_field(uav_positions, user_positions, params: RadioParams):
-    """Received power matrix in mW, shape (n_uavs, n_users).
-
-    Vectorized over all UAV/user pairs; the per-pair math is identical to
-    received_power_mw.
-    """
-    uavs = np.asarray(uav_positions, dtype=float).reshape(-1, 3)
-    users = np.asarray(user_positions, dtype=float).reshape(-1, 3)
-    diff = uavs[:, None, :] - users[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    horiz = np.hypot(diff[:, :, 0], diff[:, :, 1])
-    elev = np.arctan2(diff[:, :, 2], horiz)
-    pl = path_loss_db(dist, elev, params)
-    return dbm_to_mw(params.p_t - pl)
-
-
-def sinr(user_id: int, serving_uav_id: int, uavs: list[UavState],
-         users: list[UserState], params: RadioParams) -> float:
-    """Downlink SINR (linear) for one user served by one UAV.
-
-    Interference sums received power from every other alive UAV sharing the
-    serving UAV's channel, idle or not.
-    """
-    user = users[user_id]
-    serving = uavs[serving_uav_id]
-    if not serving.alive:
-        raise ValueError("serving UAV is not alive")
-    signal = received_power_mw(serving.position, user.position, params)
-    noise_mw = float(dbm_to_mw(params.noise))
-    interference = 0.0
-    for other in uavs:
-        if other.id == serving_uav_id or not other.alive:
-            continue
-        if other.channel != serving.channel:
-            continue
-        interference += received_power_mw(other.position, user.position, params)
-    return signal / (noise_mw + interference)
+    """Received power matrix in mW, shape (n_uavs, n_users)."""
+    dist, elev = _geometry(uav_positions, user_positions)
+    return dbm_to_mw(params.p_t - path_loss_db(dist, elev, params))
 
 
 def data_rate(sinr_linear, bandwidth: float):
     """Shannon rate in bits/s for a linear SINR over the given bandwidth."""
     return bandwidth * np.log2(1.0 + np.asarray(sinr_linear, dtype=float))
-
-
-def p0_objective(users: list[UserState]) -> float:
-    """Aggregate QoS gap: sum over users of |achieved - target| in bits/s.
-
-    Unserved users contribute their full target.
-    """
-    return sum(abs(u.achieved_rate - u.target_rate) for u in users)
 
 
 @dataclass
@@ -151,10 +99,7 @@ class LinkBudget:
 
 def link_budget(uav_pos, user_pos, params: RadioParams) -> LinkBudget:
     """Single-link budget with no interference, for inspection and tests."""
-    uav_pos = np.asarray(uav_pos, dtype=float)
-    user_pos = np.asarray(user_pos, dtype=float)
-    dist = float(np.linalg.norm(uav_pos - user_pos))
-    elev = elevation_angle(uav_pos, user_pos)
+    dist, elev = (float(v[0, 0]) for v in _geometry(uav_pos, user_pos))
     p_los = float(los_probability(elev, params))
     pl = float(path_loss_db(dist, elev, params))
     rx_mw = float(dbm_to_mw(params.p_t - pl))

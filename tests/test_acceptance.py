@@ -23,7 +23,6 @@ from radio_oracle import (
 from uavswarm.engine import run
 from uavswarm.harness import export_run, run_sweep
 from uavswarm.kernels import (
-    KernelParams,
     bump,
     control_input,
     pair_potential,
@@ -88,7 +87,7 @@ def test_01_kernel_properties(capsys):
     differences, odd sigmoid zero, pair potential zeros."""
     problems = []
     t0 = time.perf_counter()
-    p = KernelParams.from_gains(ControlGains())
+    p = ControlGains()
 
     if bump(0.0, 0.2) != 1.0 or bump(0.2, 0.2) != 1.0:
         problems.append("bump flat region broken")
@@ -160,7 +159,6 @@ def test_03_equilibrium_fixed_point(capsys):
     and fully satisfied users produce a control input of exactly (0,0,0)."""
     problems = []
     gains = ControlGains()
-    p = KernelParams.from_gains(gains)
     positions = np.array([[0.0, 0.0, 100.0], [gains.d, 0.0, 100.0]])
     velocities = np.array([[2.0, 1.0, 0.0], [2.0, 1.0, 0.0]])
     loads = np.array([1, 1])
@@ -172,7 +170,7 @@ def test_03_equilibrium_fixed_point(capsys):
     for i, conn in ((0, np.array([True, False])),
                     (1, np.array([False, True]))):
         u = control_input(i, positions, velocities, loads, alive, conn,
-                          user_pos, rates, targets, premium, p, gains.u_max)
+                          user_pos, rates, targets, premium, gains)
         if not np.array_equal(u, np.zeros(3)):
             problems.append(f"uav {i} control {u} not exactly zero")
     _report(capsys, 3, "equilibrium fixed point", problems)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from radio_oracle import oracle_sinr
 from uavswarm.engine import (
     _check_invariants,
-    _distances,
     advance,
     associate_users,
     channel_switching,
@@ -16,7 +16,6 @@ from uavswarm.engine import (
     step,
     update_rates,
 )
-from uavswarm.kernels import KernelParams
 from uavswarm.model import (
     ControlGains,
     FailureEvent,
@@ -24,9 +23,9 @@ from uavswarm.model import (
     ScenarioConfig,
     ScenarioError,
     UserSpec,
+    distances,
     vec3,
 )
-from uavswarm.radio import sinr as sinr_of
 
 
 def _region_config(seed=5):
@@ -148,7 +147,7 @@ def test_distances_match_linalg_norm_bits():
     rng = np.random.default_rng(3)
     a = rng.uniform(-5e3, 5e3, size=(7, 3))
     b = rng.uniform(-5e3, 5e3, size=(11, 3))
-    assert np.array_equal(_distances(a[:, None, :], b[None, :, :]),
+    assert np.array_equal(distances(a[:, None, :], b[None, :, :]),
                           np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
 
 
@@ -271,10 +270,20 @@ class TestChannelSwitching:
 
     def test_event_sinr_matches_independent_recompute(self):
         world, cfg, powers, chan_power = _switch_world()
-        before = sinr_of(0, 0, world.uavs, world.users, cfg.radio)
+
+        def sinr_of_user_0():
+            serving = world.uavs[0]
+            others = [u.position.tolist() for u in world.uavs[1:]
+                      if u.alive and u.channel == serving.channel]
+            return oracle_sinr(serving.position.tolist(), others,
+                               world.users[0].position.tolist(),
+                               noise_dbm=cfg.radio.noise,
+                               form=cfg.radio.plos_form)
+
+        before = sinr_of_user_0()
         [ev] = channel_switching(world, powers, chan_power, cfg.radio,
                                  cfg.gains)
-        after = sinr_of(0, 0, world.uavs, world.users, cfg.radio)
+        after = sinr_of_user_0()
         assert ev.sinr_before[0] == pytest.approx(before, rel=1e-9)
         assert ev.sinr_after[0] == pytest.approx(after, rel=1e-9)
         assert after > before
@@ -414,11 +423,10 @@ class TestRun:
 
 
 def test_step_matches_run_loop(fig3_config):
-    kp = KernelParams.from_gains(fig3_config.gains)
     world = make_world(fig3_config)
     rows = []
     for _ in range(11):
-        metrics, _ = step(world, fig3_config, kp, "qos_driven")
+        metrics, _ = step(world, fig3_config, "qos_driven")
         rows.append(metrics)
     full = run(fig3_config)
     assert rows == full.metrics[:11]
@@ -433,10 +441,9 @@ def test_step_fires_failures_like_run():
         uav_count=4, uav_region=(0.0, 0.0, 300.0, 200.0), seed=11,
         duration=1.0, failure_events=[FailureEvent(at_time=0.3,
                                                    fraction=0.5)])
-    kp = KernelParams.from_gains(cfg.gains)
     world = make_world(cfg)
     ticks = int(round(cfg.duration / cfg.gains.dt))
-    rows = [step(world, cfg, kp, "qos_driven")[0] for _ in range(ticks + 1)]
+    rows = [step(world, cfg, "qos_driven")[0] for _ in range(ticks + 1)]
     full = run(cfg)
     assert full.failures and full.failures[0][0] == pytest.approx(0.3)
     assert rows == full.metrics

@@ -17,7 +17,7 @@ from kernel_oracle import (
     oracle_h_term,
 )
 from uavswarm.engine import WorldState, associate_users
-from uavswarm.kernels import KernelParams, f_term, g_term, h_term
+from uavswarm.kernels import f_term, g_term, h_term
 from uavswarm.model import (
     PREMIUM,
     REGULAR,
@@ -29,7 +29,6 @@ from uavswarm.model import (
 )
 
 GAINS = ControlGains()
-KP = KernelParams.from_gains(GAINS)
 SEEDS = range(200)
 
 # The array forms sum in another order, so forces agree to rounding only.
@@ -88,10 +87,10 @@ def test_spacing_and_consensus_match_loops(seed):
     n = int(rng.integers(1, 9))
     positions, alive, loads, velocities = _cells(rng, n)
     for i in range(n):
-        _assert_close(f_term(i, positions, loads, alive, KP),
-                      oracle_f_term(i, positions, loads, alive, KP), n)
-        _assert_close(g_term(i, positions, velocities, alive, KP),
-                      oracle_g_term(i, positions, velocities, alive, KP), n)
+        _assert_close(f_term(i, positions, loads, alive, GAINS),
+                      oracle_f_term(i, positions, loads, alive, GAINS), n)
+        _assert_close(g_term(i, positions, velocities, alive, GAINS),
+                      oracle_g_term(i, positions, velocities, alive, GAINS), n)
 
 
 def test_coincident_cells_count_in_consensus_only():
@@ -99,8 +98,8 @@ def test_coincident_cells_count_in_consensus_only():
     velocities = np.array([[0.0, 0.0, 0.0], [3.0, -1.0, 0.0]])
     alive = np.array([True, True])
     loads = np.array([GAINS.n_max * 2, 0])
-    assert np.array_equal(f_term(0, positions, loads, alive, KP), np.zeros(3))
-    assert np.array_equal(g_term(0, positions, velocities, alive, KP),
+    assert np.array_equal(f_term(0, positions, loads, alive, GAINS), np.zeros(3))
+    assert np.array_equal(g_term(0, positions, velocities, alive, GAINS),
                           velocities[1])
 
 
@@ -110,8 +109,8 @@ def test_user_coupling_matches_loop(seed):
     uav_pos = vec3(rng.integers(0, 600), rng.integers(0, 600), HEIGHT)
     n = int(rng.integers(0, 30))
     args = _users(rng, n, uav_pos)
-    _assert_close(h_term(uav_pos, *args, KP),
-                  oracle_h_term(uav_pos, *args, KP), n)
+    _assert_close(h_term(uav_pos, *args, GAINS),
+                  oracle_h_term(uav_pos, *args, GAINS), n)
 
 
 def test_user_coupling_counts_unconnected_user_at_exact_range():
@@ -119,9 +118,9 @@ def test_user_coupling_counts_unconnected_user_at_exact_range():
     user_pos = np.array([uav_pos + USER_AT_RANGE[0]])
     args = (np.array([False]), user_pos, np.array([0.0]),
             np.array([TARGET_RATE[REGULAR]]), np.array([False]))
-    got = h_term(uav_pos, *args, KP)
+    got = h_term(uav_pos, *args, GAINS)
     assert got[0] < 0.0
-    _assert_close(got, oracle_h_term(uav_pos, *args, KP), 1)
+    _assert_close(got, oracle_h_term(uav_pos, *args, GAINS), 1)
 
 
 def _assoc_world(rng):

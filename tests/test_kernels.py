@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from uavswarm.kernels import (
-    KernelParams,
     bump,
     control_input,
     f_term,
@@ -19,7 +18,7 @@ from uavswarm.kernels import (
 )
 from uavswarm.model import FLOCKING_MODE, ControlGains
 
-KP = KernelParams.from_gains(ControlGains())
+KP = ControlGains()
 
 
 class TestBump:
@@ -88,7 +87,7 @@ class TestPhi:
         assert phi_sigmoid(0.0, KP) == 0.0
 
     def test_zero_at_zero_uneven_gains(self):
-        p = KernelParams.from_gains(ControlGains(a=4.0, b=6.0))
+        p = ControlGains(a=4.0, b=6.0)
         assert phi_sigmoid(0.0, p) == pytest.approx(0.0, abs=1e-15)
 
     def test_odd_bounded(self):
@@ -235,8 +234,7 @@ class TestControlInput:
         for i, conn in ((0, np.array([True, False])),
                         (1, np.array([False, True]))):
             u = control_input(i, positions, velocities, loads, alive, conn,
-                              user_pos, rates, targets, premium, KP,
-                              gains.u_max)
+                              user_pos, rates, targets, premium, gains)
             assert np.array_equal(u, np.zeros(3))
 
     def test_z_component_always_zero(self):
@@ -245,7 +243,7 @@ class TestControlInput:
         u = control_input(0, positions, velocities, np.array([0, 0]),
                           np.array([True, True]), np.zeros(0, dtype=bool),
                           np.zeros((0, 3)), np.zeros(0), np.zeros(0),
-                          np.zeros(0, dtype=bool), KP, 10.0)
+                          np.zeros(0, dtype=bool), KP)
         assert u[2] == 0.0
 
     def test_norm_clamped_to_u_max(self):
@@ -255,7 +253,7 @@ class TestControlInput:
         u = control_input(0, positions, velocities, np.array([0, 0]),
                           np.array([True, True]), np.zeros(0, dtype=bool),
                           np.zeros((0, 3)), np.zeros(0), np.zeros(0),
-                          np.zeros(0, dtype=bool), KP, 2.0)
+                          np.zeros(0, dtype=bool), ControlGains(u_max=2.0))
         assert np.linalg.norm(u) == pytest.approx(2.0, rel=1e-12)
 
     def test_flocking_mode_ignores_rates(self):
@@ -264,7 +262,7 @@ class TestControlInput:
         user_pos = np.array([[500.0, 0.0, 0.0]])
         args = (0, positions, velocities, np.array([1]), np.array([True]),
                 np.array([True]), user_pos)
-        tail = (np.array([300e6]), np.array([True]), KP, 10.0)
+        tail = (np.array([300e6]), np.array([True]), KP)
         starved = control_input(*args, np.array([0.0]), *tail,
                                 mode=FLOCKING_MODE)
         sated = control_input(*args, np.array([450e6]), *tail,
@@ -278,7 +276,7 @@ class TestControlInput:
                           np.array([0]), np.array([True]),
                           np.zeros(0, dtype=bool), np.zeros((0, 3)),
                           np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool),
-                          KP, 10.0, mode="hover")
+                          KP, mode="hover")
 
 
 def test_flocking_goal_pulls_toward_centroid():
@@ -289,8 +287,16 @@ def test_flocking_goal_pulls_toward_centroid():
     assert np.array_equal(g_at, np.zeros(3))
 
 
-def test_kernel_params_precompute_matches_gains():
-    gains = ControlGains()
-    assert KP.d_sig == sigma_norm_scalar(gains.d, gains.eps)
-    assert KP.r_sig == sigma_norm_scalar(gains.r, gains.eps)
+def test_gains_sigma_images_match_sigma_norm():
+    """The sigma images on ControlGains carry sigma_norm_scalar's bits."""
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        d = float(rng.uniform(1.0, 500.0))
+        gains = ControlGains(eps=float(rng.uniform(1e-3, 2.0)), d=d,
+                             r=d + float(rng.uniform(1.0, 500.0)),
+                             n_max=int(rng.integers(1, 1000)))
+        assert gains.r_sig == sigma_norm_scalar(gains.r, gains.eps)
+        assert gains.d_sig == sigma_norm_scalar(gains.d, gains.eps)
+        assert gains.n_max_sig == sigma_norm_scalar(gains.n_max, gains.eps)
     assert KP.c_sig == 0.0  # a == b by default
+    assert ControlGains(a=4.0, b=6.0).c_sig == pytest.approx(2.0 / 96 ** 0.5)

@@ -1,8 +1,11 @@
 """Scenario model: parameter defaults, validation, file round trips."""
 
 import math
+import pathlib
+import re
 
 import pytest
+import yaml
 
 from uavswarm.model import (
     ControlGains,
@@ -11,7 +14,6 @@ from uavswarm.model import (
     ScenarioConfig,
     ScenarioError,
     UserSpec,
-    elevation_angle,
     load_scenario,
     round_half_up,
     save_scenario,
@@ -19,6 +21,10 @@ from uavswarm.model import (
     scenario_to_dict,
     vec3,
 )
+from uavswarm.radio import link_budget
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+SHIPPED = ["fig3_three_users.yaml", "fig5_parade.yaml", "sweep_base.yaml"]
 
 
 def _minimal_config(**overrides):
@@ -45,11 +51,12 @@ class TestRoundHalfUp:
 
 class TestElevation:
     def test_overhead_is_right_angle(self):
-        assert elevation_angle(vec3(5, 5, 100), vec3(5, 5, 0)) == math.pi / 2
+        lb = link_budget(vec3(5, 5, 100), vec3(5, 5, 0), RadioParams())
+        assert lb.elevation_rad == math.pi / 2
 
     def test_forty_five_degrees(self):
-        assert elevation_angle(vec3(100, 0, 100), vec3(0, 0, 0)) == \
-            pytest.approx(math.pi / 4)
+        lb = link_budget(vec3(100, 0, 100), vec3(0, 0, 0), RadioParams())
+        assert lb.elevation_rad == pytest.approx(math.pi / 4)
 
 
 class TestGains:
@@ -59,10 +66,13 @@ class TestGains:
         g2 = ControlGains(c2_reg=10.0)
         assert g2.c2_prem == 15.0
 
-    def test_explicit_premium_gain_must_match_ratio(self):
-        ControlGains(c2_reg=4.0, c2_prem=6.0).validate()
-        with pytest.raises(ScenarioError):
-            ControlGains(c2_reg=4.0, c2_prem=7.0).validate()
+    def test_premium_gain_key_rejected_at_load(self, tmp_path):
+        data = scenario_to_dict(_minimal_config())
+        data["gains"]["c2_prem"] = 6.0
+        path = tmp_path / "old.yaml"
+        path.write_text(yaml.safe_dump(data))
+        with pytest.raises(ScenarioError, match="c2_prem"):
+            load_scenario(path)
 
     def test_spacing_ordering_enforced(self):
         with pytest.raises(ScenarioError):
@@ -202,10 +212,54 @@ class TestFiles:
             load_scenario(path)
 
     def test_shipped_scenarios_load(self):
-        import pathlib
-        root = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
-        names = sorted(p.name for p in root.glob("*.yaml"))
-        assert names == ["fig3_three_users.yaml", "fig5_parade.yaml",
-                         "sweep_base.yaml"]
+        names = sorted(p.name for p in SCENARIOS.glob("*.yaml"))
+        assert names == SHIPPED
         for name in names:
-            load_scenario(root / name)
+            load_scenario(SCENARIOS / name)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_scenario_round_trips(self, name, tmp_path):
+        cfg = load_scenario(SCENARIOS / name)
+        save_scenario(cfg, tmp_path / name)
+        assert load_scenario(tmp_path / name) == cfg
+
+
+def _loadable_dict():
+    return {
+        "users": [{"klass": "premium", "position": [0.0, 0.0]},
+                  {"klass": "regular", "region": [0.0, 0.0, 50.0, 50.0],
+                   "count": 3}],
+        "uav_count": 2,
+        "uav_region": [0.0, 0.0, 100.0, 100.0],
+        "radio": {},
+        "gains": {},
+    }
+
+
+# (path into the scenario mapping, bad value, field the error must name)
+BAD_VALUES = [
+    (("radio", "f_c"), float("nan"), "radio.f_c"),
+    (("radio", "noise"), float("inf"), "radio.noise"),
+    (("duration",), float("nan"), "duration"),
+    (("users", 0, "position"), [float("nan"), 0.0], "users[0].position"),
+    (("seed",), 1.7, "seed"),
+    (("users", 1, "count"), 2.9, "users[1].count"),
+    (("gains", "n_max"), 80.5, "gains.n_max"),
+    (("radio", "num_channels"), 2.5, "radio.num_channels"),
+    (("uav_count",), 2.5, "uav_count"),
+]
+
+
+@pytest.mark.parametrize("path, value, name", BAD_VALUES,
+                         ids=[case[2] for case in BAD_VALUES])
+def test_non_finite_or_non_integral_value_rejected_at_load(path, value, name,
+                                                          tmp_path):
+    data = _loadable_dict()
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    file = tmp_path / "bad.yaml"
+    file.write_text(yaml.safe_dump(data))
+    with pytest.raises(ScenarioError, match=re.escape(name)):
+        load_scenario(file)

@@ -5,18 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from uavswarm.model import RadioParams, UavState, UserState, vec3
+from radio_oracle import oracle_link
+from uavswarm.engine import WorldState, update_rates
+from uavswarm.model import ControlGains, RadioParams, UavState, UserState, vec3
 from uavswarm.radio import (
     data_rate,
     dbm_to_mw,
     link_budget,
     los_probability,
-    p0_objective,
-    path_loss,
     path_loss_db,
     received_power_field,
-    received_power_mw,
-    sinr,
 )
 
 AS_WRITTEN = RadioParams()
@@ -60,22 +58,26 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             path_loss_db(-3.0, math.pi / 2, AS_WRITTEN)
         with pytest.raises(ValueError):
-            path_loss(vec3(0, 0, 0), vec3(0, 0, 0), AS_WRITTEN)
+            received_power_field(vec3(0, 0, 0), vec3(0, 0, 0), AS_WRITTEN)
 
     def test_distance_doubling_adds_exponent_decades(self):
         # straight overhead keeps the LoS mix fixed, isolating the
         # free-space term
         for delta in (2.0, 1.43):
             params = RadioParams(delta=delta)
-            near = path_loss(vec3(0, 0, 100), vec3(0, 0, 0), params)
-            far = path_loss(vec3(0, 0, 200), vec3(0, 0, 0), params)
+            near = link_budget(vec3(0, 0, 100), vec3(0, 0, 0),
+                               params).path_loss_db
+            far = link_budget(vec3(0, 0, 200), vec3(0, 0, 0),
+                              params).path_loss_db
             assert far - near == pytest.approx(10.0 * delta * math.log10(2.0),
                                                rel=1e-12)
 
     def test_nlos_mix_raises_loss(self):
         # same slant range, lower elevation -> more NLoS -> more loss
-        steep = path_loss(vec3(0, 0, 200), vec3(0, 0, 0), STANDARD)
-        shallow = path_loss(vec3(0, 0, 50), vec3(193.6, 0, 0), STANDARD)
+        steep = link_budget(vec3(0, 0, 200), vec3(0, 0, 0),
+                            STANDARD).path_loss_db
+        shallow = link_budget(vec3(0, 0, 50), vec3(193.6, 0, 0),
+                              STANDARD).path_loss_db
         assert shallow > steep
 
 
@@ -94,56 +96,58 @@ class TestPower:
         assert field.shape == (3, 4)
         for i in range(3):
             for m in range(4):
-                assert field[i, m] == pytest.approx(
-                    received_power_mw(uavs[i], users[m], STANDARD), rel=1e-12)
+                want = oracle_link(uavs[i].tolist(), users[m].tolist(),
+                                   form="standard")["rx_mw"]
+                assert field[i, m] == pytest.approx(want, rel=1e-12)
 
 
 def _radio_world():
+    """UAV 0 serves one premium user; UAV 1 is an idle co-channel cell."""
     uavs = [
-        UavState(0, vec3(0, 0, 100), vec3(), channel=1),
+        UavState(0, vec3(0, 0, 100), vec3(), channel=1, connected_users=[0]),
         UavState(1, vec3(400, 0, 100), vec3(), channel=1),
         UavState(2, vec3(-400, 0, 100), vec3(), channel=2),
     ]
-    users = [UserState(0, vec3(10, 0, 0), "premium", 300e6)]
-    return uavs, users
+    users = [UserState(0, vec3(10, 0, 0), "premium", 300e6, serving_uav=0)]
+    return WorldState(time=0.0, tick=0, uavs=uavs, users=users,
+                      failure_rng=np.random.default_rng(0))
+
+
+def _rate(world):
+    """The engine's achieved rate for user 0, through update_rates."""
+    update_rates(world, AS_WRITTEN, ControlGains())
+    return world.users[0].achieved_rate
 
 
 class TestSinr:
     def test_co_channel_interference_lowers_sinr(self):
-        uavs, users = _radio_world()
-        with_interferer = sinr(0, 0, uavs, users, AS_WRITTEN)
-        uavs[1].channel = 3
-        without = sinr(0, 0, uavs, users, AS_WRITTEN)
+        world = _radio_world()
+        with_interferer = _rate(world)
+        world.uavs[1].channel = 3
+        without = _rate(world)
         assert with_interferer < without
 
     def test_interference_free_equals_snr(self):
-        uavs, users = _radio_world()
-        uavs[1].channel = 3
-        s = sinr(0, 0, uavs, users, AS_WRITTEN)
-        rx = received_power_mw(uavs[0].position, users[0].position, AS_WRITTEN)
-        noise = float(dbm_to_mw(AS_WRITTEN.noise))
-        assert s == pytest.approx(rx / noise, rel=1e-12)
+        world = _radio_world()
+        world.uavs[1].channel = 3
+        lb = link_budget(world.uavs[0].position, world.users[0].position,
+                         AS_WRITTEN)
+        assert _rate(world) == pytest.approx(lb.rate_bps, rel=1e-12)
 
     def test_dead_interferer_ignored(self):
-        uavs, users = _radio_world()
-        clean = sinr(0, 0, uavs, users, AS_WRITTEN)
-        uavs[1].alive = False
-        assert sinr(0, 0, uavs, users, AS_WRITTEN) > clean
+        world = _radio_world()
+        clean = _rate(world)
+        world.uavs[1].alive = False
+        assert _rate(world) > clean
 
     def test_idle_co_channel_uav_still_interferes(self):
-        uavs, users = _radio_world()
-        assert uavs[1].load == 0
-        uavs[2].channel = 1  # second idle interferer
-        more = sinr(0, 0, uavs, users, AS_WRITTEN)
-        uavs[2].channel = 2
-        fewer = sinr(0, 0, uavs, users, AS_WRITTEN)
+        world = _radio_world()
+        assert world.uavs[1].load == 0
+        world.uavs[2].channel = 1  # second idle interferer
+        more = _rate(world)
+        world.uavs[2].channel = 2
+        fewer = _rate(world)
         assert more < fewer
-
-    def test_dead_server_rejected(self):
-        uavs, users = _radio_world()
-        uavs[0].alive = False
-        with pytest.raises(ValueError):
-            sinr(0, 0, uavs, users, AS_WRITTEN)
 
 
 class TestRate:
@@ -155,25 +159,6 @@ class TestRate:
     def test_broadcasts(self):
         out = data_rate(np.array([0.0, 1.0]), 10e6)
         assert np.allclose(out, [0.0, 10e6])
-
-
-class TestObjective:
-    def test_all_on_target_is_zero(self):
-        users = [UserState(0, vec3(), "premium", 300e6, serving_uav=0,
-                           achieved_rate=300e6)]
-        assert p0_objective(users) == 0.0
-
-    def test_unserved_contributes_full_target(self):
-        users = [UserState(0, vec3(), "regular", 100e6)]
-        assert p0_objective(users) == 100e6
-
-    def test_mixed_sum(self):
-        users = [
-            UserState(0, vec3(), "premium", 300e6, achieved_rate=250e6),
-            UserState(1, vec3(), "regular", 100e6, achieved_rate=140e6),
-            UserState(2, vec3(), "regular", 100e6),
-        ]
-        assert p0_objective(users) == pytest.approx(50e6 + 40e6 + 100e6)
 
 
 class TestLinkBudget:

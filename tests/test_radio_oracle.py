@@ -1,7 +1,9 @@
 """Cross-check the radio chain against an independent math-only oracle."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from radio_oracle import (
@@ -12,8 +14,21 @@ from radio_oracle import (
     oracle_link,
     oracle_sinr,
 )
-from uavswarm.model import RadioParams, UavState, UserState, vec3
-from uavswarm.radio import link_budget, sinr
+from uavswarm.engine import (
+    WorldState,
+    associate_users,
+    channel_switching,
+    update_rates,
+)
+from uavswarm.model import (
+    TARGET_RATE,
+    ControlGains,
+    RadioParams,
+    UavState,
+    UserState,
+    vec3,
+)
+from uavswarm.radio import link_budget
 
 REL = 1e-9
 
@@ -47,6 +62,33 @@ def test_overhead_chain_frozen_values():
     assert lb.rate_bps == pytest.approx(OVERHEAD_RATE_BPS, rel=1e-3)
 
 
+def _link_kw(radio):
+    return dict(f_c=radio.f_c, delta=radio.delta, eta_los=radio.eta_los,
+                eta_nlos=radio.eta_nlos, theta_env=radio.theta_env,
+                xi_env=radio.xi_env, p_t=radio.p_t,
+                bandwidth=radio.bandwidth, noise=radio.noise,
+                form=radio.plos_form)
+
+
+def _world(uavs, users, time=0.0):
+    return WorldState(time=time, tick=0, uavs=uavs, users=users,
+                      failure_rng=np.random.default_rng(0))
+
+
+def _oracle_sinr(world, channels, n, m, radio):
+    """User m's SINR from cell n, with every other alive cell on n's
+    channel (per ``channels``) interfering, served or idle."""
+    others = [u.position.tolist() for u in world.uavs
+              if u.alive and u.id != n and channels[u.id] == channels[n]]
+    return oracle_sinr(world.uavs[n].position.tolist(), others,
+                       world.users[m].position.tolist(),
+                       noise_dbm=radio.noise, **_link_kw(radio))
+
+
+def _oracle_rate(sinr_linear, radio):
+    return radio.bandwidth * math.log2(1.0 + sinr_linear)
+
+
 def test_sinr_matches_oracle():
     params = RadioParams(plos_form="standard")
     rnd = random.Random(5)
@@ -56,7 +98,70 @@ def test_sinr_matches_oracle():
         user_xy = (rnd.uniform(-400, 400), rnd.uniform(-400, 400), 0.0)
         uavs = [UavState(i, vec3(*p), vec3(), channel=1 if i < 3 else 2)
                 for i, p in enumerate(pts)]
-        users = [UserState(0, vec3(*user_xy), "premium", 300e6)]
-        got = sinr(0, 0, uavs, users, params)
+        uavs[0].connected_users = [0]
+        users = [UserState(0, vec3(*user_xy), "premium", 300e6,
+                           serving_uav=0)]
+        world = _world(uavs, users)
+        update_rates(world, params, ControlGains())
         want = oracle_sinr(pts[0], pts[1:3], user_xy, form="standard")
-        assert got == pytest.approx(want, rel=REL)
+        assert users[0].achieved_rate == pytest.approx(
+            _oracle_rate(want, params), rel=REL)
+
+
+def _random_world(rnd):
+    """A small world on 2-3 channels with a dead cell, an idle co-channel
+    cell out of everyone's range, and cells crowded enough that premium
+    users fall short of target and trigger channel switches."""
+    channels = rnd.choice([2, 3])
+    radio = RadioParams(num_channels=channels,
+                        plos_form=rnd.choice(["as_written", "standard"]),
+                        delta=rnd.choice([2.0, 1.43]))
+    uavs = [UavState(n, vec3(rnd.uniform(0, 500), rnd.uniform(0, 300), 100.0),
+                     vec3(), channel=rnd.randrange(channels))
+            for n in range(rnd.randint(3, 6))]
+    uavs[rnd.randrange(len(uavs))].alive = False
+    uavs.append(UavState(len(uavs), vec3(3000.0, 0.0, 100.0), vec3(),
+                         channel=rnd.randrange(channels)))
+    users = []
+    for m in range(rnd.randint(4, 14)):
+        klass = rnd.choice(["premium", "regular"])
+        users.append(UserState(m, vec3(rnd.uniform(0, 500),
+                                       rnd.uniform(0, 300), 0.0),
+                               klass, TARGET_RATE[klass]))
+    # past the switch cooldown, so every deficient premium user may trigger
+    return _world(uavs, users, time=10.0), radio
+
+
+def test_engine_rates_and_switch_sinr_match_oracle():
+    gains = ControlGains()
+    rnd = random.Random(2024)
+    served = switched = 0
+    for _ in range(150):
+        world, radio = _random_world(rnd)
+        associate_users(world, gains)
+        powers, chan_power = update_rates(world, radio, gains)
+        channels = [u.channel for u in world.uavs]
+        for user in world.users:
+            if user.serving_uav is None:
+                assert user.achieved_rate == 0.0
+                continue
+            served += 1
+            want = _oracle_sinr(world, channels, user.serving_uav, user.id,
+                                radio)
+            assert user.achieved_rate == pytest.approx(
+                _oracle_rate(want, radio), rel=REL)
+        events = channel_switching(world, powers, chan_power, radio, gains)
+        # replay the pass in order: a later cell sees earlier switches
+        for ev in events:
+            switched += 1
+            n = ev.uav_id
+            assert channels[n] == ev.old_channel
+            for m, got in zip(ev.user_ids, ev.sinr_before):
+                want = _oracle_sinr(world, channels, n, m, radio)
+                assert got == pytest.approx(want, rel=REL)
+            channels[n] = ev.new_channel
+            for m, got in zip(ev.user_ids, ev.sinr_after):
+                want = _oracle_sinr(world, channels, n, m, radio)
+                assert got == pytest.approx(want, rel=REL)
+        assert channels == [u.channel for u in world.uavs]
+    assert served > 500 and switched > 50
