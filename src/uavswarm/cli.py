@@ -61,13 +61,14 @@ def _cmd_run(args) -> int:
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-        config.validate()
-    mode = _MODE_BY_FLAG[args.mode] if args.mode is not None else None
-    result = run(config, mode=mode, collect_user_trace=args.trace)
+    if args.mode is not None:
+        config = replace(config, controller_mode=_MODE_BY_FLAG[args.mode])
+    result = run(config, collect_user_trace=args.trace)
     written = export_run(result, _out_dir(args), trace=args.trace)
     last = result.metrics[-1]
-    print(f"ran {args.scenario}: mode={result.mode} seed={result.seed} "
-          f"ticks={len(result.metrics)} switches={len(result.switch_events)}")
+    print(f"ran {args.scenario}: mode={result.config.controller_mode} "
+          f"seed={result.seed} ticks={len(result.metrics)} "
+          f"switches={len(result.switch_events)}")
     print(f"final: premium fulfilled {last.premium_fulfilled_pct:.1f}% "
           f"regular fulfilled {last.regular_fulfilled_pct:.1f}% "
           f"served {last.all_served_pct:.1f}%")
@@ -80,7 +81,6 @@ def _cmd_sweep(args) -> int:
     config = load_scenario(args.scenario)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-        config.validate()
     sweep = run_sweep(config, args.uavs)
     out = _out_dir(args)
     os.makedirs(out, exist_ok=True)

@@ -18,7 +18,6 @@ from .kernels import control_input
 from .metrics import TickMetrics, compute_metrics
 from .model import (
     L0,
-    MODES,
     PREMIUM,
     QOS_MODE,
     REGULAR,
@@ -26,10 +25,10 @@ from .model import (
     ControlGains,
     RadioParams,
     ScenarioConfig,
-    ScenarioError,
     UavState,
     UserState,
     distances,
+    read_value,
     round_half_up,
     vec3,
 )
@@ -61,7 +60,6 @@ class SwitchEvent:
 @dataclass
 class RunResult:
     config: ScenarioConfig
-    mode: str
     seed: int
     metrics: list[TickMetrics]
     trace: list[tuple]              # (time, uav_id, x, y, z, vx, vy, ch, alive, load)
@@ -93,9 +91,14 @@ def resolve_user_positions(config: ScenarioConfig) -> list[tuple[str, float, flo
     return out
 
 
+def _seed(config: ScenarioConfig, run_seed) -> int:
+    return config.seed if run_seed is None else \
+        read_value(int, run_seed, "run_seed")
+
+
 def make_world(config: ScenarioConfig, run_seed: Optional[int] = None) -> WorldState:
     config.validate()
-    seed = config.seed if run_seed is None else int(run_seed)
+    seed = _seed(config, run_seed)
     users = [
         UserState(id=m, position=vec3(x, y, 0.0), klass=klass,
                   target_rate=TARGET_RATE[klass])
@@ -415,21 +418,21 @@ def _record_min_distance(world: WorldState, gains: ControlGains,
         out.append((world.time, alive[i].id, alive[j].id, float(dist[i, j])))
 
 
-def step(world: WorldState, config: ScenarioConfig,
-         mode: str) -> tuple[TickMetrics, list[SwitchEvent]]:
+def step(world: WorldState,
+         config: ScenarioConfig) -> tuple[TickMetrics, list[SwitchEvent]]:
     """One full evaluate-and-advance cycle for callers driving a world by hand.
 
     The run() loop inlines the same sequence so that the final tick is
     evaluated without a trailing integration step.  Due failure events fire
     here too; the world keeps which have fired and what they killed.
     """
-    metrics, events = _evaluate(world, config, mode)
-    controls = control_all(world, config.gains, mode)
+    metrics, events = _evaluate(world, config)
+    controls = control_all(world, config.gains, config.controller_mode)
     advance(world, controls, config.gains, config.H)
     return metrics, events
 
 
-def _evaluate(world: WorldState, config: ScenarioConfig, mode: str):
+def _evaluate(world: WorldState, config: ScenarioConfig):
     for idx, ev in enumerate(config.failure_events):
         if idx in world.fired or world.time < ev.at_time:
             continue
@@ -440,7 +443,7 @@ def _evaluate(world: WorldState, config: ScenarioConfig, mode: str):
     associate_users(world, config.gains)
     powers, chan_power = update_rates(world, config.radio, config.gains)
     events: list[SwitchEvent] = []
-    if mode == QOS_MODE:
+    if config.controller_mode == QOS_MODE:
         events = channel_switching(world, powers, chan_power, config.radio,
                                    config.gains)
         if events:
@@ -452,23 +455,16 @@ def _evaluate(world: WorldState, config: ScenarioConfig, mode: str):
     return metrics, events
 
 
-def run(config: ScenarioConfig, mode: Optional[str] = None,
-        run_seed: Optional[int] = None,
+def run(config: ScenarioConfig, run_seed: Optional[int] = None,
         collect_user_trace: bool = False) -> RunResult:
     """Simulate a scenario end to end.
 
     The loop evaluates ticks 0..T inclusive and integrates between them, so
-    a zero-duration scenario still yields one metrics row.  `mode` overrides
-    the scenario's controller mode; `run_seed` overrides the seed used for
-    UAV placement and failure draws (user placement always follows the
-    scenario seed).
+    a zero-duration scenario still yields one metrics row.  `run_seed`
+    overrides the seed used for UAV placement and failure draws (user
+    placement always follows the scenario seed).
     """
-    config.validate()
-    mode = config.controller_mode if mode is None else mode
-    if mode not in MODES:
-        raise ScenarioError(f"mode must be one of {MODES}")
-    seed = config.seed if run_seed is None else int(run_seed)
-    world = make_world(config, seed)
+    world = make_world(config, run_seed)
     gains = config.gains
     ticks = int(round(config.duration / gains.dt))
     metrics_rows: list[TickMetrics] = []
@@ -477,7 +473,7 @@ def run(config: ScenarioConfig, mode: Optional[str] = None,
     switch_events: list[SwitchEvent] = []
     min_dist: list[tuple[float, int, int, float]] = []
     for k in range(ticks + 1):
-        metrics, events = _evaluate(world, config, mode)
+        metrics, events = _evaluate(world, config)
         switch_events.extend(events)
         metrics_rows.append(metrics)
         _record_min_distance(world, gains, min_dist)
@@ -494,9 +490,9 @@ def run(config: ScenarioConfig, mode: Optional[str] = None,
                                    else user.serving_uav,
                                    user.achieved_rate, user.mean_rate))
         if k < ticks:
-            controls = control_all(world, gains, mode)
+            controls = control_all(world, gains, config.controller_mode)
             advance(world, controls, gains, config.H)
-    return RunResult(config=config, mode=mode, seed=seed, metrics=metrics_rows,
-                     trace=trace, user_trace=user_trace,
+    return RunResult(config=config, seed=_seed(config, run_seed),
+                     metrics=metrics_rows, trace=trace, user_trace=user_trace,
                      switch_events=switch_events, failures=world.failures,
                      min_distance_violations=min_dist, world=world)

@@ -22,6 +22,7 @@ from .model import (
     ScenarioConfig,
     ScenarioError,
     UserSpec,
+    read_value,
     round_half_up,
 )
 
@@ -87,7 +88,7 @@ def run_sweep(base: ScenarioConfig, counts) -> SweepResult:
     count), or from a uav_region draw seeded with base.seed + count.
     """
     base.validate()
-    counts = [int(n) for n in counts]
+    counts = read_value(list[int], list(counts), "counts")
     if not counts:
         raise ScenarioError("run_sweep requires at least one uav count")
     if any(n < 1 for n in counts):
@@ -199,7 +200,7 @@ def summary_dict(result: RunResult) -> dict:
         else:
             scaled[key] = round(value, 3)
     return {
-        "mode": result.mode,
+        "mode": result.config.controller_mode,
         "seed": result.seed,
         "uav_count": len(result.world.uavs),
         "uavs_alive_at_end": sum(1 for u in result.world.uavs if u.alive),

@@ -9,18 +9,23 @@ z = 0 and do not move.
 `distances` is the one Euclidean distance code: association, the invariant
 check, the spacing log and the radio's slant ranges all use it.  Values the
 model fixes are derived, not configured: ControlGains computes the premium
-gain and the sigma-norm images the kernels need.  A scenario file is
-rejected at load, with the field named, when a number is not finite or an
-integer field is not integral.
+gain and the sigma-norm images the kernels need.
+
+The dataclass field types are the scenario schema, and validate() checks a
+config against them before its range checks: a file at load and a config
+built in code fail alike, with the field named, on a non-finite number, a
+fractional integer or a list of the wrong length.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from operator import itemgetter
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -200,6 +205,8 @@ class ControlGains:
             raise ScenarioError("gains.tau must be positive")
         if self.dt <= 0:
             raise ScenarioError("gains.dt must be positive")
+        if self.dt > self.tau:
+            raise ScenarioError("gains.dt must not exceed gains.tau")
         if self.v_max <= 0 or self.u_max <= 0:
             raise ScenarioError("gains.v_max and gains.u_max must be positive")
 
@@ -242,14 +249,13 @@ class ScenarioConfig:
         return sum(s.count if s.region is not None else 1 for s in self.users)
 
     def validate(self) -> None:
+        read_value(ScenarioConfig, self, "")
         for i, spec in enumerate(self.users):
             where = f"users[{i}]"
             if spec.klass not in USER_CLASSES:
                 raise ScenarioError(f"{where}: klass must be one of {USER_CLASSES}")
             if (spec.position is None) == (spec.region is None):
                 raise ScenarioError(f"{where}: exactly one of position/region required")
-            if spec.position is not None and len(spec.position) != 2:
-                raise ScenarioError(f"{where}: position must be [x, y]")
             if spec.region is not None:
                 _check_region(spec.region, where)
                 if spec.count < 1:
@@ -271,6 +277,9 @@ class ScenarioConfig:
                 _check_region(self.uav_region, "uav_region")
         if self.H <= 0:
             raise ScenarioError("H must be positive")
+        # range is slant distance: above r no user is ever in range
+        if self.H > self.gains.r:
+            raise ScenarioError("H must not exceed gains.r")
         if self.duration < 0:
             raise ScenarioError("duration must be >= 0")
         if not 0 <= self.seed < 2**63:
@@ -287,8 +296,6 @@ class ScenarioConfig:
 
 
 def _check_region(region, where: str) -> None:
-    if len(region) != 4:
-        raise ScenarioError(f"{where}: region must be [x0, y0, x1, y1]")
     x0, y0, x1, y1 = region
     if not (x1 > x0 and y1 > y0):
         raise ScenarioError(f"{where}: region must have positive extent")
@@ -297,167 +304,103 @@ def _check_region(region, where: str) -> None:
 # --- scenario file format -------------------------------------------------
 #
 # One YAML document per scenario, keys mirroring ScenarioConfig field names.
-# Unknown keys are rejected at every level.
+# The dataclass field types are the schema: read_value walks them to read a
+# file's mapping and to check a config built in code, by the same rules.
 
-_RADIO_KEYS = set(RadioParams.__dataclass_fields__)
-_GAINS_KEYS = set(ControlGains.__dataclass_fields__)
-_TOP_KEYS = {
-    "users", "uav_count", "uav_initial_positions", "uav_region", "H",
-    "duration", "seed", "failure_events", "controller_mode", "radio", "gains",
-}
-_USER_KEYS = {"klass", "position", "region", "count"}
-_FAILURE_KEYS = {"at_time", "fraction"}
+_LEAF_KINDS = {float: "a finite number", int: "an integer", str: "a string"}
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    if not isinstance(mapping, dict):
+@functools.cache
+def _schema(cls) -> tuple[tuple[str, object, bool, bool], ...]:
+    """(name, type, required, null keeps default) per field of a dataclass."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name],
+                  f.default is MISSING and f.default_factory is MISSING,
+                  f.default_factory is not MISSING) for f in fields(cls))
+
+
+def read_value(tp, value, where: str):
+    """``value`` read as type ``tp``, else a ScenarioError naming ``where``.
+
+    ``tp`` is a dataclass, ``list[...]``, fixed-length ``tuple[...]``,
+    ``X | None``, int, float or str.  A dataclass is read from a mapping,
+    whose unknown and missing keys are rejected and where a null or empty
+    list or section keeps its default, or checked in place when given an
+    instance.
+    A float must be finite; an int accepts an integral float and never
+    truncates one.
+    """
+    kind = _LEAF_KINDS.get(tp)
+    if kind is not None:
+        try:
+            if tp is float and math.isfinite(float(value)):
+                return float(value)
+            if tp is int:
+                if isinstance(value, float) and value.is_integer():
+                    return int(value)
+                return operator.index(value)
+            if tp is str and isinstance(value, str):
+                return value
+        except (TypeError, ValueError, OverflowError):
+            pass
+        raise ScenarioError(f"{where}: expected {kind}, got {value!r}")
+    if is_dataclass(tp):
+        return _read_dataclass(tp, value, where)
+    args = get_args(tp)
+    if type(None) in args:
+        if value is None:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+        return read_value(tp, value, where)
+    origin = get_origin(tp)
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{where}: expected a list, got {value!r}")
+    if origin is tuple and len(value) != len(args):
+        raise ScenarioError(f"{where}: expected {len(args)} values")
+    items = [read_value(args[0] if origin is list else args[i], item,
+                        f"{where}[{i}]") for i, item in enumerate(value)]
+    return items if origin is list else tuple(items)
+
+
+def _read_dataclass(cls, value, where: str):
+    prefix = f"{where}." if where else ""
+    schema = _schema(cls)
+    if isinstance(value, cls):
+        for name, tp, _, _ in schema:
+            read_value(tp, getattr(value, name), prefix + name)
+        return value
+    where = where or "scenario"
+    if not isinstance(value, dict):
         raise ScenarioError(f"{where}: expected a mapping")
-    unknown = set(mapping) - allowed
+    unknown = set(value) - {name for name, *_ in schema}
     if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ScenarioError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    kwargs = {}
+    for name, tp, required, null_keeps_default in schema:
+        if name not in value or (not value[name] and null_keeps_default):
+            if required:
+                raise ScenarioError(f"{prefix}{name}: required")
+            continue
+        kwargs[name] = read_value(tp, value[name], prefix + name)
+    return cls(**kwargs)
 
 
-def _as_float(value, where: str) -> float:
-    """A real-valued field: any finite number."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where}: expected a number") from None
-    if not math.isfinite(number):
-        raise ScenarioError(f"{where}: must be finite, got {number}")
-    return number
-
-
-def _as_int(value, where: str) -> int:
-    """An integer field: integers and integral floats, never truncated."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int):
-        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+def _plain(value):
+    """A config as nested dicts, lists and scalars, field by field."""
+    if is_dataclass(value):
+        return {name: _plain(getattr(value, name))
+                for name, *_ in _schema(type(value))}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
     return value
 
 
-def _as_floats(value, form: str, where: str) -> tuple[float, ...]:
-    """A fixed-length list of finite numbers, written as ``form``."""
-    if not isinstance(value, (list, tuple)) or \
-            len(value) != form.count(",") + 1:
-        raise ScenarioError(f"{where}: expected {form}")
-    return tuple(_as_float(v, where) for v in value)
-
-
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    _reject_unknown(data, _TOP_KEYS, "scenario")
-    if "users" not in data or "uav_count" not in data:
-        raise ScenarioError("scenario requires 'users' and 'uav_count'")
-
-    users = []
-    if not isinstance(data["users"], list):
-        raise ScenarioError("users: expected a list")
-    for i, entry in enumerate(data["users"]):
-        where = f"users[{i}]"
-        _reject_unknown(entry, _USER_KEYS, where)
-        if "klass" not in entry:
-            raise ScenarioError(f"{where}: klass required")
-        spec = UserSpec(
-            klass=str(entry["klass"]),
-            position=_as_floats(entry["position"], "[x, y]",
-                                f"{where}.position")
-            if entry.get("position") is not None else None,
-            region=_as_floats(entry["region"], "[x0, y0, x1, y1]",
-                              f"{where}.region")
-            if entry.get("region") is not None else None,
-            count=_as_int(entry.get("count", 1), f"{where}.count"),
-        )
-        users.append(spec)
-
-    positions = None
-    if data.get("uav_initial_positions") is not None:
-        raw = data["uav_initial_positions"]
-        if not isinstance(raw, list):
-            raise ScenarioError("uav_initial_positions: expected a list")
-        positions = [_as_floats(p, "[x, y]", f"uav_initial_positions[{i}]")
-                     for i, p in enumerate(raw)]
-
-    region = None
-    if data.get("uav_region") is not None:
-        region = _as_floats(data["uav_region"], "[x0, y0, x1, y1]",
-                            "uav_region")
-
-    failures = []
-    for i, entry in enumerate(data.get("failure_events", []) or []):
-        where = f"failure_events[{i}]"
-        _reject_unknown(entry, _FAILURE_KEYS, where)
-        if "at_time" not in entry or "fraction" not in entry:
-            raise ScenarioError(f"{where}: at_time and fraction required")
-        failures.append(FailureEvent(
-            _as_float(entry["at_time"], f"{where}.at_time"),
-            _as_float(entry["fraction"], f"{where}.fraction")))
-
-    radio_data = data.get("radio", {}) or {}
-    _reject_unknown(radio_data, _RADIO_KEYS, "radio")
-    radio_kwargs = {}
-    for key, value in radio_data.items():
-        if key == "plos_form":
-            radio_kwargs[key] = str(value)
-        elif key == "num_channels":
-            radio_kwargs[key] = _as_int(value, f"radio.{key}")
-        else:
-            radio_kwargs[key] = _as_float(value, f"radio.{key}")
-    radio = RadioParams(**radio_kwargs)
-
-    gains_data = data.get("gains", {}) or {}
-    _reject_unknown(gains_data, _GAINS_KEYS, "gains")
-    gains_kwargs = {}
-    for key, value in gains_data.items():
-        if key == "n_max":
-            gains_kwargs[key] = _as_int(value, f"gains.{key}")
-        else:
-            gains_kwargs[key] = _as_float(value, f"gains.{key}")
-    gains = ControlGains(**gains_kwargs)
-
-    return ScenarioConfig(
-        users=users,
-        uav_count=_as_int(data["uav_count"], "uav_count"),
-        uav_initial_positions=positions,
-        uav_region=region,
-        H=_as_float(data.get("H", 100.0), "H"),
-        duration=_as_float(data.get("duration", 30.0), "duration"),
-        seed=_as_int(data.get("seed", 0), "seed"),
-        failure_events=failures,
-        controller_mode=str(data.get("controller_mode", QOS_MODE)),
-        radio=radio,
-        gains=gains,
-    )
+    return read_value(ScenarioConfig, data, "")
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    users = []
-    for spec in config.users:
-        entry: dict = {"klass": spec.klass}
-        if spec.position is not None:
-            entry["position"] = [spec.position[0], spec.position[1]]
-        else:
-            entry["region"] = list(spec.region)
-            entry["count"] = spec.count
-        users.append(entry)
-    data: dict = {"users": users, "uav_count": config.uav_count}
-    if config.uav_initial_positions is not None:
-        data["uav_initial_positions"] = [[x, y] for x, y in
-                                         config.uav_initial_positions]
-    if config.uav_region is not None:
-        data["uav_region"] = list(config.uav_region)
-    data["H"] = config.H
-    data["duration"] = config.duration
-    data["seed"] = config.seed
-    if config.failure_events:
-        data["failure_events"] = [{"at_time": ev.at_time, "fraction": ev.fraction}
-                                  for ev in config.failure_events]
-    data["controller_mode"] = config.controller_mode
-    data["radio"] = {k: getattr(config.radio, k) for k in
-                     RadioParams.__dataclass_fields__}
-    data["gains"] = {k: getattr(config.gains, k) for k in
-                     ControlGains.__dataclass_fields__}
-    return data
+    return _plain(config)
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -467,8 +410,6 @@ def load_scenario(path) -> ScenarioConfig:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: expected a mapping at top level")
     config = scenario_from_dict(data)
     config.validate()
     return config

@@ -59,7 +59,7 @@ def _report(capsys, num, name, problems, wall=None, budget=None):
 
 @pytest.fixture(scope="module")
 def fig3_flock(fig3_config):
-    return run(fig3_config, mode=FLOCKING_MODE)
+    return run(replace(fig3_config, controller_mode=FLOCKING_MODE))
 
 
 @pytest.fixture(scope="module")

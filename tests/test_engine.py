@@ -1,5 +1,7 @@
 """World construction, association, failures, switching, integration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -409,10 +411,9 @@ class TestRun:
 
     def test_bad_mode_rejected(self, fig3_config):
         with pytest.raises(ScenarioError):
-            run(fig3_config, mode="hover")
+            run(replace(fig3_config, controller_mode="hover"))
 
     def test_user_trace_collection(self, fig3_config):
-        from dataclasses import replace
         cfg = replace(fig3_config, duration=1.0)
         result = run(cfg, collect_user_trace=True)
         rows = [r for r in result.user_trace if r[0] == 0.0]
@@ -426,7 +427,7 @@ def test_step_matches_run_loop(fig3_config):
     world = make_world(fig3_config)
     rows = []
     for _ in range(11):
-        metrics, _ = step(world, fig3_config, "qos_driven")
+        metrics, _ = step(world, fig3_config)
         rows.append(metrics)
     full = run(fig3_config)
     assert rows == full.metrics[:11]
@@ -443,8 +444,15 @@ def test_step_fires_failures_like_run():
                                                    fraction=0.5)])
     world = make_world(cfg)
     ticks = int(round(cfg.duration / cfg.gains.dt))
-    rows = [step(world, cfg, "qos_driven")[0] for _ in range(ticks + 1)]
+    rows = [step(world, cfg)[0] for _ in range(ticks + 1)]
     full = run(cfg)
     assert full.failures and full.failures[0][0] == pytest.approx(0.3)
     assert rows == full.metrics
     assert world.failures == full.failures
+
+
+def test_fractional_run_seed_rejected_not_truncated(fig3_config):
+    for call in (make_world, run):
+        with pytest.raises(ScenarioError, match="run_seed"):
+            call(fig3_config, run_seed=2.5)
+    assert run(replace(fig3_config, duration=0.0), run_seed=2.0).seed == 2

@@ -72,6 +72,10 @@ class TestRunSweep:
             with pytest.raises(ScenarioError):
                 run_sweep(fig3_config, bad)
 
+    def test_fractional_count_rejected_not_truncated(self, fig3_config):
+        with pytest.raises(ScenarioError, match=r"counts\[1\]"):
+            run_sweep(fig3_config, [1, 1.7])
+
     def test_start_list_must_cover_largest_count(self, fig3_config):
         with pytest.raises(ScenarioError, match="cover the largest"):
             run_sweep(fig3_config, [3])

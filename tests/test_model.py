@@ -3,10 +3,12 @@
 import math
 import pathlib
 import re
+from dataclasses import replace
 
 import pytest
 import yaml
 
+from uavswarm import engine
 from uavswarm.model import (
     ControlGains,
     FailureEvent,
@@ -103,6 +105,15 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="positive extent"):
             _minimal_config(users=[bad]).validate()
 
+    def test_wrong_length_point_or_region_named(self):
+        for bad, name in (
+                (UserSpec(klass="premium", position=(0.0, 0.0, 0.0)),
+                 "users[0].position"),
+                (UserSpec(klass="regular", region=(0.0, 0.0, 1.0), count=2),
+                 "users[0].region")):
+            with pytest.raises(ScenarioError, match=re.escape(name)):
+                _minimal_config(users=[bad]).validate()
+
     def test_unknown_class(self):
         bad = UserSpec(klass="gold", position=(0.0, 0.0))
         with pytest.raises(ScenarioError, match="klass"):
@@ -132,6 +143,17 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             _minimal_config(
                 failure_events=[FailureEvent(5.0, 1.5)]).validate()
+
+    def test_height_above_range_rejected(self):
+        # range is slant distance, so above r no user is ever in range
+        with pytest.raises(ScenarioError, match="H must not exceed gains.r"):
+            _minimal_config(H=400.0).validate()
+        _minimal_config(H=300.0).validate()   # a user at exactly r is served
+
+    def test_tick_longer_than_window_rejected(self):
+        with pytest.raises(ScenarioError, match="gains.dt must not exceed"):
+            _minimal_config(gains=ControlGains(dt=6.0, tau=5.0)).validate()
+        _minimal_config(gains=ControlGains(dt=5.0, tau=5.0)).validate()
 
     def test_mode_checked(self):
         with pytest.raises(ScenarioError, match="controller_mode"):
@@ -263,3 +285,34 @@ def test_non_finite_or_non_integral_value_rejected_at_load(path, value, name,
     file.write_text(yaml.safe_dump(data))
     with pytest.raises(ScenarioError, match=re.escape(name)):
         load_scenario(file)
+
+
+# (field the error must name, the bad config built in code from fig3)
+BAD_CONFIGS = [
+    ("duration", lambda c: replace(c, duration=math.nan)),
+    ("H", lambda c: replace(c, H=math.inf)),
+    ("radio.noise", lambda c: replace(c, radio=replace(c.radio, noise=math.nan))),
+    ("gains.n_max", lambda c: replace(c, gains=replace(c.gains, n_max=80.5))),
+    ("radio.num_channels",
+     lambda c: replace(c, radio=replace(c.radio, num_channels=2.5))),
+    ("users[0].position",
+     lambda c: replace(c, users=[replace(c.users[0], position=(math.nan, 0.0)),
+                                 *c.users[1:]])),
+]
+
+
+@pytest.mark.parametrize("name, make", BAD_CONFIGS,
+                         ids=[case[0] for case in BAD_CONFIGS])
+def test_bad_value_in_code_built_config_rejected_before_any_tick(
+        name, make, fig3_config, monkeypatch):
+    config = make(fig3_config)
+    named = "^" + re.escape(name)
+    with pytest.raises(ScenarioError, match=named):
+        config.validate()
+
+    def tick(*args):
+        raise AssertionError("a tick ran")
+
+    monkeypatch.setattr(engine, "_evaluate", tick)
+    with pytest.raises(ScenarioError, match=named):
+        engine.run(config)
