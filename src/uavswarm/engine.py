@@ -3,8 +3,9 @@
 Tick order: (1) due failure events fire, (2) users associate to UAVs,
 (3) link rates and trailing-rate windows update, (4) UAVs may switch
 channels (QoS mode only), (5) metrics are recorded from the frozen state,
-(6) control inputs are computed and integrated.  Time advances as
-tick * dt from an integer tick counter, never by accumulation.
+(6) control inputs are computed and integrated.  The control phase is one
+pass: each controller term runs once per tick for the whole fleet.  Time
+advances as tick * dt from an integer tick counter, never by accumulation.
 """
 
 from __future__ import annotations
@@ -323,36 +324,29 @@ def channel_switching(world: WorldState, powers: np.ndarray,
 
 def control_all(world: WorldState, gains: ControlGains,
                 mode: str) -> np.ndarray:
-    """Control inputs for all UAVs from one frozen state snapshot."""
-    n_uavs = len(world.uavs)
-    n_users = len(world.users)
-    controls = np.zeros((n_uavs, 3))
-    if n_uavs == 0:
-        return controls
-    positions = np.array([u.position for u in world.uavs])
-    velocities = np.array([u.velocity for u in world.uavs])
-    loads = np.array([u.load for u in world.uavs])
-    alive = np.array([u.alive for u in world.uavs])
-    if n_users:
-        user_pos = np.array([u.position for u in world.users])
-        rates = np.array([u.achieved_rate for u in world.users])
-        targets = np.array([u.target_rate for u in world.users])
-        premium = np.array([u.klass == PREMIUM for u in world.users])
-    else:
-        user_pos = np.zeros((0, 3))
-        rates = np.zeros(0)
-        targets = np.zeros(0)
-        premium = np.zeros(0, dtype=bool)
-    for i, uav in enumerate(world.uavs):
-        if not uav.alive:
-            continue
-        connected = np.zeros(n_users, dtype=bool)
-        if uav.connected_users:
-            connected[np.array(uav.connected_users)] = True
-        controls[i] = control_input(
-            i, positions, velocities, loads, alive, connected, user_pos,
-            rates, targets, premium, gains, mode)
-    return controls
+    """Control inputs for all UAVs from one frozen state snapshot.
+
+    The state is gathered into arrays once and each controller term runs
+    once for the whole fleet; dead UAVs get zero rows.
+    """
+    uavs, users = world.uavs, world.users
+    if not uavs:
+        return np.zeros((0, 3))
+    positions = np.array([u.position for u in uavs])
+    velocities = np.array([u.velocity for u in uavs])
+    loads = np.array([u.load for u in uavs])
+    alive = np.array([u.alive for u in uavs])
+    user_pos = np.array([u.position for u in users]).reshape(-1, 3)
+    rates = np.array([u.achieved_rate for u in users], dtype=float)
+    targets = np.array([u.target_rate for u in users], dtype=float)
+    premium = np.array([u.klass == PREMIUM for u in users], dtype=bool)
+    serving = np.array([-1 if u.serving_uav is None else u.serving_uav
+                        for u in users], dtype=int)
+    served = np.flatnonzero(serving >= 0)
+    connected = np.zeros((len(uavs), len(users)), dtype=bool)
+    connected[serving[served], served] = True
+    return control_input(positions, velocities, loads, alive, connected,
+                         user_pos, rates, targets, premium, gains, mode)
 
 
 def advance(world: WorldState, controls: np.ndarray, gains: ControlGains,

@@ -18,11 +18,14 @@ directly; the sigma-norm images of r, d and n_max and the sigmoid shift are
 read-only properties on it.
 
 The terms follow Olfati-Saber's flocking construction, which is defined over
-neighbor sets, so each is one masked array reduction: f and g over the alive
-UAVs within r of UAV i, h over all users of one UAV.  The per-pair weights
-are computed for the whole set at once and contracted with the stacked
-sigma-gradients, so the sum runs in BLAS order rather than neighbor order;
-results agree with a per-neighbor loop to rounding, within 1e-12 relative.
+neighbor sets, so each term is evaluated for the whole fleet at once and
+returns one (cells, 3) row per cell: f and g are masked (cells, cells)
+reductions over the alive cells within r of each cell, h is one masked
+(cells, users) reduction whose per-user weights are computed once, and the
+flocking goal computes the user centroid once.  The per-pair weights are
+contracted with the stacked sigma-gradients in one batched matmul, so each
+row sums in BLAS order rather than neighbor order; results agree with a per-neighbor loop
+to rounding, within 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -101,92 +104,111 @@ def pair_potential(z_sig, p: ControlGains):
 
 
 def _sigma_grads(rel: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise sigma-gradients of (k, 3) offsets, and their Euclidean norms."""
-    sq = np.einsum("ij,ij->i", rel, rel)
-    return rel / np.sqrt(1.0 + eps * sq)[:, None], np.sqrt(sq)
+    """Sigma-gradients of (..., 3) offsets along the last axis, and their
+    Euclidean norms."""
+    sq = np.einsum("...k,...k->...", rel, rel)
+    return rel / np.sqrt(1.0 + eps * sq)[..., None], np.sqrt(sq)
 
 
-def f_term(i: int, positions: np.ndarray, loads: np.ndarray,
-           alive: np.ndarray, p: ControlGains) -> np.ndarray:
-    """Inter-UAV spacing force on UAV i.
+def _row_sums(weight: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """sum_j weight[i, j] * vectors[i, j] for each i: (n, k) weights with
+    (n, k, 3) vectors give (n, 3) rows, as one batched matmul."""
+    return np.matmul(weight[:, None, :], vectors)[:, 0, :]
+
+
+def _cell_pairs(positions: np.ndarray, alive: np.ndarray, p: ControlGains):
+    """Offsets q_j - q_i, their norms, and which alive j other than i lie
+    within r of cell i, as (cells, cells[, 3]) arrays."""
+    rel = positions[None, :, :] - positions[:, None, :]
+    grads, dist = _sigma_grads(rel, p.eps)
+    near = alive[None, :] & (dist <= p.r)
+    np.fill_diagonal(near, False)
+    return grads, dist, near
+
+
+def f_term(positions: np.ndarray, loads: np.ndarray, alive: np.ndarray,
+           p: ControlGains) -> np.ndarray:
+    """Inter-UAV spacing force on every cell, as (cells, 3) rows.
 
     For each alive neighbor within range r: pair potential of the
     sigma-distance plus a crowding penalty a * (1 - bump(...)) that turns on
     as the neighbor's load approaches n_max, both along the sigma-gradient
     toward the neighbor.  Coincident neighbors (distance 0) exert nothing.
     """
-    grads, dist = _sigma_grads(positions - positions[i], p.eps)
-    near = alive & (dist <= p.r) & (dist > 0.0)
-    near[i] = False
-    dist = dist[near]
-    overload = np.maximum(loads[near] - p.n_max, 0)
+    grads, dist, near = _cell_pairs(positions, alive, p)
+    near &= dist > 0.0
+    overload = np.maximum(loads - p.n_max, 0)
     crowd = p.a * (1.0 - bump(
         sigma_norm_scalar(overload, p.eps) / p.n_max_sig, 0.0))
     weight = pair_potential(sigma_norm_scalar(dist, p.eps), p) + crowd
-    return weight @ grads[near]
+    return _row_sums(np.where(near, weight, 0.0), grads)
 
 
-def g_term(i: int, positions: np.ndarray, velocities: np.ndarray,
-           alive: np.ndarray, p: ControlGains) -> np.ndarray:
-    """Velocity consensus force on UAV i over alive neighbors within r.
+def g_term(positions: np.ndarray, velocities: np.ndarray, alive: np.ndarray,
+           p: ControlGains) -> np.ndarray:
+    """Velocity consensus force on every cell over its alive neighbors
+    within r, as (cells, 3) rows.
 
     Coincident neighbors count, with full weight.
     """
-    rel = positions - positions[i]
-    dist = np.sqrt(np.einsum("ij,ij->i", rel, rel))
-    near = alive & (dist <= p.r)
-    near[i] = False
-    weight = bump(sigma_norm_scalar(dist[near], p.eps) / p.r_sig, 0.2)
-    return weight @ (velocities[near] - velocities[i])
+    _, dist, near = _cell_pairs(positions, alive, p)
+    weight = np.where(near, bump(sigma_norm_scalar(dist, p.eps) / p.r_sig,
+                                 0.2), 0.0)
+    return _row_sums(weight, velocities[None, :, :] - velocities[:, None, :])
 
 
-def h_term(uav_pos: np.ndarray, connected: np.ndarray, user_pos: np.ndarray,
+def h_term(positions: np.ndarray, connected: np.ndarray, user_pos: np.ndarray,
            rates: np.ndarray, targets: np.ndarray, premium: np.ndarray,
            p: ControlGains) -> np.ndarray:
-    """User-coupling force on one UAV.
+    """User-coupling force on every cell, as (cells, 3) rows.
 
-    Non-connected users within range r and short of their target repel in
-    proportion to the relative deficit; connected users pull (or push) along
-    the line of sight through an odd sigmoid of the deficit in Mbit/s, with
-    class-specific gain, gated to zero once the rate reaches beta * target.
+    `connected` is the (cells, users) serving matrix.  Users not connected
+    to a cell, within its range r and short of their target repel it in
+    proportion to the relative deficit; its connected users pull (or push)
+    it along the line of sight through an odd sigmoid of the deficit in
+    Mbit/s, with class-specific gain, gated to zero once the rate reaches
+    beta * target.  Both per-user weights are the same for every cell.
     """
-    grads, dist = _sigma_grads(user_pos - uav_pos, p.eps)
+    grads, dist = _sigma_grads(user_pos[None, :, :] - positions[:, None, :],
+                               p.eps)
     gain = np.where(premium, p.c2_prem, p.c2_reg)
     gate = bump(rates / (p.beta * targets), 0.0)
     pull = gain * gate * phi_sigmoid((targets - rates) / 1e6, p)
     # repulsion runs along sigma_grad(-rel) = -sigma_grad(rel)
     push = -p.c1 * (np.maximum(targets - rates, 0.0) / targets)
     weight = np.where(connected, pull, np.where(dist <= p.r, push, 0.0))
-    return weight @ grads
+    return _row_sums(weight, grads)
 
 
-def flocking_goal_term(uav_pos: np.ndarray, user_pos: np.ndarray,
+def flocking_goal_term(positions: np.ndarray, user_pos: np.ndarray,
                        p: ControlGains) -> np.ndarray:
-    """Baseline navigation force: pull toward the user centroid."""
+    """Baseline navigation force on every cell: pull toward the user
+    centroid, as (cells, 3) rows."""
     if len(user_pos) == 0:
-        return np.zeros(3)
+        return np.zeros_like(positions)
     centroid = user_pos.mean(axis=0)
-    return p.c1 * sigma_grad(centroid - uav_pos, p.eps)
+    return p.c1 * _sigma_grads(centroid - positions, p.eps)[0]
 
 
-def control_input(i: int, positions: np.ndarray, velocities: np.ndarray,
+def control_input(positions: np.ndarray, velocities: np.ndarray,
                   loads: np.ndarray, alive: np.ndarray,
                   connected: np.ndarray, user_pos: np.ndarray,
                   rates: np.ndarray, targets: np.ndarray,
                   premium: np.ndarray, p: ControlGains,
                   mode: str = QOS_MODE) -> np.ndarray:
-    """Full control input for UAV i, z zeroed, clamped to p.u_max."""
-    u = f_term(i, positions, loads, alive, p) + \
-        g_term(i, positions, velocities, alive, p)
+    """Control inputs for every cell as (cells, 3) rows: z zeroed, each row
+    clamped to p.u_max, dead cells zero."""
+    u = f_term(positions, loads, alive, p) + \
+        g_term(positions, velocities, alive, p)
     if mode == QOS_MODE:
-        u = u + h_term(positions[i], connected, user_pos, rates, targets,
-                       premium, p)
+        u += h_term(positions, connected, user_pos, rates, targets, premium, p)
     elif mode == FLOCKING_MODE:
-        u = u + flocking_goal_term(positions[i], user_pos, p)
+        u += flocking_goal_term(positions, user_pos, p)
     else:
         raise ValueError(f"unknown controller mode {mode!r}")
-    u[2] = 0.0
-    norm = float(np.linalg.norm(u))
-    if norm > p.u_max:
-        u = u * (p.u_max / norm)
+    u[:, 2] = 0.0
+    norm = np.sqrt(np.einsum("ij,ij->i", u, u))
+    over = norm > p.u_max
+    u[over] *= (p.u_max / norm[over])[:, None]
+    u[~alive] = 0.0
     return u

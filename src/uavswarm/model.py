@@ -24,7 +24,6 @@ import math
 import operator
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from operator import itemgetter
 from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -99,16 +98,25 @@ class UserState:
     target_rate: float              # bits/s
     serving_uav: Optional[int] = None
     achieved_rate: float = 0.0      # bits/s, 0 while unserved
-    rate_window: deque = field(default_factory=deque)  # (time, rate) pairs
+    rate_window: deque = field(default_factory=deque)  # trailing rates
+    rate_times: deque = field(default_factory=deque)   # and their times
     mean_rate: float = 0.0          # arithmetic mean over the trailing window
 
     def record_rate(self, time: float, rate: float, tau: float) -> None:
-        """Append this tick's rate and refresh the trailing-tau-seconds mean."""
-        self.rate_window.append((time, rate))
-        while self.rate_window and self.rate_window[0][0] <= time - tau:
-            self.rate_window.popleft()
-        window = self.rate_window
-        self.mean_rate = sum(map(itemgetter(1), window)) / len(window)
+        """Append this tick's rate and refresh the trailing-tau-seconds mean.
+
+        Entries at or before time - tau drop out.  The mean is re-summed
+        over the window, not kept as a running sum, so it has the same bits
+        whatever came before: the switch trigger compares against it.
+        """
+        window, times = self.rate_window, self.rate_times
+        window.append(rate)
+        times.append(time)
+        edge = time - tau
+        while times and times[0] <= edge:
+            times.popleft()
+            window.popleft()
+        self.mean_rate = sum(window) / len(window)
 
 
 @dataclass
@@ -324,15 +332,17 @@ def read_value(tp, value, where: str):
 
     ``tp`` is a dataclass, ``list[...]``, fixed-length ``tuple[...]``,
     ``X | None``, int, float or str.  A dataclass is read from a mapping,
-    whose unknown and missing keys are rejected and where a null or empty
-    list or section keeps its default, or checked in place when given an
-    instance.
+    whose unknown and missing keys are rejected and where a null, an empty
+    list or an empty mapping for a list or section keeps its default, or
+    checked in place when given an instance.
     A float must be finite; an int accepts an integral float and never
-    truncates one.
+    truncates one.  A bool is neither: YAML's true is not the number 1.
     """
     kind = _LEAF_KINDS.get(tp)
     if kind is not None:
         try:
+            if isinstance(value, (bool, np.bool_)):
+                raise TypeError("a bool is not a number")
             if tp is float and math.isfinite(float(value)):
                 return float(value)
             if tp is int:
@@ -377,11 +387,13 @@ def _read_dataclass(cls, value, where: str):
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown, key=str)}")
     kwargs = {}
     for name, tp, required, null_keeps_default in schema:
-        if name not in value or (not value[name] and null_keeps_default):
+        item = value.get(name)
+        empty = item is None or (isinstance(item, (dict, list)) and not item)
+        if name not in value or (empty and null_keeps_default):
             if required:
                 raise ScenarioError(f"{prefix}{name}: required")
             continue
-        kwargs[name] = read_value(tp, value[name], prefix + name)
+        kwargs[name] = read_value(tp, item, prefix + name)
     return cls(**kwargs)
 
 

@@ -1,12 +1,16 @@
-"""Per-neighbor loop forms of the controller terms and of greedy association.
+"""Per-neighbor loop forms of the controller terms and of greedy association,
+and the (time, rate) pair form of the trailing rate window.
 
 These are the scalar reference versions that the package's masked array
-reductions replace.  They walk one neighbor or user at a time, summing in
-index order, and rank association candidates with Python's sorted(); the
-tests compare the array code against them.  Only the scalar kernel
-primitives (bump, sigma-norm, sigmoid) are shared with the package, since
-the rewrite did not touch them.
+reductions replace.  They walk one cell, neighbor or user at a time,
+summing in index order, and rank association candidates with Python's
+sorted(); the tests compare the array code against them.  Only the scalar
+kernel primitives (bump, sigma-norm, sigmoid) are shared with the package,
+since the rewrite did not touch them.
 """
+
+from collections import deque
+from operator import itemgetter
 
 import numpy as np
 
@@ -73,6 +77,15 @@ def oracle_h_term(uav_pos, connected, user_pos, rates, targets, premium, p):
     return out
 
 
+def oracle_flocking_goal_term(uav_pos, user_pos, p):
+    if len(user_pos) == 0:
+        return np.zeros(3)
+    total = np.zeros(3)
+    for m in range(len(user_pos)):
+        total += user_pos[m]
+    return p.c1 * sigma_grad(total / len(user_pos) - uav_pos, p.eps)
+
+
 def oracle_associate(uavs, users, gains):
     """Greedy nearest-feasible association, one user and one sort at a time.
 
@@ -108,3 +121,16 @@ def oracle_associate(uavs, users, gains):
     for ids in connected:
         ids.sort()
     return serving, connected
+
+
+def oracle_mean_rates(times, rates, tau):
+    """Trailing-tau mean after each (time, rate) record, from one deque of
+    (time, rate) pairs: entries at or before time - tau drop out."""
+    window = deque()
+    means = []
+    for time, rate in zip(times, rates):
+        window.append((time, rate))
+        while window and window[0][0] <= time - tau:
+            window.popleft()
+        means.append(sum(map(itemgetter(1), window)) / len(window))
+    return means

@@ -167,12 +167,12 @@ def test_03_equilibrium_fixed_point(capsys):
     rates = np.array([450e6, 450e6])
     targets = np.array([300e6, 300e6])
     premium = np.array([True, True])
-    for i, conn in ((0, np.array([True, False])),
-                    (1, np.array([False, True]))):
-        u = control_input(i, positions, velocities, loads, alive, conn,
-                          user_pos, rates, targets, premium, gains)
-        if not np.array_equal(u, np.zeros(3)):
-            problems.append(f"uav {i} control {u} not exactly zero")
+    connected = np.array([[True, False], [False, True]])
+    u = control_input(positions, velocities, loads, alive, connected,
+                      user_pos, rates, targets, premium, gains)
+    for i in range(2):
+        if not np.array_equal(u[i], np.zeros(3)):
+            problems.append(f"uav {i} control {u[i]} not exactly zero")
     _report(capsys, 3, "equilibrium fixed point", problems)
 
 

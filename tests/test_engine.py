@@ -11,6 +11,7 @@ from uavswarm.engine import (
     advance,
     associate_users,
     channel_switching,
+    control_all,
     inject_failures,
     make_world,
     resolve_user_positions,
@@ -364,6 +365,50 @@ class TestAdvance:
         before = world.uavs[1].position.copy()
         advance(world, np.full((2, 3), 5.0), cfg.gains, cfg.H)
         assert np.array_equal(world.uavs[1].position, before)
+
+
+class TestControlAll:
+    """Rows of the one-pass control phase: 0 and 1 sit 40 m apart and repel
+    hard, dead 2 sits between them, 3 is alone with no user in range."""
+
+    def _world(self):
+        cfg = ScenarioConfig(
+            users=[UserSpec(klass="premium", position=(0.0, 250.0))],
+            uav_count=4,
+            uav_initial_positions=[(0.0, 0.0), (40.0, 0.0), (20.0, 0.0),
+                                   (5000.0, 0.0)],
+            gains=ControlGains(u_max=2.0))
+        world = make_world(cfg)
+        world.uavs[2].alive = False
+        world.uavs[2].velocity = vec3(3.0, 1.0)
+        associate_users(world, cfg.gains)
+        return world, cfg
+
+    def test_dead_cell_row_is_exactly_zero(self):
+        world, cfg = self._world()
+        controls = control_all(world, cfg.gains, cfg.controller_mode)
+        assert controls.shape == (4, 3)
+        assert np.array_equal(controls[2], np.zeros(3))
+
+    def test_row_above_u_max_is_clamped(self):
+        world, cfg = self._world()
+        controls = control_all(world, cfg.gains, cfg.controller_mode)
+        loose = control_all(world, replace(cfg.gains, u_max=1e9),
+                            cfg.controller_mode)
+        for i in (0, 1):
+            assert np.linalg.norm(loose[i]) > cfg.gains.u_max
+            assert np.linalg.norm(controls[i]) == pytest.approx(
+                cfg.gains.u_max, rel=1e-12)
+            np.testing.assert_allclose(
+                controls[i], loose[i] * (cfg.gains.u_max
+                                         / np.linalg.norm(loose[i])),
+                rtol=1e-12)
+
+    def test_zero_row_stays_zero(self):
+        world, cfg = self._world()
+        controls = control_all(world, cfg.gains, cfg.controller_mode)
+        assert np.array_equal(controls[3], np.zeros(3))
+        assert np.isfinite(controls).all()
 
 
 class TestRun:

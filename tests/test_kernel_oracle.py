@@ -1,4 +1,5 @@
-"""Cross-check the array controller terms and association against loop forms.
+"""Cross-check the array controller terms, association and the rate window
+against their loop and pair forms.
 
 Random small worlds on an integer grid, so that coincident cells, equal
 distances and links at exactly the range r (integer right triangles) occur
@@ -13,11 +14,13 @@ import pytest
 from kernel_oracle import (
     oracle_associate,
     oracle_f_term,
+    oracle_flocking_goal_term,
     oracle_g_term,
     oracle_h_term,
+    oracle_mean_rates,
 )
 from uavswarm.engine import WorldState, associate_users
-from uavswarm.kernels import f_term, g_term, h_term
+from uavswarm.kernels import f_term, flocking_goal_term, g_term, h_term
 from uavswarm.model import (
     PREMIUM,
     REGULAR,
@@ -86,10 +89,12 @@ def test_spacing_and_consensus_match_loops(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 9))
     positions, alive, loads, velocities = _cells(rng, n)
+    f = f_term(positions, loads, alive, GAINS)
+    g = g_term(positions, velocities, alive, GAINS)
+    assert f.shape == g.shape == (n, 3)
     for i in range(n):
-        _assert_close(f_term(i, positions, loads, alive, GAINS),
-                      oracle_f_term(i, positions, loads, alive, GAINS), n)
-        _assert_close(g_term(i, positions, velocities, alive, GAINS),
+        _assert_close(f[i], oracle_f_term(i, positions, loads, alive, GAINS), n)
+        _assert_close(g[i],
                       oracle_g_term(i, positions, velocities, alive, GAINS), n)
 
 
@@ -98,8 +103,9 @@ def test_coincident_cells_count_in_consensus_only():
     velocities = np.array([[0.0, 0.0, 0.0], [3.0, -1.0, 0.0]])
     alive = np.array([True, True])
     loads = np.array([GAINS.n_max * 2, 0])
-    assert np.array_equal(f_term(0, positions, loads, alive, GAINS), np.zeros(3))
-    assert np.array_equal(g_term(0, positions, velocities, alive, GAINS),
+    assert np.array_equal(f_term(positions, loads, alive, GAINS)[0],
+                          np.zeros(3))
+    assert np.array_equal(g_term(positions, velocities, alive, GAINS)[0],
                           velocities[1])
 
 
@@ -108,19 +114,39 @@ def test_user_coupling_matches_loop(seed):
     rng = np.random.default_rng(seed)
     uav_pos = vec3(rng.integers(0, 600), rng.integers(0, 600), HEIGHT)
     n = int(rng.integers(0, 30))
-    args = _users(rng, n, uav_pos)
-    _assert_close(h_term(uav_pos, *args, GAINS),
-                  oracle_h_term(uav_pos, *args, GAINS), n)
+    connected, *args = _users(rng, n, uav_pos)
+    # more cells over the same users, each with its own connected row
+    others, _, _, _ = _cells(rng, int(rng.integers(0, 4)))
+    positions = np.vstack([uav_pos, others])
+    connected = np.vstack([connected, rng.random((len(others), n)) < 0.5])
+    h = h_term(positions, connected, *args, GAINS)
+    assert h.shape == positions.shape
+    for i, cell in enumerate(positions):
+        _assert_close(h[i], oracle_h_term(cell, connected[i], *args, GAINS), n)
 
 
 def test_user_coupling_counts_unconnected_user_at_exact_range():
     uav_pos = vec3(0.0, 0.0, HEIGHT)
     user_pos = np.array([uav_pos + USER_AT_RANGE[0]])
-    args = (np.array([False]), user_pos, np.array([0.0]),
-            np.array([TARGET_RATE[REGULAR]]), np.array([False]))
-    got = h_term(uav_pos, *args, GAINS)
+    args = (user_pos, np.array([0.0]), np.array([TARGET_RATE[REGULAR]]),
+            np.array([False]))
+    got = h_term(uav_pos[None], np.array([[False]]), *args, GAINS)[0]
     assert got[0] < 0.0
-    _assert_close(got, oracle_h_term(uav_pos, *args, GAINS), 1)
+    _assert_close(got, oracle_h_term(uav_pos, np.array([False]), *args,
+                                     GAINS), 1)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_flocking_goal_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    positions, _, _, _ = _cells(rng, int(rng.integers(1, 9)))
+    n = int(rng.integers(0, 30))
+    _, user_pos, _, _, _ = _users(rng, n, positions[0])
+    goal = flocking_goal_term(positions, user_pos, GAINS)
+    assert goal.shape == positions.shape
+    for i, cell in enumerate(positions):
+        _assert_close(goal[i], oracle_flocking_goal_term(cell, user_pos, GAINS),
+                      1)
 
 
 def _assoc_world(rng):
@@ -171,3 +197,30 @@ def test_association_matches_greedy_loop():
         spills += _spilled(world, want_serving, gains)
     # the worlds must reach the spill path, not only the nearest-cell one
     assert spills > 50
+
+
+# (dt, tau) pairs where tick * dt rounds on either side of the window edge,
+# so the window holds round(tau / dt) entries on some ticks and one more on
+# others; (0.1, 5.0) is the shipped scenarios' setting.
+RATE_WINDOWS = [(0.1, 5.0), (0.1, 0.3), (0.3, 0.9), (0.7, 2.1), (1 / 3, 1.0),
+                (0.05, 0.15)]
+
+
+@pytest.mark.parametrize("dt, tau", RATE_WINDOWS)
+def test_rate_window_mean_matches_pair_form_bits(dt, tau):
+    rng = np.random.default_rng(int(tau * 1000))
+    ticks = 400
+    times = [k * dt for k in range(ticks)]
+    # magnitudes far apart and shared zeros, so any change in which entries
+    # are summed, or in what order, shows in the bits
+    rates = (rng.choice([0.0, 1.0, 1e-3, 1e8], ticks) *
+             rng.uniform(0.5, 3.0, ticks)).tolist()
+    want = oracle_mean_rates(times, rates, tau)
+    user = UserState(id=0, position=vec3(), klass=PREMIUM,
+                     target_rate=TARGET_RATE[PREMIUM])
+    lengths = set()
+    for k, (time, rate) in enumerate(zip(times, rates)):
+        user.record_rate(time, rate, tau)
+        assert user.mean_rate == want[k], k
+        lengths.add(len(user.rate_window))
+    assert {round(tau / dt), round(tau / dt) + 1} <= lengths

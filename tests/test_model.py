@@ -316,3 +316,59 @@ def test_bad_value_in_code_built_config_rejected_before_any_tick(
     monkeypatch.setattr(engine, "_evaluate", tick)
     with pytest.raises(ScenarioError, match=named):
         engine.run(config)
+
+
+# (path into the scenario mapping, a bool in place of its number, field the
+# error must name): YAML's true and false are not 1 and 0
+BOOL_VALUES = [
+    (("duration",), True, "duration"),
+    (("seed",), False, "seed"),
+    (("gains", "n_max"), True, "gains.n_max"),
+    (("radio", "f_c"), False, "radio.f_c"),
+    (("users", 1, "count"), True, "users[1].count"),
+    (("users", 0, "position"), [True, 0.0], "users[0].position[0]"),
+]
+
+
+@pytest.mark.parametrize("path, value, name", BOOL_VALUES,
+                         ids=[case[2] for case in BOOL_VALUES])
+def test_bool_in_number_field_rejected_at_load(path, value, name, tmp_path):
+    data = _loadable_dict()
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    file = tmp_path / "bad.yaml"
+    file.write_text(yaml.safe_dump(data))
+    with pytest.raises(ScenarioError, match=re.escape(f"{name}: expected")):
+        load_scenario(file)
+
+
+@pytest.mark.parametrize("name, make", [
+    ("duration", lambda c: replace(c, duration=True)),
+    ("gains.n_max", lambda c: replace(c, gains=replace(c.gains, n_max=True))),
+], ids=["duration", "gains.n_max"])
+def test_bool_in_code_built_config_rejected(name, make, fig3_config):
+    with pytest.raises(ScenarioError, match="^" + re.escape(f"{name}: expected")):
+        make(fig3_config).validate()
+
+
+@pytest.mark.parametrize("value", [0, False, ""])
+@pytest.mark.parametrize("key", ["radio", "gains", "failure_events"])
+def test_falsy_non_section_rejected_at_load(key, value, tmp_path):
+    data = _loadable_dict()
+    data[key] = value
+    file = tmp_path / "bad.yaml"
+    file.write_text(yaml.safe_dump(data))
+    with pytest.raises(ScenarioError, match="^" + re.escape(f"{key}: expected")):
+        load_scenario(file)
+
+
+@pytest.mark.parametrize("value", [None, {}, []])
+@pytest.mark.parametrize("key", ["radio", "gains", "failure_events"])
+def test_empty_section_keeps_default(key, value):
+    data = _loadable_dict()
+    data[key] = value
+    assert getattr(scenario_from_dict(data), key) == \
+        getattr(scenario_from_dict({**data, key: None}), key) == \
+        getattr(ScenarioConfig(users=[], uav_count=0), key)

@@ -1,0 +1,47 @@
+"""The benchmark's tracer wraps public functions by name from outside the
+package; this holds the package to the names and call counts it relies on.
+
+perfbench/tracer.py is imported, never edited: a rename here that breaks
+``perfbench/run.py --trace 1`` fails this test instead.
+"""
+
+import pathlib
+from dataclasses import replace
+
+import pytest
+
+from uavswarm import engine
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    return tracer
+
+
+def test_every_span_names_an_existing_function(tracer):
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, *_ in tracer.SPANS
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []
+
+
+def test_traced_ticks_count_one_rate_record_per_user(tracer, fig3_config):
+    config = replace(fig3_config, duration=0.5)
+    ticks = int(round(config.duration / config.gains.dt)) + 1
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        result = engine.run(config)
+    finally:
+        traced.uninstall()
+    users = len(result.world.users)
+    assert traced.calls["model.record_rate"] == users * ticks
+    assert traced.counts["model.record_rate_calls"] == users * ticks
+    assert traced.calls["metrics.compute"] == ticks
+    # the control phase runs between ticks, each term once for the fleet
+    for span in ("engine.control", "kernels.f", "kernels.g", "kernels.h"):
+        assert traced.calls[span] == ticks - 1, span
