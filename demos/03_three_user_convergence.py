@@ -9,7 +9,7 @@ cooldown, grab a private channel, and take all three users to target.
 from uavswarm import load_scenario, run
 
 config = load_scenario("scenarios/fig3_three_users.yaml")
-result = run(config, collect_user_trace=True)
+result = run(config, trace=True)
 
 print(f"{config.n_users()} users, {config.uav_count} cells, "
       f"{config.radio.num_channels} channels, {config.duration:.0f} s")

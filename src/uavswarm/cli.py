@@ -63,8 +63,8 @@ def _cmd_run(args) -> int:
         config = replace(config, seed=args.seed)
     if args.mode is not None:
         config = replace(config, controller_mode=_MODE_BY_FLAG[args.mode])
-    result = run(config, collect_user_trace=args.trace)
-    written = export_run(result, _out_dir(args), trace=args.trace)
+    result = run(config, trace=args.trace)
+    written = export_run(result, _out_dir(args))
     last = result.metrics[-1]
     print(f"ran {args.scenario}: mode={result.config.controller_mode} "
           f"seed={result.seed} ticks={len(result.metrics)} "

@@ -1,11 +1,13 @@
 """Discrete-time world state and the per-tick orchestration loop.
 
-Tick order: (1) due failure events fire, (2) users associate to UAVs,
-(3) link rates and trailing-rate windows update, (4) UAVs may switch
-channels (QoS mode only), (5) metrics are recorded from the frozen state,
-(6) control inputs are computed and integrated.  The control phase is one
-pass: each controller term runs once per tick for the whole fleet.  Time
-advances as tick * dt from an integer tick counter, never by accumulation.
+A tick evaluates, then integrates.  Evaluate, on frozen positions: (1) due
+failure events fire, (2) users associate to UAVs, (3) link rates and rate
+windows update, (4) UAVs may switch channels (QoS mode only), (5) metrics
+are recorded, invariants checked and spacing violations logged.
+Integrate: (6) one control pass for the whole fleet, then one step.
+step() runs both halves, run() the same two but skips the last integration;
+the world keeps the failure and spacing logs.  Time advances as tick * dt
+from an integer tick counter, never by accumulation.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ class WorldState:
     failure_rng: np.random.Generator
     fired: set[int] = field(default_factory=set)   # failure_events indices
     failures: list[tuple[float, list[int]]] = field(default_factory=list)
+    # (time, uav_id, uav_id, distance) per alive pair closer than gains.d
+    min_distance_violations: list[tuple] = field(default_factory=list)
 
 
 @dataclass
@@ -134,13 +138,12 @@ def inject_failures(world: WorldState, fraction: float) -> list[int]:
                                       replace=False)
     killed = sorted(int(c) for c in chosen)
     for n in killed:
-        uav = world.uavs[n]
-        uav.alive = False
-        uav.velocity = vec3()
-        for m in uav.connected_users:
-            world.users[m].serving_uav = None
-            world.users[m].achieved_rate = 0.0
-        uav.connected_users = []
+        world.uavs[n].alive = False
+        world.uavs[n].velocity = vec3()
+    for user in world.users:
+        if user.serving_uav in killed:
+            user.serving_uav = None
+            user.achieved_rate = 0.0
     return killed
 
 
@@ -153,8 +156,6 @@ def associate_users(world: WorldState, gains: ControlGains) -> None:
     UAV with spare capacity, spilling to the next nearest when full.
     """
     uavs, users = world.uavs, world.users
-    for uav in uavs:
-        uav.connected_users = []
     for user in users:
         user.serving_uav = None
     if not uavs or not users:
@@ -188,9 +189,6 @@ def associate_users(world: WorldState, gains: ControlGains) -> None:
                 continue
         users[m].serving_uav = n
         load[n] += 1
-        uavs[n].connected_users.append(m)
-    for uav in uavs:
-        uav.connected_users.sort()
 
 
 def _apply_rates(world: WorldState, powers: np.ndarray, chan_power: np.ndarray,
@@ -240,12 +238,21 @@ def update_rates(world: WorldState, radio: RadioParams,
     return powers, chan_power
 
 
+def _association(world: WorldState) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's serving cell id, -1 while unserved, and each cell's load
+    counted from those ids."""
+    serving = np.array([-1 if u.serving_uav is None else u.serving_uav
+                        for u in world.users], dtype=int)
+    loads = np.bincount(serving[serving >= 0], minlength=len(world.uavs))
+    return serving, loads
+
+
 def channel_switching(world: WorldState, powers: np.ndarray,
                       chan_power: np.ndarray, radio: RadioParams,
                       gains: ControlGains) -> list[SwitchEvent]:
     """Per-tick channel reassignment pass, ascending UAV id.
 
-    A UAV considers switching when some connected premium user is below
+    A UAV considers switching when some served premium user is below
     target, at or below its own trailing mean, and the UAV's cooldown has
     elapsed.  The candidate channel (never the default) is the lowest-index
     free one, else the one with least co-channel power at the worst-deficit
@@ -260,14 +267,15 @@ def channel_switching(world: WorldState, powers: np.ndarray,
     for uav in world.uavs:
         if uav.alive:
             usage[uav.channel] += 1
+    # a switch releases only its own cell's users, so one snapshot serves
+    serving = _association(world)[0]
     for uav in world.uavs:
-        if not uav.alive or not uav.connected_users:
+        if not uav.alive or world.time - uav.last_switch_time < gains.tau:
             continue
-        if world.time - uav.last_switch_time < gains.tau:
-            continue
+        served = np.flatnonzero(serving == uav.id).tolist()   # ascending
         trig = None
         best_deficit = 0.0
-        for m in uav.connected_users:
+        for m in served:
             user = world.users[m]
             if user.klass != PREMIUM:
                 continue
@@ -298,9 +306,9 @@ def channel_switching(world: WorldState, powers: np.ndarray,
                     best_k = k
         if best_k is None or not cand_interf < current_interf:
             continue
-        released = [m for m in uav.connected_users
+        released = [m for m in served
                     if current == L0 and world.users[m].klass == REGULAR]
-        retained = [m for m in uav.connected_users if m not in released]
+        retained = [m for m in served if m not in released]
         sinr_before = [
             float(powers[n, m] / (noise_mw + chan_power[current, m] - powers[n, m]))
             for m in retained]
@@ -316,7 +324,6 @@ def channel_switching(world: WorldState, powers: np.ndarray,
         for m in released:
             world.users[m].serving_uav = None
             world.users[m].achieved_rate = 0.0
-        uav.connected_users = retained
         events.append(SwitchEvent(world.time, n, current, best_k, retained,
                                   sinr_before, sinr_after))
     return events
@@ -334,14 +341,12 @@ def control_all(world: WorldState, gains: ControlGains,
         return np.zeros((0, 3))
     positions = np.array([u.position for u in uavs])
     velocities = np.array([u.velocity for u in uavs])
-    loads = np.array([u.load for u in uavs])
+    serving, loads = _association(world)
     alive = np.array([u.alive for u in uavs])
     user_pos = np.array([u.position for u in users]).reshape(-1, 3)
     rates = np.array([u.achieved_rate for u in users], dtype=float)
     targets = np.array([u.target_rate for u in users], dtype=float)
     premium = np.array([u.klass == PREMIUM for u in users], dtype=bool)
-    serving = np.array([-1 if u.serving_uav is None else u.serving_uav
-                        for u in users], dtype=int)
     served = np.flatnonzero(serving >= 0)
     connected = np.zeros((len(uavs), len(users)), dtype=bool)
     connected[serving[served], served] = True
@@ -369,9 +374,10 @@ def advance(world: WorldState, controls: np.ndarray, gains: ControlGains,
 def _check_invariants(world: WorldState, config: ScenarioConfig) -> None:
     positions = np.array([u.position for u in world.uavs]).reshape(-1, 3)
     finite = np.isfinite(positions).all(axis=1).tolist()
-    for uav, is_finite in zip(world.uavs, finite):
-        if uav.load > config.gains.n_max:
-            raise RuntimeError(f"UAV {uav.id} over capacity: {uav.load}")
+    serving, loads = _association(world)
+    for uav, is_finite, load in zip(world.uavs, finite, loads.tolist()):
+        if load > config.gains.n_max:
+            raise RuntimeError(f"UAV {uav.id} over capacity: {load}")
         if not is_finite:
             raise RuntimeError(f"UAV {uav.id} position not finite")
         if uav.alive:
@@ -381,16 +387,14 @@ def _check_invariants(world: WorldState, config: ScenarioConfig) -> None:
                 raise RuntimeError(f"UAV {uav.id} has vertical velocity")
         if not 0 <= uav.channel < config.radio.num_channels:
             raise RuntimeError(f"UAV {uav.id} on invalid channel {uav.channel}")
-    served = [u for u in world.users if u.serving_uav is not None]
-    if not served:
-        return
-    servers = [world.uavs[u.serving_uav] for u in served]
+    served = np.flatnonzero(serving >= 0)
+    cells = serving[served]
+    user_pos = np.array([u.position for u in world.users]).reshape(-1, 3)
     # the same arithmetic as associate_users, so a user it found in range
     # at exactly r passes here too
-    dist = distances(np.array([s.position for s in servers]),
-                     np.array([u.position for u in served]))
-    for user, server, far in zip(served, servers,
-                                 (dist > config.gains.r).tolist()):
+    far_off = distances(positions[cells], user_pos[served]) > config.gains.r
+    for m, n, far in zip(served.tolist(), cells.tolist(), far_off.tolist()):
+        user, server = world.users[m], world.uavs[n]
         if not server.alive:
             raise RuntimeError(f"user {user.id} served by dead UAV {server.id}")
         if far:
@@ -400,33 +404,27 @@ def _check_invariants(world: WorldState, config: ScenarioConfig) -> None:
                 f"regular user {user.id} served off the default channel")
 
 
-def _record_min_distance(world: WorldState, gains: ControlGains,
-                         out: list[tuple[float, int, int, float]]) -> None:
+def _record_min_distance(world: WorldState, gains: ControlGains) -> None:
     alive = [u for u in world.uavs if u.alive]
-    if len(alive) < 2:
-        return
-    pos = np.array([u.position for u in alive])
+    pos = np.array([u.position for u in alive]).reshape(-1, 3)
     dist = distances(pos[:, None, :], pos[None, :, :])
     # row-major order: the (i, j > i) pairs in the order of a nested loop
     for i, j in zip(*np.nonzero(np.triu(dist < gains.d, k=1))):
-        out.append((world.time, alive[i].id, alive[j].id, float(dist[i, j])))
+        world.min_distance_violations.append(
+            (world.time, alive[i].id, alive[j].id, float(dist[i, j])))
 
 
 def step(world: WorldState,
          config: ScenarioConfig) -> tuple[TickMetrics, list[SwitchEvent]]:
-    """One full evaluate-and-advance cycle for callers driving a world by hand.
-
-    The run() loop inlines the same sequence so that the final tick is
-    evaluated without a trailing integration step.  Due failure events fire
-    here too; the world keeps which have fired and what they killed.
-    """
+    """One full evaluate-and-integrate tick for callers driving a world by
+    hand: the same two halves run() uses."""
     metrics, events = _evaluate(world, config)
-    controls = control_all(world, config.gains, config.controller_mode)
-    advance(world, controls, config.gains, config.H)
+    _integrate(world, config)
     return metrics, events
 
 
 def _evaluate(world: WorldState, config: ScenarioConfig):
+    """Phases 1-5 of a tick on frozen positions; fills the world's logs."""
     for idx, ev in enumerate(config.failure_events):
         if idx in world.fired or world.time < ev.at_time:
             continue
@@ -446,47 +444,50 @@ def _evaluate(world: WorldState, config: ScenarioConfig):
     active = len({u.channel for u in world.uavs if u.alive})
     metrics = compute_metrics(world.time, world.users, active)
     _check_invariants(world, config)
+    _record_min_distance(world, config.gains)
     return metrics, events
 
 
+def _integrate(world: WorldState, config: ScenarioConfig) -> None:
+    """Phase 6: control inputs from the evaluated state, then one step."""
+    controls = control_all(world, config.gains, config.controller_mode)
+    advance(world, controls, config.gains, config.H)
+
+
 def run(config: ScenarioConfig, run_seed: Optional[int] = None,
-        collect_user_trace: bool = False) -> RunResult:
+        trace: bool = False) -> RunResult:
     """Simulate a scenario end to end.
 
-    The loop evaluates ticks 0..T inclusive and integrates between them, so
-    a zero-duration scenario still yields one metrics row.  `run_seed`
+    Evaluates ticks 0..T inclusive and integrates between them, so a
+    zero-duration scenario still yields one metrics row.  `run_seed`
     overrides the seed used for UAV placement and failure draws (user
-    placement always follows the scenario seed).
+    placement always follows the scenario seed).  With `trace`, the result
+    also carries the per-cell and per-user state of every tick.
     """
     world = make_world(config, run_seed)
-    gains = config.gains
-    ticks = int(round(config.duration / gains.dt))
+    ticks = config.ticks()
     metrics_rows: list[TickMetrics] = []
-    trace: list[tuple] = []
+    cell_trace: list[tuple] = []
     user_trace: list[tuple] = []
     switch_events: list[SwitchEvent] = []
-    min_dist: list[tuple[float, int, int, float]] = []
     for k in range(ticks + 1):
         metrics, events = _evaluate(world, config)
         switch_events.extend(events)
         metrics_rows.append(metrics)
-        _record_min_distance(world, gains, min_dist)
-        for uav in world.uavs:
-            trace.append((world.time, uav.id,
-                          float(uav.position[0]), float(uav.position[1]),
-                          float(uav.position[2]),
-                          float(uav.velocity[0]), float(uav.velocity[1]),
-                          uav.channel, uav.alive, uav.load))
-        if collect_user_trace:
-            for user in world.users:
-                user_trace.append((world.time, user.id,
-                                   -1 if user.serving_uav is None
-                                   else user.serving_uav,
-                                   user.achieved_rate, user.mean_rate))
+        if trace:
+            serving, loads = _association(world)
+            cell_trace.extend(
+                (world.time, uav.id, *uav.position.tolist(),
+                 *uav.velocity[:2].tolist(), uav.channel, uav.alive, load)
+                for uav, load in zip(world.uavs, loads.tolist()))
+            user_trace.extend(
+                (world.time, user.id, n, user.achieved_rate, user.mean_rate)
+                for user, n in zip(world.users, serving.tolist()))
         if k < ticks:
-            controls = control_all(world, gains, config.controller_mode)
-            advance(world, controls, gains, config.H)
+            _integrate(world, config)
     return RunResult(config=config, seed=_seed(config, run_seed),
-                     metrics=metrics_rows, trace=trace, user_trace=user_trace,
-                     switch_events=switch_events, failures=world.failures,
-                     min_distance_violations=min_dist, world=world)
+                     metrics=metrics_rows, trace=cell_trace,
+                     user_trace=user_trace, switch_events=switch_events,
+                     failures=world.failures,
+                     min_distance_violations=world.min_distance_violations,
+                     world=world)

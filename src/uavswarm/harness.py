@@ -221,8 +221,9 @@ def export_summary_json(result: RunResult, path) -> None:
         fh.write("\n")
 
 
-def export_run(result: RunResult, out_dir, trace: bool = False) -> list[Path]:
-    """Write metrics.csv and summary.json (plus traces on request)."""
+def export_run(result: RunResult, out_dir) -> list[Path]:
+    """Write metrics.csv and summary.json, plus trace.csv and user_trace.csv
+    when the result carries those traces (run(trace=True))."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -230,10 +231,10 @@ def export_run(result: RunResult, out_dir, trace: bool = False) -> list[Path]:
     written.append(out / "metrics.csv")
     export_summary_json(result, out / "summary.json")
     written.append(out / "summary.json")
-    if trace:
+    if result.trace:
         export_trace_csv(result, out / "trace.csv")
         written.append(out / "trace.csv")
-        if result.user_trace:
-            export_user_trace_csv(result, out / "user_trace.csv")
-            written.append(out / "user_trace.csv")
+    if result.user_trace:
+        export_user_trace_csv(result, out / "user_trace.csv")
+        written.append(out / "user_trace.csv")
     return written

@@ -60,21 +60,6 @@ def sigma_norm_scalar(x, eps: float):
     return val
 
 
-def sigma_norm(vec, eps: float) -> float:
-    """Sigma-norm of a vector; shares the scalar code path exactly."""
-    return sigma_norm_scalar(float(np.linalg.norm(np.asarray(vec, dtype=float))),
-                             eps)
-
-
-def sigma_grad(vec, eps: float) -> np.ndarray:
-    """Gradient of the sigma-norm: z / sqrt(1 + eps |z|^2).
-
-    Bounded by 1/sqrt(eps) in magnitude; equals z near the origin.
-    """
-    vec = np.asarray(vec, dtype=float)
-    return vec / np.sqrt(1.0 + eps * float(vec @ vec))
-
-
 def phi_sigmoid(z, p: ControlGains):
     """Uneven sigmoid through the origin with limits -b and a.
 
@@ -174,7 +159,7 @@ def h_term(positions: np.ndarray, connected: np.ndarray, user_pos: np.ndarray,
     gain = np.where(premium, p.c2_prem, p.c2_reg)
     gate = bump(rates / (p.beta * targets), 0.0)
     pull = gain * gate * phi_sigmoid((targets - rates) / 1e6, p)
-    # repulsion runs along sigma_grad(-rel) = -sigma_grad(rel)
+    # repulsion runs along the negated sigma-gradient of rel
     push = -p.c1 * (np.maximum(targets - rates, 0.0) / targets)
     weight = np.where(connected, pull, np.where(dist <= p.r, push, 0.0))
     return _row_sums(weight, grads)

@@ -6,6 +6,9 @@ inside the radio module.  Positions are numpy float arrays of shape (3,).
 UAVs fly at a fixed height with zero vertical velocity; ground users sit at
 z = 0 and do not move.
 
+A user's `serving_uav` is the one association record: a cell's users and
+its load are counted from the users' serving ids, never stored on the cell.
+
 `distances` is the one Euclidean distance code: association, the invariant
 check, the spacing log and the radio's slant ranges all use it.  Values the
 model fixes are derived, not configured: ControlGains computes the premium
@@ -14,7 +17,8 @@ gain and the sigma-norm images the kernels need.
 The dataclass field types are the scenario schema, and validate() checks a
 config against them before its range checks: a file at load and a config
 built in code fail alike, with the field named, on a non-finite number, a
-fractional integer or a list of the wrong length.
+fractional integer or a list of the wrong length.  A run may span at most
+MAX_TICKS ticks, so every valid scenario ends.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ MODES = (QOS_MODE, FLOCKING_MODE)
 PLOS_AS_WRITTEN = "as_written"
 PLOS_STANDARD = "standard"
 PLOS_FORMS = (PLOS_AS_WRITTEN, PLOS_STANDARD)
+
+# Longest run validate() accepts, in ticks (11.6 days at the default dt)
+MAX_TICKS = 10_000_000
 
 
 class ScenarioError(ValueError):
@@ -81,13 +88,8 @@ class UavState:
     position: np.ndarray            # (3,) m, z pinned to the scenario height
     velocity: np.ndarray            # (3,) m/s, z component always 0
     channel: int = L0
-    connected_users: list[int] = field(default_factory=list)  # sorted user ids
     alive: bool = True
     last_switch_time: float = 0.0
-
-    @property
-    def load(self) -> int:
-        return len(self.connected_users)
 
 
 @dataclass
@@ -256,6 +258,10 @@ class ScenarioConfig:
     def n_users(self) -> int:
         return sum(s.count if s.region is not None else 1 for s in self.users)
 
+    def ticks(self) -> int:
+        """Integration steps in a run: duration / dt, rounded."""
+        return int(round(self.duration / self.gains.dt))
+
     def validate(self) -> None:
         read_value(ScenarioConfig, self, "")
         for i, spec in enumerate(self.users):
@@ -301,6 +307,9 @@ class ScenarioConfig:
             raise ScenarioError(f"controller_mode must be one of {MODES}")
         self.radio.validate()
         self.gains.validate()
+        if self.ticks() > MAX_TICKS:
+            raise ScenarioError(
+                f"duration must span at most {MAX_TICKS} ticks of gains.dt")
 
 
 def _check_region(region, where: str) -> None:
@@ -419,7 +428,9 @@ def load_scenario(path) -> ScenarioConfig:
     """Load, parse, and validate a scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = yaml.safe_load(fh)
+            # libyaml's parser where PyYAML has it: the same mapping, faster
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
+                                                yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
     config = scenario_from_dict(data)

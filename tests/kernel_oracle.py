@@ -6,7 +6,9 @@ reductions replace.  They walk one cell, neighbor or user at a time,
 summing in index order, and rank association candidates with Python's
 sorted(); the tests compare the array code against them.  Only the scalar
 kernel primitives (bump, sigma-norm, sigmoid) are shared with the package,
-since the rewrite did not touch them.
+since the rewrite did not touch them.  The vector sigma-norm and its
+gradient, one vector at a time, live here: the package only takes batched
+sigma-gradients.
 """
 
 from collections import deque
@@ -18,10 +20,25 @@ from uavswarm.kernels import (
     bump,
     pair_potential,
     phi_sigmoid,
-    sigma_grad,
     sigma_norm_scalar,
 )
 from uavswarm.model import L0, PREMIUM
+
+
+def sigma_norm(vec, eps: float) -> float:
+    """Sigma-norm of a vector; shares the scalar code path exactly."""
+    return sigma_norm_scalar(float(np.linalg.norm(np.asarray(vec, dtype=float))),
+                             eps)
+
+
+def sigma_grad(vec, eps: float) -> np.ndarray:
+    """Gradient of the sigma-norm: z / sqrt(1 + eps |z|^2), one vector at
+    a time.
+
+    Bounded by 1/sqrt(eps) in magnitude; equals z near the origin.
+    """
+    vec = np.asarray(vec, dtype=float)
+    return vec / np.sqrt(1.0 + eps * float(vec @ vec))
 
 
 def oracle_f_term(i, positions, loads, alive, p):
@@ -89,13 +106,12 @@ def oracle_flocking_goal_term(uav_pos, user_pos, p):
 def oracle_associate(uavs, users, gains):
     """Greedy nearest-feasible association, one user and one sort at a time.
 
-    Returns (serving cell or None per user, sorted user ids per cell)
-    without touching the states passed in.
+    Returns the serving cell or None per user without touching the states
+    passed in.
     """
     serving = [None] * len(users)
-    connected = [[] for _ in uavs]
     if not uavs or not users:
-        return serving, connected
+        return serving
     uav_pos = np.array([u.position for u in uavs])
     user_pos = np.array([u.position for u in users])
     dist = np.linalg.norm(uav_pos[:, None, :] - user_pos[None, :, :], axis=2)
@@ -116,11 +132,8 @@ def oracle_associate(uavs, users, gains):
             if load[n] < gains.n_max:
                 serving[m] = n
                 load[n] += 1
-                connected[n].append(m)
                 break
-    for ids in connected:
-        ids.sort()
-    return serving, connected
+    return serving
 
 
 def oracle_mean_rates(times, rates, tau):

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kernel_oracle import sigma_norm
 from radio_oracle import (
     OVERHEAD_PL_DB,
     OVERHEAD_RATE_BPS,
@@ -23,12 +24,11 @@ from radio_oracle import (
 from uavswarm.engine import run
 from uavswarm.harness import export_run, run_sweep
 from uavswarm.kernels import (
+    _sigma_grads,
     bump,
     control_input,
     pair_potential,
     phi_sigmoid,
-    sigma_grad,
-    sigma_norm,
 )
 from uavswarm.metrics import steady_state
 from uavswarm.model import (
@@ -102,7 +102,7 @@ def test_01_kernel_properties(capsys):
     worst = 0.0
     for _ in range(50):
         z = rng.normal(scale=30.0, size=3)
-        g = sigma_grad(z, p.eps)
+        g = _sigma_grads(z, p.eps)[0]     # the gradient the controller uses
         for k in range(3):
             zp, zm = z.copy(), z.copy()
             zp[k] += h
@@ -282,25 +282,26 @@ def test_08_channel_isolation(capsys, fig3_result, fig5_bundle):
     _report(capsys, 8, "channel isolation", problems)
 
 
-def test_09_determinism(capsys, fig3_config, fig3_result, fig5_bundle,
-                        tmp_path):
+def test_09_determinism(capsys, fig3_config, fig5_bundle, tmp_path):
     """Re-running a shipped scenario with its own seed reproduces the
     exported metrics and trace files byte for byte."""
     problems = []
     t0 = time.perf_counter()
-    fig5_config, fig5_result, _ = fig5_bundle
+    fig5_config, _, _ = fig5_bundle
 
-    pairs = [
-        ("three-user", fig3_result, run(fig3_config)),
-        ("parade", fig5_result, run(fig5_config)),
-    ]
-    for name, first, second in pairs:
+    for name, config in (("three-user", fig3_config),
+                         ("parade", fig5_config)):
         dir_a = tmp_path / f"{name}-a"
         dir_b = tmp_path / f"{name}-b"
-        export_run(first, dir_a, trace=True)
-        export_run(second, dir_b, trace=True)
+        first = run(config, trace=True)
+        export_run(first, dir_a)
+        export_run(run(config, trace=True), dir_b)
         for artifact in ("metrics.csv", "trace.csv"):
             if (dir_a / artifact).read_bytes() != \
                     (dir_b / artifact).read_bytes():
                 problems.append(f"{name} {artifact} differs between runs")
+        # one row per cell per tick: an empty trace cannot pass
+        rows = len((dir_a / "trace.csv").read_text().splitlines()) - 1
+        if rows != len(first.metrics) * config.uav_count:
+            problems.append(f"{name} trace.csv has {rows} rows")
     _report(capsys, 9, "determinism", problems, time.perf_counter() - t0)

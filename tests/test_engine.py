@@ -120,7 +120,6 @@ class TestInjectFailures:
 
     def test_releases_connected_users(self):
         world = self._world(2)
-        world.uavs[0].connected_users = [0]
         world.users[0].serving_uav = 0
         world.users[0].achieved_rate = 1e8
         killed = inject_failures(world, 1.0)
@@ -161,7 +160,6 @@ class TestAssociation:
             [UserSpec(klass="premium", position=(150.0, 0.0))])
         associate_users(world, gains)
         assert world.users[0].serving_uav == 1
-        assert world.uavs[1].connected_users == [0]
 
     def test_regular_users_need_default_channel(self):
         # the nearer UAV sits off the default channel, so the regular user
@@ -191,7 +189,6 @@ class TestAssociation:
         associate_users(world, gains)
         assert world.users[0].serving_uav == 0
         assert world.users[1].serving_uav == 1
-        assert world.uavs[0].load == world.uavs[1].load == 1
 
     def test_dead_uav_never_serves(self):
         world, gains = _assoc_world(
@@ -224,7 +221,8 @@ class TestInvariants:
         (lambda w: setattr(w.uavs[0], "channel", 3), "off the default channel"),
         (lambda w: w.uavs[1].position.__setitem__(1, np.nan),
          "UAV 1 position not finite"),
-        (lambda w: w.uavs[1].connected_users.extend(range(81)),
+        (lambda w: w.users.extend(replace(w.users[0], id=m, serving_uav=1)
+                                  for m in range(1, 82)),
          "UAV 1 over capacity"),
     ])
     def test_each_breach_raises(self, breach, message):
@@ -413,9 +411,9 @@ class TestControlAll:
 
 class TestRun:
     def test_same_seed_reruns_identical(self, fig3_config, fig3_result):
-        again = run(fig3_config)
+        again = run(fig3_config, trace=True)
         assert again.metrics == fig3_result.metrics
-        assert again.trace == fig3_result.trace
+        assert again.trace and again.trace == run(fig3_config, trace=True).trace
         assert [e.__dict__ for e in again.switch_events] == \
             [e.__dict__ for e in fig3_result.switch_events]
 
@@ -460,7 +458,7 @@ class TestRun:
 
     def test_user_trace_collection(self, fig3_config):
         cfg = replace(fig3_config, duration=1.0)
-        result = run(cfg, collect_user_trace=True)
+        result = run(cfg, trace=True)
         rows = [r for r in result.user_trace if r[0] == 0.0]
         assert len(rows) == 3
         for t, uid, serving, rate, mean in result.user_trace:
@@ -494,6 +492,18 @@ def test_step_fires_failures_like_run():
     assert full.failures and full.failures[0][0] == pytest.approx(0.3)
     assert rows == full.metrics
     assert world.failures == full.failures
+
+
+def test_step_logs_spacing_like_run():
+    cfg = ScenarioConfig(
+        users=[], uav_count=2,
+        uav_initial_positions=[(0.0, 0.0), (50.0, 0.0)], duration=0.5)
+    world = make_world(cfg)
+    for _ in range(int(round(cfg.duration / cfg.gains.dt)) + 1):
+        step(world, cfg)
+    full = run(cfg)
+    assert full.min_distance_violations
+    assert world.min_distance_violations == full.min_distance_violations
 
 
 def test_fractional_run_seed_rejected_not_truncated(fig3_config):

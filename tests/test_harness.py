@@ -89,13 +89,18 @@ class TestRunSweep:
 
 
 class TestExporters:
-    def test_export_run_files_and_determinism(self, fig3_result, tmp_path):
+    def test_export_run_files_and_determinism(self, fig3_config, fig3_result,
+                                              tmp_path):
+        plain = export_run(fig3_result, tmp_path / "plain")
+        assert sorted(p.name for p in plain) == ["metrics.csv", "summary.json"]
         once = tmp_path / "a"
         again = tmp_path / "b"
-        files = export_run(fig3_result, once, trace=True)
-        export_run(fig3_result, again, trace=True)
+        traced = run(fig3_config, trace=True)
+        files = export_run(traced, once)
+        export_run(traced, again)
         names = sorted(p.name for p in files)
-        assert names == ["metrics.csv", "summary.json", "trace.csv"]
+        assert names == ["metrics.csv", "summary.json", "trace.csv",
+                         "user_trace.csv"]
         for name in names:
             assert (once / name).read_bytes() == (again / name).read_bytes()
 
@@ -139,8 +144,8 @@ class TestExporters:
     def test_user_trace_written_when_collected(self, fig3_config, tmp_path):
         from dataclasses import replace
         cfg = replace(fig3_config, duration=0.5)
-        result = run(cfg, collect_user_trace=True)
-        export_run(result, tmp_path, trace=True)
+        result = run(cfg, trace=True)
+        export_run(result, tmp_path)
         lines = (tmp_path / "user_trace.csv").read_text().splitlines()
         assert lines[0] == "time,user_id,serving_uav,rate_mbps,mean_rate_mbps"
         assert len(lines) == 1 + len(result.user_trace)

@@ -189,11 +189,9 @@ def test_association_matches_greedy_loop():
     spills = 0
     for seed in range(400):
         world, gains = _assoc_world(np.random.default_rng(seed))
-        want_serving, want_connected = oracle_associate(
-            world.uavs, world.users, gains)
+        want_serving = oracle_associate(world.uavs, world.users, gains)
         associate_users(world, gains)
         assert [u.serving_uav for u in world.users] == want_serving, seed
-        assert [u.connected_users for u in world.uavs] == want_connected, seed
         spills += _spilled(world, want_serving, gains)
     # the worlds must reach the spill path, not only the nearest-cell one
     assert spills > 50

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from kernel_oracle import sigma_norm
 from uavswarm.kernels import (
+    _sigma_grads,
     bump,
     control_input,
     f_term,
@@ -12,8 +14,6 @@ from uavswarm.kernels import (
     h_term,
     pair_potential,
     phi_sigmoid,
-    sigma_grad,
-    sigma_norm,
     sigma_norm_scalar,
 )
 from uavswarm.model import FLOCKING_MODE, ControlGains
@@ -63,12 +63,13 @@ class TestSigmaNorm:
             sigma_norm_scalar(13.0, 0.1), rel=1e-12)
 
     def test_gradient_against_finite_differences(self):
-        """sigma_grad is the exact gradient of the sigma-norm."""
+        """The controller's sigma-gradient is the exact gradient of the
+        sigma-norm."""
         rng = np.random.default_rng(42)
         h = 1e-5
         for _ in range(50):
             z = rng.normal(scale=30.0, size=3)
-            g = sigma_grad(z, 0.1)
+            g = _sigma_grads(z, 0.1)[0]
             for k in range(3):
                 zp, zm = z.copy(), z.copy()
                 zp[k] += h
@@ -77,8 +78,8 @@ class TestSigmaNorm:
                 assert abs(num - g[k]) <= 1e-6
 
     def test_gradient_bounded(self):
-        # |sigma_grad| < 1/sqrt(eps) regardless of input size
-        g = sigma_grad(np.array([1e6, 0.0, 0.0]), 0.1)
+        # the sigma-gradient stays below 1/sqrt(eps) whatever the input size
+        g = _sigma_grads(np.array([1e6, 0.0, 0.0]), 0.1)[0]
         assert np.linalg.norm(g) < 1.0 / np.sqrt(0.1) + 1e-9
 
 

@@ -10,6 +10,7 @@ import yaml
 
 from uavswarm import engine
 from uavswarm.model import (
+    MAX_TICKS,
     ControlGains,
     FailureEvent,
     RadioParams,
@@ -218,6 +219,16 @@ class TestFiles:
         path.write_text("users: [unclosed\n")
         with pytest.raises(ScenarioError, match="YAML"):
             load_scenario(path)
+        with pytest.raises(ScenarioError, match=re.escape(f"{path}: ")):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_scenario_reads_as_pure_python_parser_does(self, name):
+        # the loader takes libyaml's parser when PyYAML has it
+        text = (SCENARIOS / name).read_text(encoding="utf-8")
+        config = scenario_from_dict(yaml.load(text, Loader=yaml.SafeLoader))
+        config.validate()
+        assert load_scenario(SCENARIOS / name) == config
 
     def test_non_mapping_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"
@@ -290,6 +301,7 @@ def test_non_finite_or_non_integral_value_rejected_at_load(path, value, name,
 # (field the error must name, the bad config built in code from fig3)
 BAD_CONFIGS = [
     ("duration", lambda c: replace(c, duration=math.nan)),
+    ("duration must span at most", lambda c: replace(c, duration=1e300)),
     ("H", lambda c: replace(c, H=math.inf)),
     ("radio.noise", lambda c: replace(c, radio=replace(c.radio, noise=math.nan))),
     ("gains.n_max", lambda c: replace(c, gains=replace(c.gains, n_max=80.5))),
@@ -316,6 +328,19 @@ def test_bad_value_in_code_built_config_rejected_before_any_tick(
     monkeypatch.setattr(engine, "_evaluate", tick)
     with pytest.raises(ScenarioError, match=named):
         engine.run(config)
+
+
+def test_run_too_long_to_end_rejected_at_load(tmp_path):
+    data = _loadable_dict()
+    file = tmp_path / "long.yaml"
+    data["duration"] = MAX_TICKS * 0.1        # the default dt
+    file.write_text(yaml.safe_dump(data))
+    assert load_scenario(file).ticks() == MAX_TICKS
+    for duration in ((MAX_TICKS + 1) * 0.1, 1e300):
+        data["duration"] = duration
+        file.write_text(yaml.safe_dump(data))
+        with pytest.raises(ScenarioError, match="^duration must span at most"):
+            load_scenario(file)
 
 
 # (path into the scenario mapping, a bool in place of its number, field the

@@ -104,7 +104,7 @@ class TestPower:
 def _radio_world():
     """UAV 0 serves one premium user; UAV 1 is an idle co-channel cell."""
     uavs = [
-        UavState(0, vec3(0, 0, 100), vec3(), channel=1, connected_users=[0]),
+        UavState(0, vec3(0, 0, 100), vec3(), channel=1),
         UavState(1, vec3(400, 0, 100), vec3(), channel=1),
         UavState(2, vec3(-400, 0, 100), vec3(), channel=2),
     ]
@@ -142,7 +142,7 @@ class TestSinr:
 
     def test_idle_co_channel_uav_still_interferes(self):
         world = _radio_world()
-        assert world.uavs[1].load == 0
+        assert [u.serving_uav for u in world.users] == [0]
         world.uavs[2].channel = 1  # second idle interferer
         more = _rate(world)
         world.uavs[2].channel = 2

@@ -98,7 +98,6 @@ def test_sinr_matches_oracle():
         user_xy = (rnd.uniform(-400, 400), rnd.uniform(-400, 400), 0.0)
         uavs = [UavState(i, vec3(*p), vec3(), channel=1 if i < 3 else 2)
                 for i, p in enumerate(pts)]
-        uavs[0].connected_users = [0]
         users = [UserState(0, vec3(*user_xy), "premium", 300e6,
                            serving_uav=0)]
         world = _world(uavs, users)

@@ -42,6 +42,9 @@ def test_traced_ticks_count_one_rate_record_per_user(tracer, fig3_config):
     assert traced.calls["model.record_rate"] == users * ticks
     assert traced.counts["model.record_rate_calls"] == users * ticks
     assert traced.calls["metrics.compute"] == ticks
-    # the control phase runs between ticks, each term once for the fleet
-    for span in ("engine.control", "kernels.f", "kernels.g", "kernels.h"):
+    # the control phase runs between ticks, each term once for the fleet,
+    # and every integration goes through engine.advance, so folding it into
+    # the shared tick cannot silently drop the span
+    for span in ("engine.control", "kernels.f", "kernels.g", "kernels.h",
+                 "engine.advance"):
         assert traced.calls[span] == ticks - 1, span
