@@ -10,7 +10,7 @@ import numpy as np
 
 from uavswarm import bump, pair_potential, phi_sigmoid
 from uavswarm.engine import (advance, associate_users, control_all,
-                             make_world, update_rates)
+                             make_world, tick_geometry, update_rates)
 from uavswarm.kernels import sigma_norm_scalar
 from uavswarm.model import ControlGains, RadioParams, ScenarioConfig, UserSpec
 
@@ -40,8 +40,9 @@ world = make_world(cfg)
 print()
 print("two UAVs released 40 m apart, spacing term only:")
 for tick in range(1200):
-    associate_users(world, gains)
-    update_rates(world, cfg.radio, gains)
+    geom = tick_geometry(world)
+    associate_users(world, gains, geom)
+    update_rates(world, cfg.radio, gains, geom)
     controls = control_all(world, gains, "qos_driven")
     advance(world, controls, gains, cfg.H)
     if tick % 200 == 199:
@@ -61,8 +62,9 @@ world = make_world(cfg)
 print()
 print("single cell chasing one premium user 250 m away:")
 for tick in range(600):
-    associate_users(world, gains)
-    update_rates(world, cfg.radio, gains)
+    geom = tick_geometry(world)
+    associate_users(world, gains, geom)
+    update_rates(world, cfg.radio, gains, geom)
     controls = control_all(world, gains, "qos_driven")
     advance(world, controls, gains, cfg.H)
     if tick % 100 == 99:

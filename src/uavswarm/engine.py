@@ -5,9 +5,17 @@ failure events fire, (2) users associate to UAVs, (3) link rates and rate
 windows update, (4) UAVs may switch channels (QoS mode only), (5) metrics
 are recorded, invariants checked and spacing violations logged.
 Integrate: (6) one control pass for the whole fleet, then one step.
+
 step() runs both halves, run() the same two but skips the last integration;
 the world keeps the failure and spacing logs.  Time advances as tick * dt
 from an integer tick counter, never by accumulation.
+
+Positions do not change between the failure phase and the step, so the
+cells x users geometry (radio.geometry: slant distance and elevation) is
+built once per tick, right after (1).  Association reads its distances,
+update_rates hands it to radio.received_power_field, and the invariant
+check reads the served pairs' distances from it: the range test sees the
+very values association saw.
 """
 
 from __future__ import annotations
@@ -30,12 +38,12 @@ from .model import (
     ScenarioConfig,
     UavState,
     UserState,
-    distances,
     read_value,
     round_half_up,
     vec3,
 )
-from .radio import data_rate, dbm_to_mw, received_power_field
+from .radio import (Geometry, data_rate, dbm_to_mw, geometry,
+                    received_power_field)
 
 
 @dataclass
@@ -129,7 +137,11 @@ def make_world(config: ScenarioConfig, run_seed: Optional[int] = None) -> WorldS
 
 
 def inject_failures(world: WorldState, fraction: float) -> list[int]:
-    """Kill a round-half-up fraction of the alive UAVs, chosen uniformly."""
+    """Kill a round-half-up fraction of the alive UAVs, chosen uniformly.
+
+    Their users are not released here: association, which runs next in the
+    tick, resets every serving id, and the rate update rewrites every rate.
+    """
     alive_ids = sorted(u.id for u in world.uavs if u.alive)
     count = min(round_half_up(fraction * len(alive_ids)), len(alive_ids))
     if count <= 0:
@@ -140,29 +152,31 @@ def inject_failures(world: WorldState, fraction: float) -> list[int]:
     for n in killed:
         world.uavs[n].alive = False
         world.uavs[n].velocity = vec3()
-    for user in world.users:
-        if user.serving_uav in killed:
-            user.serving_uav = None
-            user.achieved_rate = 0.0
     return killed
 
 
-def associate_users(world: WorldState, gains: ControlGains) -> None:
+def tick_geometry(world: WorldState) -> Geometry:
+    """The cells x users geometry of the world's current positions."""
+    return geometry([u.position for u in world.uavs],
+                    [u.position for u in world.users])
+
+
+def associate_users(world: WorldState, gains: ControlGains,
+                    geom: Geometry) -> None:
     """Greedy nearest-feasible association with per-UAV capacity.
 
     A UAV is eligible for a user when alive, within range r, and (for
     regular users) on the default channel.  Users are processed in order of
     distance to their nearest eligible UAV; each takes the nearest eligible
     UAV with spare capacity, spilling to the next nearest when full.
+    Distances come from the tick's geometry.
     """
     uavs, users = world.uavs, world.users
     for user in users:
         user.serving_uav = None
     if not uavs or not users:
         return
-    uav_pos = np.array([u.position for u in uavs])
-    user_pos = np.array([u.position for u in users])
-    dist = distances(uav_pos[:, None, :], user_pos[None, :, :])
+    dist = geom.dist
     alive = np.array([u.alive for u in uavs])
     on_default = np.array([u.channel == L0 for u in uavs])
     prem = np.array([u.klass == PREMIUM for u in users])
@@ -213,24 +227,18 @@ def _apply_rates(world: WorldState, powers: np.ndarray, chan_power: np.ndarray,
             user.record_rate(world.time, rate, gains.tau)
 
 
-def update_rates(world: WorldState, radio: RadioParams,
-                 gains: ControlGains) -> tuple[np.ndarray, np.ndarray]:
+def update_rates(world: WorldState, radio: RadioParams, gains: ControlGains,
+                 geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
     """Compute every link's achieved rate and push it into the rate windows.
 
-    Returns the (n_uavs, n_users) received-power matrix in mW with dead
-    UAVs zeroed, and the (num_channels, n_users) per-channel power sums.
+    Returns the (n_uavs, n_users) received-power matrix in mW over the
+    tick's geometry with dead UAVs zeroed, and the (num_channels, n_users)
+    per-channel power sums.
     """
-    n_users = len(world.users)
-    n_uavs = len(world.uavs)
-    if n_uavs == 0 or n_users == 0:
-        powers = np.zeros((n_uavs, n_users))
-    else:
-        uav_pos = np.array([u.position for u in world.uavs])
-        user_pos = np.array([u.position for u in world.users])
-        powers = received_power_field(uav_pos, user_pos, radio)
-        alive = np.array([u.alive for u in world.uavs])
-        powers[~alive] = 0.0
-    chan_power = np.zeros((radio.num_channels, n_users))
+    alive = np.array([u.alive for u in world.uavs], dtype=bool)
+    powers = received_power_field(geom, radio)
+    powers[~alive] = 0.0
+    chan_power = np.zeros((radio.num_channels, len(world.users)))
     for n, uav in enumerate(world.uavs):
         if uav.alive:
             chan_power[uav.channel] += powers[n]
@@ -371,7 +379,8 @@ def advance(world: WorldState, controls: np.ndarray, gains: ControlGains,
     world.time = world.tick * gains.dt
 
 
-def _check_invariants(world: WorldState, config: ScenarioConfig) -> None:
+def _check_invariants(world: WorldState, config: ScenarioConfig,
+                      geom: Geometry) -> None:
     positions = np.array([u.position for u in world.uavs]).reshape(-1, 3)
     finite = np.isfinite(positions).all(axis=1).tolist()
     serving, loads = _association(world)
@@ -389,10 +398,9 @@ def _check_invariants(world: WorldState, config: ScenarioConfig) -> None:
             raise RuntimeError(f"UAV {uav.id} on invalid channel {uav.channel}")
     served = np.flatnonzero(serving >= 0)
     cells = serving[served]
-    user_pos = np.array([u.position for u in world.users]).reshape(-1, 3)
-    # the same arithmetic as associate_users, so a user it found in range
-    # at exactly r passes here too
-    far_off = distances(positions[cells], user_pos[served]) > config.gains.r
+    # the distances association read, so a user it found in range at
+    # exactly r passes here too
+    far_off = geom.dist[cells, served] > config.gains.r
     for m, n, far in zip(served.tolist(), cells.tolist(), far_off.tolist()):
         user, server = world.users[m], world.uavs[n]
         if not server.alive:
@@ -407,7 +415,7 @@ def _check_invariants(world: WorldState, config: ScenarioConfig) -> None:
 def _record_min_distance(world: WorldState, gains: ControlGains) -> None:
     alive = [u for u in world.uavs if u.alive]
     pos = np.array([u.position for u in alive]).reshape(-1, 3)
-    dist = distances(pos[:, None, :], pos[None, :, :])
+    dist = geometry(pos, pos).dist
     # row-major order: the (i, j > i) pairs in the order of a nested loop
     for i, j in zip(*np.nonzero(np.triu(dist < gains.d, k=1))):
         world.min_distance_violations.append(
@@ -432,8 +440,10 @@ def _evaluate(world: WorldState, config: ScenarioConfig):
         world.fired.add(idx)
         if killed:
             world.failures.append((world.time, killed))
-    associate_users(world, config.gains)
-    powers, chan_power = update_rates(world, config.radio, config.gains)
+    geom = tick_geometry(world)
+    associate_users(world, config.gains, geom)
+    powers, chan_power = update_rates(world, config.radio, config.gains,
+                                      geom)
     events: list[SwitchEvent] = []
     if config.controller_mode == QOS_MODE:
         events = channel_switching(world, powers, chan_power, config.radio,
@@ -443,7 +453,7 @@ def _evaluate(world: WorldState, config: ScenarioConfig):
                          config.gains, record=False)
     active = len({u.channel for u in world.uavs if u.alive})
     metrics = compute_metrics(world.time, world.users, active)
-    _check_invariants(world, config)
+    _check_invariants(world, config, geom)
     _record_min_distance(world, config.gains)
     return metrics, events
 

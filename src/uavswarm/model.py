@@ -1,4 +1,4 @@
-"""Core domain types, the distance helper, and scenario configuration.
+"""Core domain types and scenario configuration.
 
 Everything internal is SI (m, s, Hz, bits/s).  Transmit and noise powers are
 carried in dBm at the configuration boundary and converted to mW exactly once,
@@ -9,10 +9,9 @@ z = 0 and do not move.
 A user's `serving_uav` is the one association record: a cell's users and
 its load are counted from the users' serving ids, never stored on the cell.
 
-`distances` is the one Euclidean distance code: association, the invariant
-check, the spacing log and the radio's slant ranges all use it.  Values the
-model fixes are derived, not configured: ControlGains computes the premium
-gain and the sigma-norm images the kernels need.
+Values the model fixes are derived, not configured: ControlGains computes
+the premium gain and the sigma-norm images the kernels need.  Distances
+are radio.geometry's, the one Euclidean distance code.
 
 The dataclass field types are the scenario schema, and validate() checks a
 config against them before its range checks: a file at load and a config
@@ -61,20 +60,6 @@ class ScenarioError(ValueError):
 
 def vec3(x: float = 0.0, y: float = 0.0, z: float = 0.0) -> np.ndarray:
     return np.array([float(x), float(y), float(z)])
-
-
-def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances between broadcast (..., 3) point arrays.
-
-    Sums the squared components in x, y, z order, as np.linalg.norm over
-    the last axis does, without its strided (..., 3) reduction.  Every
-    range test and slant distance uses this one arithmetic, so a user that
-    association finds at exactly r is at exactly r everywhere else.
-    """
-    dx = a[..., 0] - b[..., 0]
-    dy = a[..., 1] - b[..., 1]
-    dz = a[..., 2] - b[..., 2]
-    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def round_half_up(x: float) -> int:

@@ -17,6 +17,7 @@ from uavswarm.engine import (
     resolve_user_positions,
     run,
     step,
+    tick_geometry,
     update_rates,
 )
 from uavswarm.model import (
@@ -26,9 +27,9 @@ from uavswarm.model import (
     ScenarioConfig,
     ScenarioError,
     UserSpec,
-    distances,
     vec3,
 )
+from uavswarm.radio import geometry
 
 
 def _region_config(seed=5):
@@ -119,13 +120,26 @@ class TestInjectFailures:
         assert a == b
 
     def test_releases_connected_users(self):
-        world = self._world(2)
-        world.users[0].serving_uav = 0
-        world.users[0].achieved_rate = 1e8
-        killed = inject_failures(world, 1.0)
-        assert killed == [0, 1]
-        assert world.users[0].serving_uav is None
-        assert world.users[0].achieved_rate == 0.0
+        # cells 700 m apart, two users under each: a killed cell's users
+        # have no other cell in range, so the failure tick must leave them
+        # unserved at rate 0.0, through association and the rate update
+        xs = [700.0 * k for k in range(6)]
+        cfg = ScenarioConfig(
+            users=[UserSpec(klass=klass, position=(x, 5.0))
+                   for x in xs for klass in ("premium", "regular")],
+            uav_count=6, uav_initial_positions=[(x, 0.0) for x in xs],
+            failure_events=[FailureEvent(at_time=0.1, fraction=0.5)])
+        world = make_world(cfg)
+        step(world, cfg)
+        assert all(u.serving_uav is not None and u.achieved_rate > 0.0
+                   for u in world.users)
+        step(world, cfg)
+        [(_, killed)] = world.failures
+        assert len(killed) == 3
+        unserved = [u for u in world.users if u.serving_uav is None]
+        assert len(unserved) == 6
+        assert all(u.serving_uav not in killed for u in world.users)
+        assert all(u.achieved_rate == 0.0 for u in unserved)
 
     def test_dead_uavs_not_rekilled(self):
         world = self._world(6)
@@ -149,7 +163,7 @@ def test_distances_match_linalg_norm_bits():
     rng = np.random.default_rng(3)
     a = rng.uniform(-5e3, 5e3, size=(7, 3))
     b = rng.uniform(-5e3, 5e3, size=(11, 3))
-    assert np.array_equal(distances(a[:, None, :], b[None, :, :]),
+    assert np.array_equal(geometry(a, b).dist,
                           np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
 
 
@@ -158,7 +172,7 @@ class TestAssociation:
         world, gains = _assoc_world(
             [(0.0, 0.0), (200.0, 0.0)], [0, 0],
             [UserSpec(klass="premium", position=(150.0, 0.0))])
-        associate_users(world, gains)
+        associate_users(world, gains, tick_geometry(world))
         assert world.users[0].serving_uav == 1
 
     def test_regular_users_need_default_channel(self):
@@ -168,7 +182,7 @@ class TestAssociation:
             [(0.0, 0.0), (180.0, 0.0)], [0, 2],
             [UserSpec(klass="regular", position=(170.0, 0.0)),
              UserSpec(klass="premium", position=(170.0, 10.0))])
-        associate_users(world, gains)
+        associate_users(world, gains, tick_geometry(world))
         assert world.users[0].serving_uav == 0
         assert world.users[1].serving_uav == 1
 
@@ -176,7 +190,7 @@ class TestAssociation:
         world, gains = _assoc_world(
             [(0.0, 0.0)], [0],
             [UserSpec(klass="premium", position=(1000.0, 0.0))])
-        associate_users(world, gains)
+        associate_users(world, gains, tick_geometry(world))
         assert world.users[0].serving_uav is None
 
     def test_capacity_spill_to_next_nearest(self):
@@ -186,7 +200,7 @@ class TestAssociation:
             [UserSpec(klass="premium", position=(10.0, 0.0)),
              UserSpec(klass="premium", position=(20.0, 0.0))],
             gains)
-        associate_users(world, gains)
+        associate_users(world, gains, tick_geometry(world))
         assert world.users[0].serving_uav == 0
         assert world.users[1].serving_uav == 1
 
@@ -195,7 +209,7 @@ class TestAssociation:
             [(0.0, 0.0)], [0],
             [UserSpec(klass="premium", position=(10.0, 0.0))])
         world.uavs[0].alive = False
-        associate_users(world, gains)
+        associate_users(world, gains, tick_geometry(world))
         assert world.users[0].serving_uav is None
 
 
@@ -206,13 +220,13 @@ class TestInvariants:
             uav_count=2, uav_initial_positions=[(0.0, 0.0), (900.0, 0.0)],
             H=180.0)
         world = make_world(cfg)
-        associate_users(world, cfg.gains)
+        associate_users(world, cfg.gains, tick_geometry(world))
         assert world.users[0].serving_uav == 0    # slant range exactly r
         return world, cfg
 
     def test_consistent_state_passes(self):
         world, cfg = self._served_world()
-        _check_invariants(world, cfg)
+        _check_invariants(world, cfg, tick_geometry(world))
 
     @pytest.mark.parametrize("breach, message", [
         (lambda w: setattr(w.uavs[0], "alive", False), "served by dead UAV"),
@@ -229,7 +243,7 @@ class TestInvariants:
         world, cfg = self._served_world()
         breach(world)
         with pytest.raises(RuntimeError, match=message):
-            _check_invariants(world, cfg)
+            _check_invariants(world, cfg, tick_geometry(world))
 
 
 def _switch_world(num_channels=8, extra_uav=None, regular_too=True,
@@ -250,8 +264,10 @@ def _switch_world(num_channels=8, extra_uav=None, regular_too=True,
     for uav, ch in zip(world.uavs, channels):
         uav.channel = ch
     world.time = time
-    associate_users(world, cfg.gains)
-    powers, chan_power = update_rates(world, cfg.radio, cfg.gains)
+    geom = tick_geometry(world)
+    associate_users(world, cfg.gains, geom)
+    powers, chan_power = update_rates(world, cfg.radio, cfg.gains,
+                                      geom)
     return world, cfg, powers, chan_power
 
 
@@ -321,8 +337,10 @@ class TestChannelSwitching:
             uav_count=2, uav_initial_positions=uav_xy)
         world = make_world(cfg)
         world.time = 10.0
-        associate_users(world, cfg.gains)
-        powers, chan_power = update_rates(world, cfg.radio, cfg.gains)
+        geom = tick_geometry(world)
+        associate_users(world, cfg.gains, geom)
+        powers, chan_power = update_rates(world, cfg.radio, cfg.gains,
+                                          geom)
         assert world.users[0].achieved_rate < 100e6
         assert channel_switching(world, powers, chan_power, cfg.radio,
                                  cfg.gains) == []
@@ -379,7 +397,7 @@ class TestControlAll:
         world = make_world(cfg)
         world.uavs[2].alive = False
         world.uavs[2].velocity = vec3(3.0, 1.0)
-        associate_users(world, cfg.gains)
+        associate_users(world, cfg.gains, tick_geometry(world))
         return world, cfg
 
     def test_dead_cell_row_is_exactly_zero(self):

@@ -5,7 +5,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavswarm.engine import _check_invariants, make_world, run, step
+from uavswarm.engine import (
+    _check_invariants,
+    make_world,
+    run,
+    step,
+    tick_geometry,
+)
 from uavswarm.model import (
     FLOCKING_MODE,
     L0,
@@ -17,8 +23,8 @@ from uavswarm.model import (
     RadioParams,
     ScenarioConfig,
     UserSpec,
-    distances,
 )
+from uavswarm.radio import geometry
 
 # Users spread over twice the default range, so some fall out of it; cells
 # start in the middle third, close enough to interfere and to switch.
@@ -66,7 +72,7 @@ def test_stepped_world_keeps_invariants_and_logs_like_run(config):
         rows.append(step(world, config)[0])     # raises on a broken invariant
         _assert_association_valid(world, frozen, config.gains)
     full = run(config)
-    _check_invariants(full.world, config)
+    _check_invariants(full.world, config, tick_geometry(full.world))
     assert rows == full.metrics
     assert world.failures == full.failures
     assert world.min_distance_violations == full.min_distance_violations
@@ -81,5 +87,5 @@ def _assert_association_valid(world, frozen, gains):
         if n < 0:
             continue
         assert world.uavs[n].alive
-        assert distances(frozen[n], user.position) <= gains.r
+        assert geometry(frozen[n], user.position).dist[0, 0] <= gains.r
         assert user.klass != REGULAR or world.uavs[n].channel == L0

@@ -19,7 +19,7 @@ from kernel_oracle import (
     oracle_h_term,
     oracle_mean_rates,
 )
-from uavswarm.engine import WorldState, associate_users
+from uavswarm.engine import WorldState, associate_users, tick_geometry
 from uavswarm.kernels import f_term, flocking_goal_term, g_term, h_term
 from uavswarm.model import (
     PREMIUM,
@@ -190,7 +190,7 @@ def test_association_matches_greedy_loop():
     for seed in range(400):
         world, gains = _assoc_world(np.random.default_rng(seed))
         want_serving = oracle_associate(world.uavs, world.users, gains)
-        associate_users(world, gains)
+        associate_users(world, gains, tick_geometry(world))
         assert [u.serving_uav for u in world.users] == want_serving, seed
         spills += _spilled(world, want_serving, gains)
     # the worlds must reach the spill path, not only the nearest-cell one

@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 
 from radio_oracle import oracle_link
-from uavswarm.engine import WorldState, update_rates
-from uavswarm.model import ControlGains, RadioParams, UavState, UserState, vec3
+from uavswarm.engine import WorldState, make_world, tick_geometry, update_rates
+from uavswarm.model import (
+    ControlGains,
+    RadioParams,
+    ScenarioConfig,
+    UavState,
+    UserSpec,
+    UserState,
+    vec3,
+)
 from uavswarm.radio import (
     data_rate,
     dbm_to_mw,
+    geometry,
     link_budget,
     los_probability,
     path_loss_db,
@@ -58,7 +67,8 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             path_loss_db(-3.0, math.pi / 2, AS_WRITTEN)
         with pytest.raises(ValueError):
-            received_power_field(vec3(0, 0, 0), vec3(0, 0, 0), AS_WRITTEN)
+            received_power_field(geometry(vec3(0, 0, 0), vec3(0, 0, 0)),
+                                 AS_WRITTEN)
 
     def test_distance_doubling_adds_exponent_decades(self):
         # straight overhead keeps the LoS mix fixed, isolating the
@@ -87,18 +97,36 @@ class TestPower:
         assert float(dbm_to_mw(30.0)) == pytest.approx(1000.0, rel=1e-12)
         assert float(dbm_to_mw(-80.0)) == pytest.approx(1e-8, rel=1e-12)
 
-    def test_field_matches_scalar_route(self):
+    @pytest.mark.parametrize("delta", [1.43, 2.0, 3.5])
+    @pytest.mark.parametrize("form", ["as_written", "standard"])
+    def test_field_matches_scalar_route(self, form, delta):
+        # the closed-form field against the oracle's dB route, link by link,
+        # over heights from 60 m to 300 m and users out to 1.5 km
         rng = np.random.default_rng(11)
-        uavs = rng.uniform([-300, -300, 60], [300, 300, 200], size=(3, 3))
-        users = np.column_stack([rng.uniform(-300, 300, size=(4, 2)),
-                                 np.zeros(4)])
-        field = received_power_field(uavs, users, STANDARD)
-        assert field.shape == (3, 4)
-        for i in range(3):
-            for m in range(4):
+        uavs = rng.uniform([-800, -800, 60], [800, 800, 300], size=(12, 3))
+        users = np.column_stack([rng.uniform(-1500, 1500, size=(40, 2)),
+                                 np.zeros(40)])
+        params = RadioParams(plos_form=form, delta=delta)
+        field = received_power_field(geometry(uavs, users), params)
+        assert field.shape == (12, 40)
+        for i in range(12):
+            for m in range(40):
                 want = oracle_link(uavs[i].tolist(), users[m].tolist(),
-                                   form="standard")["rx_mw"]
+                                   form=form, delta=delta)["rx_mw"]
                 assert field[i, m] == pytest.approx(want, rel=1e-12)
+
+
+def test_geometry_puts_a_right_triangle_at_exactly_r():
+    # cell 0 at 180 m over the origin and user 0 at 240 m east of it sit
+    # at a slant range of exactly r = 300 m, so association and the
+    # invariant check, which both read this distance, agree at the edge
+    cfg = ScenarioConfig(
+        users=[UserSpec(klass="premium", position=(240.0, 0.0)),
+               UserSpec(klass="regular", position=(-500.0, 700.0))],
+        uav_count=2, uav_initial_positions=[(0.0, 0.0), (400.0, -300.0)],
+        H=180.0)
+    dist = tick_geometry(make_world(cfg)).dist
+    assert dist[0, 0] == cfg.gains.r
 
 
 def _radio_world():
@@ -115,7 +143,7 @@ def _radio_world():
 
 def _rate(world):
     """The engine's achieved rate for user 0, through update_rates."""
-    update_rates(world, AS_WRITTEN, ControlGains())
+    update_rates(world, AS_WRITTEN, ControlGains(), tick_geometry(world))
     return world.users[0].achieved_rate
 
 

@@ -18,6 +18,7 @@ from uavswarm.engine import (
     WorldState,
     associate_users,
     channel_switching,
+    tick_geometry,
     update_rates,
 )
 from uavswarm.model import (
@@ -101,7 +102,7 @@ def test_sinr_matches_oracle():
         users = [UserState(0, vec3(*user_xy), "premium", 300e6,
                            serving_uav=0)]
         world = _world(uavs, users)
-        update_rates(world, params, ControlGains())
+        update_rates(world, params, ControlGains(), tick_geometry(world))
         want = oracle_sinr(pts[0], pts[1:3], user_xy, form="standard")
         assert users[0].achieved_rate == pytest.approx(
             _oracle_rate(want, params), rel=REL)
@@ -137,8 +138,9 @@ def test_engine_rates_and_switch_sinr_match_oracle():
     served = switched = 0
     for _ in range(150):
         world, radio = _random_world(rnd)
-        associate_users(world, gains)
-        powers, chan_power = update_rates(world, radio, gains)
+        geom = tick_geometry(world)
+        associate_users(world, gains, geom)
+        powers, chan_power = update_rates(world, radio, gains, geom)
         channels = [u.channel for u in world.uavs]
         for user in world.users:
             if user.serving_uav is None:

@@ -42,6 +42,13 @@ def test_traced_ticks_count_one_rate_record_per_user(tracer, fig3_config):
     assert traced.calls["model.record_rate"] == users * ticks
     assert traced.counts["model.record_rate_calls"] == users * ticks
     assert traced.calls["metrics.compute"] == ticks
+    # association and the power field run once per evaluated tick, behind
+    # their public names, so inlining either cannot silently zero its span
+    # or radio.links
+    assert traced.calls["engine.associate"] == ticks
+    assert traced.calls["radio.power_field"] == ticks
+    assert traced.counts["radio.links"] == (
+        ticks * len(result.world.uavs) * users)
     # the control phase runs between ticks, each term once for the fleet,
     # and every integration goes through engine.advance, so folding it into
     # the shared tick cannot silently drop the span
