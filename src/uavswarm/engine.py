@@ -38,6 +38,7 @@ from .model import (
     ScenarioConfig,
     UavState,
     UserState,
+    check_seed,
     read_value,
     round_half_up,
     vec3,
@@ -75,8 +76,8 @@ class RunResult:
     config: ScenarioConfig
     seed: int
     metrics: list[TickMetrics]
-    trace: list[tuple]              # (time, uav_id, x, y, z, vx, vy, ch, alive, load)
-    user_trace: list[tuple]         # (time, user_id, serving, rate, mean_rate)
+    trace: list[tuple]              # rows of TRACE_COLUMNS
+    user_trace: list[tuple]         # rows of USER_TRACE_COLUMNS
     switch_events: list[SwitchEvent]
     failures: list[tuple[float, list[int]]]
     min_distance_violations: list[tuple[float, int, int, float]]
@@ -106,7 +107,7 @@ def resolve_user_positions(config: ScenarioConfig) -> list[tuple[str, float, flo
 
 def _seed(config: ScenarioConfig, run_seed) -> int:
     return config.seed if run_seed is None else \
-        read_value(int, run_seed, "run_seed")
+        check_seed(read_value(int, run_seed, "run_seed"), "run_seed")
 
 
 def make_world(config: ScenarioConfig, run_seed: Optional[int] = None) -> WorldState:
@@ -462,6 +463,12 @@ def _integrate(world: WorldState, config: ScenarioConfig) -> None:
     """Phase 6: control inputs from the evaluated state, then one step."""
     controls = control_all(world, config.gains, config.controller_mode)
     advance(world, controls, config.gains, config.H)
+
+
+# The row layouts of run(trace=True): per cell and per user, every tick
+TRACE_COLUMNS = ("time", "uav_id", "x", "y", "z", "vx", "vy", "channel",
+                 "alive", "load")
+USER_TRACE_COLUMNS = ("time", "user_id", "serving_uav", "rate", "mean_rate")
 
 
 def run(config: ScenarioConfig, run_seed: Optional[int] = None,

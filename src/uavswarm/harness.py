@@ -1,18 +1,26 @@
 """Scenario generation, sweep experiments, and deterministic exporters.
 
-All file outputs use fixed decimal formatting and contain no timestamps,
-so two runs of the same scenario and seed produce byte-identical files.
+One reporting rule writes every output: a rate or the P0 objective, carried
+in bits/s, is reported in Mbit/s under its name plus "_mbps"; any other
+quantity keeps its name and value.  The columns of metrics.csv are
+TickMetrics' fields, those of sweep.csv the same but time, and those of the
+traces engine.TRACE_COLUMNS and USER_TRACE_COLUMNS.  A CSV prints a float
+with three decimals and an int or a bool, which is never a rate, as an
+integer; summary.json rounds to three decimals.  No output holds a
+timestamp, so two runs of the same scenario and seed produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
-from .engine import RunResult, run
-from .metrics import steady_state
+from .engine import TRACE_COLUMNS, USER_TRACE_COLUMNS, RunResult, run
+from .metrics import TickMetrics, steady_state
 from .model import (
     PREMIUM,
     QOS_MODE,
@@ -102,7 +110,7 @@ def run_sweep(base: ScenarioConfig, counts) -> SweepResult:
     elif base.uav_region is None:
         raise ScenarioError(
             "run_sweep requires uav_initial_positions or uav_region")
-    seeds: dict[int, int] = {}
+    seeds = {n: base.seed + n for n in counts}
     steady: dict[int, dict[str, float]] = {}
     for n in counts:
         if base.uav_initial_positions is not None:
@@ -110,95 +118,47 @@ def run_sweep(base: ScenarioConfig, counts) -> SweepResult:
                           uav_initial_positions=base.uav_initial_positions[:n])
         else:
             cfg = replace(base, uav_count=n)
-        seed = base.seed + n
-        result = run(cfg, run_seed=seed)
-        seeds[n] = seed
-        steady[n] = steady_state(result.metrics)
+        steady[n] = steady_state(run(cfg, run_seed=seeds[n]).metrics)
     return SweepResult(counts=counts, seeds=seeds, steady=steady)
 
 
 # --- exporters ------------------------------------------------------------
 
-_METRICS_HEADER = [
-    "time", "premium_served_pct", "premium_mean_rate_mbps",
-    "premium_fulfilled_pct", "regular_served_pct", "regular_mean_rate_mbps",
-    "regular_fulfilled_pct", "all_served_pct", "all_mean_rate_mbps",
-    "all_fulfilled_pct", "p0_objective_mbps", "active_channels",
-]
+_METRICS = tuple(f.name for f in fields(TickMetrics))
 
 
-def export_metrics_csv(result: RunResult, path) -> None:
+def _reported(name: str) -> tuple[str, float]:
+    """The reporting rule of the module docstring for one quantity: its
+    reported name and the divisor of its floats, an exact 1.0 but for rates."""
+    if name.endswith("rate") or name == "p0_objective":
+        return name + "_mbps", 1e6
+    return name, 1.0
+
+
+def _write_csv(path, names, rows) -> None:
+    """A header of reported names, then each row's values reported: a float
+    with three decimals, an int or a bool as an integer."""
+    header, units = zip(*map(_reported, names))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_METRICS_HEADER)
-        for m in result.metrics:
-            writer.writerow([
-                f"{m.time:.3f}",
-                f"{m.premium_served_pct:.3f}",
-                f"{m.premium_mean_rate / 1e6:.3f}",
-                f"{m.premium_fulfilled_pct:.3f}",
-                f"{m.regular_served_pct:.3f}",
-                f"{m.regular_mean_rate / 1e6:.3f}",
-                f"{m.regular_fulfilled_pct:.3f}",
-                f"{m.all_served_pct:.3f}",
-                f"{m.all_mean_rate / 1e6:.3f}",
-                f"{m.all_fulfilled_pct:.3f}",
-                f"{m.p0_objective / 1e6:.3f}",
-                str(m.active_channels),
-            ])
-
-
-def export_trace_csv(result: RunResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "uav_id", "x", "y", "z", "vx", "vy",
-                         "channel", "alive", "load"])
-        for (t, uid, x, y, z, vx, vy, ch, alive, load) in result.trace:
-            writer.writerow([f"{t:.3f}", str(uid), f"{x:.3f}", f"{y:.3f}",
-                             f"{z:.3f}", f"{vx:.3f}", f"{vy:.3f}", str(ch),
-                             str(int(alive)), str(load)])
-
-
-def export_user_trace_csv(result: RunResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "user_id", "serving_uav", "rate_mbps",
-                         "mean_rate_mbps"])
-        for (t, uid, serving, rate, mean) in result.user_trace:
-            writer.writerow([f"{t:.3f}", str(uid), str(serving),
-                             f"{rate / 1e6:.3f}", f"{mean / 1e6:.3f}"])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v / unit:.3f}" if isinstance(v, float) else
+                             str(int(v)) for v, unit in zip(row, units)])
 
 
 def export_sweep_csv(sweep: SweepResult, path) -> None:
-    fields = ["premium_served_pct", "premium_mean_rate", "premium_fulfilled_pct",
-              "regular_served_pct", "regular_mean_rate", "regular_fulfilled_pct",
-              "all_served_pct", "all_mean_rate", "all_fulfilled_pct",
-              "p0_objective", "active_channels"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["uav_count", "seed"] + [
-            f.replace("_rate", "_rate_mbps").replace("p0_objective",
-                                                     "p0_objective_mbps")
-            for f in fields])
-        for n in sweep.counts:
-            row = [str(n), str(sweep.seeds[n])]
-            for f in fields:
-                value = sweep.steady[n][f]
-                if "rate" in f or f == "p0_objective":
-                    row.append(f"{value / 1e6:.3f}")
-                else:
-                    row.append(f"{value:.3f}")
-            writer.writerow(row)
+    names = tuple(name for name in _METRICS if name != "time")
+    _write_csv(path, ("uav_count", "seed") + names,
+               ([n, sweep.seeds[n], *(sweep.steady[n][k] for k in names)]
+                for n in sweep.counts))
 
 
 def summary_dict(result: RunResult) -> dict:
-    steady = steady_state(result.metrics)
-    scaled = {}
-    for key, value in steady.items():
-        if "rate" in key or key == "p0_objective":
-            scaled[key + "_mbps"] = round(value / 1e6, 3)
-        else:
-            scaled[key] = round(value, 3)
+    steady = {}
+    for key, value in steady_state(result.metrics).items():
+        name, unit = _reported(key)
+        steady[name] = round(value / unit, 3)
     return {
         "mode": result.config.controller_mode,
         "seed": result.seed,
@@ -211,14 +171,8 @@ def summary_dict(result: RunResult) -> dict:
         "failure_events": [
             {"time": round(t, 3), "uav_ids": ids} for t, ids in result.failures],
         "min_distance_violations": len(result.min_distance_violations),
-        "steady_state": scaled,
+        "steady_state": steady,
     }
-
-
-def export_summary_json(result: RunResult, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary_dict(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def export_run(result: RunResult, out_dir) -> list[Path]:
@@ -226,15 +180,15 @@ def export_run(result: RunResult, out_dir) -> list[Path]:
     when the result carries those traces (run(trace=True))."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    export_metrics_csv(result, out / "metrics.csv")
-    written.append(out / "metrics.csv")
-    export_summary_json(result, out / "summary.json")
-    written.append(out / "summary.json")
-    if result.trace:
-        export_trace_csv(result, out / "trace.csv")
-        written.append(out / "trace.csv")
-    if result.user_trace:
-        export_user_trace_csv(result, out / "user_trace.csv")
-        written.append(out / "user_trace.csv")
+    _write_csv(out / "metrics.csv", _METRICS,
+               map(attrgetter(*_METRICS), result.metrics))
+    summary = json.dumps(summary_dict(result), indent=2, sort_keys=True)
+    (out / "summary.json").write_text(summary + "\n", encoding="utf-8")
+    written = [out / "metrics.csv", out / "summary.json"]
+    for name, columns, rows in (
+            ("trace.csv", TRACE_COLUMNS, result.trace),
+            ("user_trace.csv", USER_TRACE_COLUMNS, result.user_trace)):
+        if rows:
+            _write_csv(out / name, columns, rows)
+            written.append(out / name)
     return written

@@ -43,24 +43,10 @@ def compute_metrics(time: float, users: list[UserState],
                     active_channels: int) -> TickMetrics:
     premium = [u for u in users if u.klass == PREMIUM]
     regular = [u for u in users if u.klass == REGULAR]
-    p_served, p_rate, p_full = _group_stats(premium)
-    r_served, r_rate, r_full = _group_stats(regular)
-    a_served, a_rate, a_full = _group_stats(users)
     p0 = sum(abs(u.achieved_rate - u.target_rate) for u in users)
-    return TickMetrics(
-        time=time,
-        premium_served_pct=p_served,
-        premium_mean_rate=p_rate,
-        premium_fulfilled_pct=p_full,
-        regular_served_pct=r_served,
-        regular_mean_rate=r_rate,
-        regular_fulfilled_pct=r_full,
-        all_served_pct=a_served,
-        all_mean_rate=a_rate,
-        all_fulfilled_pct=a_full,
-        p0_objective=p0,
-        active_channels=active_channels,
-    )
+    # per class (served %, mean rate, fulfilled %), in the fields' order
+    return TickMetrics(time, *_group_stats(premium), *_group_stats(regular),
+                       *_group_stats(users), p0, active_channels)
 
 
 def steady_state(metrics: list[TickMetrics]) -> dict[str, float]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import re
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Optional, get_args, get_origin, get_type_hints
@@ -281,8 +282,7 @@ class ScenarioConfig:
             raise ScenarioError("H must not exceed gains.r")
         if self.duration < 0:
             raise ScenarioError("duration must be >= 0")
-        if not 0 <= self.seed < 2**63:
-            raise ScenarioError("seed must be a non-negative 63-bit integer")
+        check_seed(self.seed, "seed")
         for i, ev in enumerate(self.failure_events):
             if ev.at_time < 0:
                 raise ScenarioError(f"failure_events[{i}]: at_time must be >= 0")
@@ -295,6 +295,13 @@ class ScenarioConfig:
         if self.ticks() > MAX_TICKS:
             raise ScenarioError(
                 f"duration must span at most {MAX_TICKS} ticks of gains.dt")
+
+
+def check_seed(seed: int, where: str) -> int:
+    """``seed``, else a ScenarioError naming ``where``."""
+    if not 0 <= seed < 2**63:
+        raise ScenarioError(f"{where} must be a non-negative 63-bit integer")
+    return seed
 
 
 def _check_region(region, where: str) -> None:
@@ -330,13 +337,14 @@ def read_value(tp, value, where: str):
     list or an empty mapping for a list or section keeps its default, or
     checked in place when given an instance.
     A float must be finite; an int accepts an integral float and never
-    truncates one.  A bool is neither: YAML's true is not the number 1.
+    truncates one.  A bool or a string is neither: YAML's true is not the
+    number 1, and a quoted "2e9" is text.
     """
     kind = _LEAF_KINDS.get(tp)
     if kind is not None:
         try:
-            if isinstance(value, (bool, np.bool_)):
-                raise TypeError("a bool is not a number")
+            if isinstance(value, (bool, np.bool_, str)) and tp is not str:
+                raise TypeError("a bool or a string is not a number")
             if tp is float and math.isfinite(float(value)):
                 return float(value)
             if tp is int:
@@ -409,13 +417,23 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     return _plain(config)
 
 
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader (libyaml's where PyYAML has it), reading an exponent
+    without a dot or a sign, such as 2e9, as YAML 1.2 does: as a float."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)"
+               r"[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def load_scenario(path) -> ScenarioConfig:
     """Load, parse, and validate a scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            # libyaml's parser where PyYAML has it: the same mapping, faster
-            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",
-                                                yaml.SafeLoader))
+            data = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
     config = scenario_from_dict(data)

@@ -8,25 +8,43 @@ float parts are the per-tick rate metrics, the SINRs of each switch event
 and the final cell positions and velocities.  The comparer requires the
 exact parts to be equal and the floats to agree within REL_TOL relative, so
 that a refactor which re-orders a sum still passes while a dropped event or
-a shifted rate does not.
+a shifted rate does not.  Digests are kept for fig3 in each controller
+mode and for fig5 cut to 16 s, ten ticks past its failure wave.
 
-Record the fig3 goldens from the code in ``src`` with
+The export goldens are stricter: the sha256 of every file the exporters
+write for a traced fig3 run and a short two-count sweep, so a change to the
+exporters must leave their bytes alone.
+
+Record all three golden files (fig3, fig5 and exports) from the code in
+``src`` with
 
     PYTHONPATH=src python tests/golden.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
+import tempfile
 from dataclasses import replace
 
 from uavswarm.engine import run
+from uavswarm.harness import export_run, export_sweep_csv, run_sweep
 from uavswarm.model import FLOCKING_MODE, PREMIUM, load_scenario
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
-FIG3 = REPO / "scenarios" / "fig3_three_users.yaml"
-FIG3_GOLDEN = pathlib.Path(__file__).resolve().parent / "goldens" / "fig3.json"
+SCENARIOS = REPO / "scenarios"
+GOLDENS = pathlib.Path(__file__).resolve().parent / "goldens"
+FIG3_GOLDEN = GOLDENS / "fig3.json"
+FIG5_GOLDEN = GOLDENS / "fig5.json"
+EXPORTS_GOLDEN = GOLDENS / "exports.json"
+
+# fig5 as the benchmark runs it: ten ticks past the 30% wave at t = 15 s
+FIG5_DURATION = 16.0
+# the sweep whose sweep.csv the export goldens hold
+SWEEP_COUNTS = (6, 11)
+SWEEP_DURATION = 3.0
 
 # Shifting one cell's start by 1e-9 m moves no discrete outcome and the
 # floats by far less than this (see the perturbation probe in ROADMAP.md).
@@ -38,9 +56,29 @@ _RATE_FIELDS = ("premium_mean_rate", "regular_mean_rate", "all_mean_rate",
 
 def fig3_configs() -> dict:
     """The fig3 scenario in each controller mode, keyed by golden name."""
-    config = load_scenario(FIG3)
+    config = load_scenario(SCENARIOS / "fig3_three_users.yaml")
     return {"qos": config,
             "flocking": replace(config, controller_mode=FLOCKING_MODE)}
+
+
+def fig5_config():
+    """The fig5 scenario cut to FIG5_DURATION."""
+    return replace(load_scenario(SCENARIOS / "fig5_parade.yaml"),
+                   duration=FIG5_DURATION)
+
+
+def export_digests(out) -> dict:
+    """Write the exported files of a traced fig3 run (qos mode) and of a
+    short sweep under ``out``; the sha256 of each, keyed by its path
+    relative to ``out``."""
+    out = pathlib.Path(out)
+    export_run(run(fig3_configs()["qos"], trace=True), out / "fig3")
+    base = replace(load_scenario(SCENARIOS / "sweep_base.yaml"),
+                   duration=SWEEP_DURATION)
+    export_sweep_csv(run_sweep(base, SWEEP_COUNTS), out / "sweep.csv")
+    return {path.relative_to(out).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*")) if path.is_file()}
 
 
 def digest(result) -> dict:
@@ -118,13 +156,21 @@ def _rel_diff(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def record() -> None:
-    goldens = {name: digest(run(config))
-               for name, config in fig3_configs().items()}
-    FIG3_GOLDEN.parent.mkdir(exist_ok=True)
-    with open(FIG3_GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(goldens, fh, separators=(",", ":"))
+def _write(path: pathlib.Path, goldens: dict, **dump) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(goldens, fh, **dump)
         fh.write("\n")
+
+
+def record() -> None:
+    GOLDENS.mkdir(exist_ok=True)
+    compact = {"separators": (",", ":")}
+    _write(FIG3_GOLDEN, {name: digest(run(config))
+                         for name, config in fig3_configs().items()},
+           **compact)
+    _write(FIG5_GOLDEN, {"qos": digest(run(fig5_config()))}, **compact)
+    with tempfile.TemporaryDirectory() as out:
+        _write(EXPORTS_GOLDEN, export_digests(out), indent=2, sort_keys=True)
 
 
 if __name__ == "__main__":

@@ -529,3 +529,13 @@ def test_fractional_run_seed_rejected_not_truncated(fig3_config):
         with pytest.raises(ScenarioError, match="run_seed"):
             call(fig3_config, run_seed=2.5)
     assert run(replace(fig3_config, duration=0.0), run_seed=2.0).seed == 2
+
+
+@pytest.mark.parametrize("run_seed", [-1, 2**63, 2**64])
+def test_out_of_range_run_seed_rejected_like_seed(fig3_config, run_seed):
+    for call in (make_world, run):
+        with pytest.raises(ScenarioError,
+                           match="^run_seed must be a non-negative 63-bit"):
+            call(fig3_config, run_seed=run_seed)
+    assert run(replace(fig3_config, duration=0.0),
+               run_seed=2**63 - 1).seed == 2**63 - 1

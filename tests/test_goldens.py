@@ -1,8 +1,11 @@
-"""Whole-run goldens: fig3 in each controller mode against recorded digests.
+"""Whole-run goldens: fig3 in each controller mode and fig5 cut to 16 s
+against recorded digests, and the exported files against recorded bytes.
 
 The digests in ``goldens/fig3.json`` were recorded before the controller
-terms were batched over the fleet; a change that re-orders sums passes
-within golden.REL_TOL, one that moves a discrete outcome does not.
+terms were batched over the fleet, those in ``goldens/fig5.json`` before
+the reporting rule was given one site; a change that re-orders sums passes
+within golden.REL_TOL, one that moves a discrete outcome does not.  The
+export digests in ``goldens/exports.json`` admit no difference at all.
 """
 
 import copy
@@ -10,7 +13,8 @@ import json
 
 import pytest
 
-from golden import FIG3_GOLDEN, compare, digest, fig3_configs
+from golden import (EXPORTS_GOLDEN, FIG3_GOLDEN, FIG5_GOLDEN, compare, digest,
+                    export_digests, fig3_configs, fig5_config)
 from uavswarm.engine import run
 
 
@@ -23,6 +27,37 @@ def goldens():
 @pytest.mark.parametrize("name", ["qos", "flocking"])
 def test_fig3_matches_golden(goldens, name):
     assert compare(goldens[name], digest(run(fig3_configs()[name]))) == []
+
+
+def test_fig5_matches_golden():
+    with open(FIG5_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)["qos"]
+    got = digest(run(fig5_config()))
+    assert got["exact"]["failures"] == [[150, [1, 3, 4, 7, 8]]]
+    assert compare(golden, got) == []
+
+
+@pytest.fixture(scope="module")
+def exports(tmp_path_factory):
+    """(recorded, written) sha256 per exported file."""
+    with open(EXPORTS_GOLDEN, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    return recorded, export_digests(tmp_path_factory.mktemp("exports"))
+
+
+def test_exported_file_set_matches_golden(exports):
+    recorded, written = exports
+    assert sorted(written) == sorted(recorded) == [
+        "fig3/metrics.csv", "fig3/summary.json", "fig3/trace.csv",
+        "fig3/user_trace.csv", "sweep.csv"]
+
+
+@pytest.mark.parametrize("name", ["fig3/metrics.csv", "fig3/summary.json",
+                                  "fig3/trace.csv", "fig3/user_trace.csv",
+                                  "sweep.csv"])
+def test_exported_bytes_match_golden(exports, name):
+    recorded, written = exports
+    assert written[name] == recorded[name]
 
 
 def test_comparer_catches_a_dropped_switch_event(goldens):

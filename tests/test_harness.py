@@ -1,6 +1,8 @@
 """Scenario generation, sweeps, and the deterministic exporters."""
 
+import csv
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -12,7 +14,7 @@ from uavswarm.harness import (
     run_sweep,
     summary_dict,
 )
-from uavswarm.metrics import steady_state
+from uavswarm.metrics import TickMetrics, steady_state
 from uavswarm.model import ScenarioError, UserSpec
 
 
@@ -140,6 +142,26 @@ class TestExporters:
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "1"
         assert lines[2].split(",")[0] == "2"
+
+    def test_every_metric_is_reported_everywhere(self, fig3_config,
+                                                 fig3_result, tmp_path):
+        # a rate or P0, in bits/s, is reported in Mbit/s under an _mbps name
+        def reported(name):
+            if name.endswith("rate") or name == "p0_objective":
+                return name + "_mbps"
+            return name
+
+        names = [reported(f.name) for f in fields(TickMetrics)]
+        export_run(fig3_result, tmp_path)
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == names
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert sorted(summary["steady_state"]) == sorted(names)
+        from dataclasses import replace
+        sweep = run_sweep(replace(fig3_config, duration=0.5), [1, 2])
+        export_sweep_csv(sweep, tmp_path / "sweep.csv")
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == ["uav_count", "seed", *names[1:]]
 
     def test_user_trace_written_when_collected(self, fig3_config, tmp_path):
         from dataclasses import replace

@@ -224,7 +224,8 @@ class TestFiles:
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_shipped_scenario_reads_as_pure_python_parser_does(self, name):
-        # the loader takes libyaml's parser when PyYAML has it
+        # the loader takes libyaml's parser when PyYAML has it, and its
+        # exponent resolver moves no value of a shipped file
         text = (SCENARIOS / name).read_text(encoding="utf-8")
         config = scenario_from_dict(yaml.load(text, Loader=yaml.SafeLoader))
         config.validate()
@@ -295,6 +296,32 @@ def test_non_finite_or_non_integral_value_rejected_at_load(path, value, name,
     file = tmp_path / "bad.yaml"
     file.write_text(yaml.safe_dump(data))
     with pytest.raises(ScenarioError, match=re.escape(name)):
+        load_scenario(file)
+
+
+def _scenario_text(f_c: str) -> str:
+    data = _loadable_dict()
+    data["radio"] = {"f_c": "F_C"}
+    return yaml.safe_dump(data).replace("F_C", f_c)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2e9", 2.0e9), ("2E+9", 2.0e9), ("2.0e9", 2.0e9), ("25e-1", 2.5),
+    (".5e1", 5.0), ("2_000e6", 2.0e9),
+])
+def test_exponent_without_dot_or_sign_loads_as_float(text, value, tmp_path):
+    file = tmp_path / "scenario.yaml"
+    file.write_text(_scenario_text(text))
+    f_c = load_scenario(file).radio.f_c
+    assert type(f_c) is float and f_c == value
+
+
+@pytest.mark.parametrize("text", ['"2e9"', "'2.0e9'", '"2000000000.0"'])
+def test_quoted_number_rejected_naming_field(text, tmp_path):
+    file = tmp_path / "scenario.yaml"
+    file.write_text(_scenario_text(text))
+    with pytest.raises(ScenarioError,
+                       match=r"^radio\.f_c: expected a finite number"):
         load_scenario(file)
 
 

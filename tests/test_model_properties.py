@@ -129,7 +129,8 @@ def _path_name(path) -> str:
 @given(configs(), st.data())
 def test_one_bad_leaf_is_named_by_validate(config, data):
     path, value = data.draw(st.sampled_from(list(_numeric_leaves(config))))
-    bad = [math.nan, math.inf, -math.inf, True, False]
+    # a number written as a string is not a number either
+    bad = [math.nan, math.inf, -math.inf, True, False, str(value)]
     if isinstance(value, int) and abs(value) < 2**52:
         bad.append(value + 0.5)     # still non-integral as a float
     bad_config = _with_leaf(config, path, data.draw(st.sampled_from(bad)))
