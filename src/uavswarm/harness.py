@@ -30,6 +30,7 @@ from .model import (
     ScenarioConfig,
     ScenarioError,
     UserSpec,
+    check_seed,
     read_value,
     round_half_up,
 )
@@ -94,6 +95,8 @@ def run_sweep(base: ScenarioConfig, counts) -> SweepResult:
     base.seed).  Per-count starts come either from the first n entries of an
     explicit uav_initial_positions list (which must then cover the largest
     count), or from a uav_region draw seeded with base.seed + count.
+    Every count runs with run seed base.seed + count; a sum past the seed
+    range fails, naming seed, before any run starts.
     """
     base.validate()
     counts = read_value(list[int], list(counts), "counts")
@@ -103,6 +106,7 @@ def run_sweep(base: ScenarioConfig, counts) -> SweepResult:
         raise ScenarioError("uav counts must be >= 1")
     if counts != sorted(counts):
         raise ScenarioError("uav counts must be ascending")
+    check_seed(base.seed + counts[-1], f"seed + the largest count {counts[-1]}")
     if base.uav_initial_positions is not None:
         if len(base.uav_initial_positions) < counts[-1]:
             raise ScenarioError(

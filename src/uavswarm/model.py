@@ -8,6 +8,8 @@ z = 0 and do not move.
 
 A user's `serving_uav` is the one association record: a cell's users and
 its load are counted from the users' serving ids, never stored on the cell.
+A user's rate window is kept per tick; its trailing mean is computed only
+when read.
 
 Values the model fixes are derived, not configured: ControlGains computes
 the premium gain and the sigma-norm images the kernels need.  Distances
@@ -88,14 +90,23 @@ class UserState:
     achieved_rate: float = 0.0      # bits/s, 0 while unserved
     rate_window: deque = field(default_factory=deque)  # trailing rates
     rate_times: deque = field(default_factory=deque)   # and their times
-    mean_rate: float = 0.0          # arithmetic mean over the trailing window
+
+    @property
+    def mean_rate(self) -> float:
+        """Arithmetic mean over the trailing window, 0.0 while it is empty.
+
+        Re-summed over the window on each read, not kept as a running sum,
+        so it has the same bits whatever came before: the switch trigger
+        compares against it.
+        """
+        window = self.rate_window
+        return sum(window) / len(window) if window else 0.0
 
     def record_rate(self, time: float, rate: float, tau: float) -> None:
-        """Append this tick's rate and refresh the trailing-tau-seconds mean.
+        """Append this tick's rate and its time to the trailing window.
 
-        Entries at or before time - tau drop out.  The mean is re-summed
-        over the window, not kept as a running sum, so it has the same bits
-        whatever came before: the switch trigger compares against it.
+        Entries at or before time - tau drop out.  Nothing is summed here:
+        the mean is computed only when `mean_rate` is read.
         """
         window, times = self.rate_window, self.rate_times
         window.append(rate)
@@ -104,7 +115,6 @@ class UserState:
         while times and times[0] <= edge:
             times.popleft()
             window.popleft()
-        self.mean_rate = sum(window) / len(window)
 
 
 @dataclass

@@ -15,14 +15,21 @@ The export goldens are stricter: the sha256 of every file the exporters
 write for a traced fig3 run and a short two-count sweep, so a change to the
 exporters must leave their bytes alone.
 
-Record all three golden files (fig3, fig5 and exports) from the code in
-``src`` with
+Re-record golden files from the code in ``src`` by naming each one, from
+``fig3``, ``fig5`` and ``exports``:
 
-    PYTHONPATH=src python tests/golden.py
+    PYTHONPATH=src python tests/golden.py fig5
+
+Only the named files are rewritten; with no name the script prints its
+usage and exits non-zero.  Before it overwrites a file it prints how the new
+record differs from the committed one: for a digest, compare()'s lines at a
+relative tolerance of 0 and the largest relative float deviation; for the
+exports, each file whose bytes change.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import pathlib
@@ -122,6 +129,18 @@ def digest(result) -> dict:
     }
 
 
+def largest_deviation(ref: dict, got: dict) -> float:
+    """The largest relative deviation over the float parts of two digests
+    that hold the same number of values (compare() names the others)."""
+    worst = 0.0
+    for key in set(ref["float"]) & set(got["float"]):
+        a = _flatten(ref["float"][key])
+        b = _flatten(got["float"][key])
+        if len(a) == len(b):
+            worst = max(worst, _worst(a, b))
+    return worst
+
+
 def compare(ref: dict, got: dict, rel_tol: float = REL_TOL) -> list[str]:
     """Differences between two digests: exact parts must be equal, floats
     within ``rel_tol`` of each other.  An empty list means they agree."""
@@ -135,7 +154,7 @@ def compare(ref: dict, got: dict, rel_tol: float = REL_TOL) -> list[str]:
         if len(a) != len(b):
             problems.append(f"{key} has {len(b)} values, expected {len(a)}")
             continue
-        worst = max((_rel_diff(x, y) for x, y in zip(a, b)), default=0.0)
+        worst = _worst(a, b)
         if not worst <= rel_tol:
             problems.append(f"{key} off by {worst:.3g} relative "
                             f"(tolerance {rel_tol:g})")
@@ -150,28 +169,72 @@ def _flatten(value) -> list[float]:
     return [float(value)]
 
 
+def _worst(a: list[float], b: list[float]) -> float:
+    return max((_rel_diff(x, y) for x, y in zip(a, b)), default=0.0)
+
+
 def _rel_diff(a: float, b: float) -> float:
     if a == b:
         return 0.0
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def _write(path: pathlib.Path, goldens: dict, **dump) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(goldens, fh, **dump)
-        fh.write("\n")
+GOLDEN_FILES = {"fig3": FIG3_GOLDEN, "fig5": FIG5_GOLDEN,
+                "exports": EXPORTS_GOLDEN}
 
 
-def record() -> None:
-    GOLDENS.mkdir(exist_ok=True)
-    compact = {"separators": (",", ":")}
-    _write(FIG3_GOLDEN, {name: digest(run(config))
-                         for name, config in fig3_configs().items()},
-           **compact)
-    _write(FIG5_GOLDEN, {"qos": digest(run(fig5_config()))}, **compact)
+def recorded(name: str) -> dict:
+    """The golden file ``name`` as the code in ``src`` records it now."""
+    if name == "fig3":
+        return {mode: digest(run(config))
+                for mode, config in fig3_configs().items()}
+    if name == "fig5":
+        return {"qos": digest(run(fig5_config()))}
     with tempfile.TemporaryDirectory() as out:
-        _write(EXPORTS_GOLDEN, export_digests(out), indent=2, sort_keys=True)
+        return export_digests(out)
+
+
+def changes(name: str, old: dict, new: dict) -> list[str]:
+    """How the re-recorded golden file ``name`` differs from ``old``."""
+    keys = sorted(old.keys() | new.keys())
+    if name == "exports":
+        return [f"{key}: bytes differ" for key in keys
+                if old.get(key) != new.get(key)]
+    lines = []
+    worst = 0.0
+    for key in keys:
+        if key not in old or key not in new:
+            lines.append(f"{key}: {'added' if key in new else 'removed'}")
+            continue
+        lines += [f"{key}: {problem}"
+                  for problem in compare(old[key], new[key], rel_tol=0.0)]
+        worst = max(worst, largest_deviation(old[key], new[key]))
+    lines.append(f"largest relative float deviation {worst:.3g}")
+    return lines
+
+
+def record(names) -> None:
+    """Re-record the named golden files, printing each one's changes first."""
+    GOLDENS.mkdir(exist_ok=True)
+    for name in names:
+        path = GOLDEN_FILES[name]
+        new = recorded(name)
+        if path.exists():
+            with open(path, encoding="utf-8") as fh:
+                lines = changes(name, json.load(fh), new)
+        else:
+            lines = ["new file"]
+        for line in lines or ["unchanged"]:
+            print(f"{path.name}: {line}")
+        dump = ({"indent": 2, "sort_keys": True} if name == "exports"
+                else {"separators": (",", ":")})
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(new, fh, **dump)
+            fh.write("\n")
 
 
 if __name__ == "__main__":
-    record()
+    parser = argparse.ArgumentParser(
+        description="Re-record the named golden files from the code in src.")
+    parser.add_argument("names", nargs="+", choices=list(GOLDEN_FILES))
+    record(parser.parse_args().names)

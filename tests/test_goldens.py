@@ -10,11 +10,15 @@ export digests in ``goldens/exports.json`` admit no difference at all.
 
 import copy
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from golden import (EXPORTS_GOLDEN, FIG3_GOLDEN, FIG5_GOLDEN, compare, digest,
-                    export_digests, fig3_configs, fig5_config)
+from golden import (EXPORTS_GOLDEN, FIG3_GOLDEN, FIG5_GOLDEN, changes,
+                    compare, digest, export_digests, fig3_configs, fig5_config)
 from uavswarm.engine import run
 
 
@@ -74,3 +78,33 @@ def test_comparer_catches_a_shifted_rate(goldens):
     got["float"]["rates"][150][0] *= 1.0 + 1e-6
     assert compare(goldens["qos"], got) == [
         "rates off by 1e-06 relative (tolerance 1e-09)"]
+
+
+def test_changes_name_exact_parts_and_largest_float_deviation(goldens):
+    new = copy.deepcopy(goldens)
+    new["qos"]["exact"]["switches"].pop()
+    new["qos"]["float"]["switch_sinr"].pop()
+    new["flocking"]["float"]["rates"][150][0] *= 1.0 + 1e-6
+    new["flocking"]["float"]["rates"][151][0] *= 1.0 + 1e-7
+    assert changes("fig3", goldens, new) == [
+        "flocking: rates off by 1e-06 relative (tolerance 0)",
+        "qos: switches: not equal",
+        "qos: switch_sinr has 0 values, expected 2",
+        "largest relative float deviation 1e-06"]
+    assert changes("fig3", goldens, goldens) == [
+        "largest relative float deviation 0"]
+
+
+def test_changes_name_each_export_whose_bytes_differ():
+    old = {"a.csv": "0" * 64, "b.csv": "1" * 64}
+    assert changes("exports", old, {**old, "b.csv": "2" * 64}) == [
+        "b.csv: bytes differ"]
+
+
+def test_recording_without_a_name_prints_usage_and_fails():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    script = pathlib.Path(__file__).with_name("golden.py")
+    proc = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert proc.stderr.startswith("usage:")

@@ -89,6 +89,20 @@ class TestRunSweep:
         with pytest.raises(ScenarioError):
             run_sweep(base, [1])
 
+    @pytest.mark.parametrize("seed", [2**63 - 2, 2**63 - 1])
+    def test_seed_plus_largest_count_checked_before_any_run(
+            self, fig3_config, monkeypatch, seed):
+        from dataclasses import replace
+        import uavswarm.harness as harness
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_sweep ran a count before failing")
+
+        monkeypatch.setattr(harness, "run", no_run)
+        with pytest.raises(ScenarioError,
+                           match=r"^seed \+ the largest count 2 must be"):
+            run_sweep(replace(fig3_config, seed=seed), [1, 2])
+
 
 class TestExporters:
     def test_export_run_files_and_determinism(self, fig3_config, fig3_result,

@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import random
 import re
 from dataclasses import replace
 
@@ -11,12 +12,15 @@ import yaml
 from uavswarm import engine
 from uavswarm.model import (
     MAX_TICKS,
+    PREMIUM,
+    TARGET_RATE,
     ControlGains,
     FailureEvent,
     RadioParams,
     ScenarioConfig,
     ScenarioError,
     UserSpec,
+    UserState,
     load_scenario,
     round_half_up,
     save_scenario,
@@ -424,3 +428,28 @@ def test_empty_section_keeps_default(key, value):
     assert getattr(scenario_from_dict(data), key) == \
         getattr(scenario_from_dict({**data, key: None}), key) == \
         getattr(ScenarioConfig(users=[], uav_count=0), key)
+
+
+def _user() -> UserState:
+    return UserState(id=0, position=vec3(), klass=PREMIUM,
+                     target_rate=TARGET_RATE[PREMIUM])
+
+
+@pytest.mark.parametrize("dt, tau", [(0.1, 5.0), (0.1, 0.3), (0.3, 0.9),
+                                     (1 / 3, 1.0), (0.05, 0.15)])
+def test_mean_rate_is_the_window_mean_after_every_record(dt, tau):
+    rng = random.Random(repr((dt, tau)))
+    user = _user()
+    for k in range(300):
+        # magnitudes far apart, so a stale or re-ordered sum shows in the bits
+        rate = rng.choice([0.0, 1e-3, 1.0, 1e8]) * rng.uniform(0.5, 3.0)
+        user.record_rate(k * dt, rate, tau)
+        window = user.rate_window
+        assert user.mean_rate == sum(window) / len(window), k
+
+
+def test_mean_rate_reads_zero_when_fresh_and_cannot_be_stored():
+    user = _user()
+    assert user.mean_rate == 0.0
+    with pytest.raises(AttributeError):
+        user.mean_rate = 1.0
