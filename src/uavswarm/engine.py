@@ -10,6 +10,11 @@ step() runs both halves, run() the same two but skips the last integration;
 the world keeps the failure and spacing logs.  Time advances as tick * dt
 from an integer tick counter, never by accumulation.
 
+The world's state is WorldState's arrays, one row per cell or per user, and
+every phase reads and writes them whole; world.uavs and world.users are
+views of their rows.  Only the rate windows and the switching pass still go
+one user or one cell at a time.
+
 Positions do not change between the failure phase and the step, so the
 cells x users geometry (radio.geometry: slant distance and elevation) is
 built once per tick, right after (1).  Association reads its distances,
@@ -31,7 +36,6 @@ from .model import (
     L0,
     PREMIUM,
     QOS_MODE,
-    REGULAR,
     TARGET_RATE,
     ControlGains,
     RadioParams,
@@ -41,23 +45,40 @@ from .model import (
     check_seed,
     read_value,
     round_half_up,
-    vec3,
 )
 from .radio import (Geometry, data_rate, dbm_to_mw, geometry,
                     received_power_field)
 
 
-@dataclass
+@dataclass(eq=False)
 class WorldState:
+    """The world's state as arrays indexed by cell and user id.  Phases
+    write them in place, never rebind them, so the views stay current."""
     time: float
     tick: int
-    uavs: list[UavState]
-    users: list[UserState]
+    uav_pos: np.ndarray             # (cells, 3) m, z pinned to the height
+    uav_vel: np.ndarray             # (cells, 3) m/s, z always 0
+    alive: np.ndarray               # (cells,) bool
+    channel: np.ndarray             # (cells,) int
+    last_switch: np.ndarray         # (cells,) s, time of the last switch
+    user_pos: np.ndarray            # (users, 3) m, z = 0
+    premium: np.ndarray             # (users,) bool, else regular
+    target: np.ndarray              # (users,) bits/s
+    serving: np.ndarray             # (users,) cell id, -1 while unserved
+    rate: np.ndarray                # (users,) bits/s, 0.0 while unserved
     failure_rng: np.random.Generator
     fired: set[int] = field(default_factory=set)   # failure_events indices
     failures: list[tuple[float, list[int]]] = field(default_factory=list)
     # (time, uav_id, uav_id, distance) per alive pair closer than gains.d
     min_distance_violations: list[tuple] = field(default_factory=list)
+    uavs: list[UavState] = field(init=False, repr=False)
+    users: list[UserState] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        arrays = {k: v for k, v in vars(self).items()
+                  if isinstance(v, np.ndarray)}
+        self.uavs = [UavState(n, arrays) for n in range(len(self.alive))]
+        self.users = [UserState(m, arrays) for m in range(len(self.serving))]
 
 
 @dataclass
@@ -94,14 +115,12 @@ def resolve_user_positions(config: ScenarioConfig) -> list[tuple[str, float, flo
     out = []
     for spec in config.users:
         if spec.position is not None:
-            out.append((spec.klass, float(spec.position[0]),
-                        float(spec.position[1])))
+            xs, ys = [spec.position[0]], [spec.position[1]]
         else:
             x0, y0, x1, y1 = spec.region
             xs = rng.uniform(x0, x1, size=spec.count)
             ys = rng.uniform(y0, y1, size=spec.count)
-            for xx, yy in zip(xs, ys):
-                out.append((spec.klass, float(xx), float(yy)))
+        out.extend((spec.klass, float(x), float(y)) for x, y in zip(xs, ys))
     return out
 
 
@@ -113,28 +132,29 @@ def _seed(config: ScenarioConfig, run_seed) -> int:
 def make_world(config: ScenarioConfig, run_seed: Optional[int] = None) -> WorldState:
     config.validate()
     seed = _seed(config, run_seed)
-    users = [
-        UserState(id=m, position=vec3(x, y, 0.0), klass=klass,
-                  target_rate=TARGET_RATE[klass])
-        for m, (klass, x, y) in enumerate(resolve_user_positions(config))
-    ]
+    placed = resolve_user_positions(config)
     if config.uav_count == 0:
-        starts = []
+        starts = np.zeros((0, 2))
     elif config.uav_initial_positions is not None:
-        starts = [(float(x), float(y)) for x, y in config.uav_initial_positions]
+        starts = np.array(config.uav_initial_positions, dtype=float)
     else:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
         x0, y0, x1, y1 = config.uav_region
         xs = rng.uniform(x0, x1, size=config.uav_count)
         ys = rng.uniform(y0, y1, size=config.uav_count)
-        starts = [(float(x), float(y)) for x, y in zip(xs, ys)]
-    uavs = [
-        UavState(id=n, position=vec3(x, y, config.H), velocity=vec3(), channel=L0)
-        for n, (x, y) in enumerate(starts)
-    ]
-    failure_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    return WorldState(time=0.0, tick=0, uavs=uavs, users=users,
-                      failure_rng=failure_rng)
+        starts = np.column_stack([xs, ys])
+    n_cells = len(starts)
+    return WorldState(
+        time=0.0, tick=0,
+        uav_pos=np.column_stack([starts, np.full(n_cells, float(config.H))]),
+        uav_vel=np.zeros((n_cells, 3)), alive=np.ones(n_cells, dtype=bool),
+        channel=np.full(n_cells, L0), last_switch=np.zeros(n_cells),
+        user_pos=np.array([(x, y, 0.0) for _, x, y in placed],
+                          dtype=float).reshape(-1, 3),
+        premium=np.array([k == PREMIUM for k, _, _ in placed], dtype=bool),
+        target=np.array([TARGET_RATE[k] for k, _, _ in placed], dtype=float),
+        serving=np.full(len(placed), -1), rate=np.zeros(len(placed)),
+        failure_rng=np.random.default_rng(np.random.SeedSequence([seed, 2])))
 
 
 def inject_failures(world: WorldState, fraction: float) -> list[int]:
@@ -143,23 +163,20 @@ def inject_failures(world: WorldState, fraction: float) -> list[int]:
     Their users are not released here: association, which runs next in the
     tick, resets every serving id, and the rate update rewrites every rate.
     """
-    alive_ids = sorted(u.id for u in world.uavs if u.alive)
+    alive_ids = np.flatnonzero(world.alive)
     count = min(round_half_up(fraction * len(alive_ids)), len(alive_ids))
     if count <= 0:
         return []
-    chosen = world.failure_rng.choice(np.array(alive_ids), size=count,
-                                      replace=False)
-    killed = sorted(int(c) for c in chosen)
-    for n in killed:
-        world.uavs[n].alive = False
-        world.uavs[n].velocity = vec3()
+    chosen = world.failure_rng.choice(alive_ids, size=count, replace=False)
+    killed = sorted(chosen.tolist())
+    world.alive[killed] = False
+    world.uav_vel[killed] = 0.0
     return killed
 
 
 def tick_geometry(world: WorldState) -> Geometry:
     """The cells x users geometry of the world's current positions."""
-    return geometry([u.position for u in world.uavs],
-                    [u.position for u in world.users])
+    return geometry(world.uav_pos, world.user_pos)
 
 
 def associate_users(world: WorldState, gains: ControlGains,
@@ -172,25 +189,22 @@ def associate_users(world: WorldState, gains: ControlGains,
     UAV with spare capacity, spilling to the next nearest when full.
     Distances come from the tick's geometry.
     """
-    uavs, users = world.uavs, world.users
-    for user in users:
-        user.serving_uav = None
-    if not uavs or not users:
+    n_cells, n_users = len(world.alive), len(world.serving)
+    world.serving.fill(-1)
+    if not n_cells or not n_users:
         return
     dist = geom.dist
-    alive = np.array([u.alive for u in uavs])
-    on_default = np.array([u.channel == L0 for u in uavs])
-    prem = np.array([u.klass == PREMIUM for u in users])
-    eligible = alive[:, None] & (dist <= gains.r) & \
-        (prem[None, :] | on_default[:, None])
-    ids = np.arange(len(users))
+    eligible = world.alive[:, None] & (dist <= gains.r) & \
+        (world.premium[None, :] | (world.channel == L0)[:, None])
+    ids = np.arange(n_users)
     masked = np.where(eligible, dist, np.inf)
     closest = masked.argmin(axis=0)         # lowest id among equal distances
     nearest = masked[closest, ids]
     order = np.lexsort((ids, nearest))
     order = order[:np.count_nonzero(np.isfinite(nearest))].tolist()
     closest = closest.tolist()
-    load = [0] * len(uavs)
+    load = [0] * n_cells
+    taken, cells = [], []
     for m in order:
         n = closest[m]
         if load[n] >= gains.n_max:
@@ -202,30 +216,28 @@ def associate_users(world: WorldState, gains: ControlGains,
                       if load[c] < gains.n_max), None)
             if n is None:
                 continue
-        users[m].serving_uav = n
+        taken.append(m)
+        cells.append(n)
         load[n] += 1
+    world.serving[taken] = cells
 
 
 def _apply_rates(world: WorldState, powers: np.ndarray, chan_power: np.ndarray,
                  radio: RadioParams, gains: ControlGains, record: bool) -> None:
-    users = world.users
-    # unserved users share one 0.0 object; rate windows hold 50 per user
-    rates = [0.0] * len(users)
-    served = [m for m, user in enumerate(users) if user.serving_uav is not None]
-    if served:
-        cells = [users[m].serving_uav for m in served]
-        channels = [world.uavs[n].channel for n in cells]
-        signal = powers[cells, served]
-        interference = chan_power[channels, served] - signal
-        noise_mw = float(dbm_to_mw(radio.noise))
-        served_rates = data_rate(signal / (noise_mw + interference),
-                                 radio.bandwidth)
-        for m, rate in zip(served, served_rates.tolist()):
-            rates[m] = rate
-    for user, rate in zip(users, rates):
-        user.achieved_rate = rate
-        if record:
-            user.record_rate(world.time, rate, gains.tau)
+    rate = world.rate
+    served = np.flatnonzero(world.serving >= 0)
+    cells = world.serving[served]
+    signal = powers[cells, served]
+    interference = chan_power[world.channel[cells], served] - signal
+    noise_mw = float(dbm_to_mw(radio.noise))
+    rate.fill(0.0)
+    rate[served] = data_rate(signal / (noise_mw + interference),
+                             radio.bandwidth)
+    if record:
+        time, tau = world.time, gains.tau
+        # `or 0.0`: unserved users' windows share one 0.0 object
+        for user, r in zip(world.users, rate.tolist()):
+            user.record_rate(time, r or 0.0, tau)
 
 
 def update_rates(world: WorldState, radio: RadioParams, gains: ControlGains,
@@ -236,24 +248,20 @@ def update_rates(world: WorldState, radio: RadioParams, gains: ControlGains,
     tick's geometry with dead UAVs zeroed, and the (num_channels, n_users)
     per-channel power sums.
     """
-    alive = np.array([u.alive for u in world.uavs], dtype=bool)
     powers = received_power_field(geom, radio)
-    powers[~alive] = 0.0
-    chan_power = np.zeros((radio.num_channels, len(world.users)))
-    for n, uav in enumerate(world.uavs):
-        if uav.alive:
-            chan_power[uav.channel] += powers[n]
+    powers[~world.alive] = 0.0
+    chan_power = np.zeros((radio.num_channels, len(world.serving)))
+    for n, k in zip(np.flatnonzero(world.alive).tolist(),
+                    world.channel[world.alive].tolist()):
+        chan_power[k] += powers[n]
     _apply_rates(world, powers, chan_power, radio, gains, record=True)
     return powers, chan_power
 
 
-def _association(world: WorldState) -> tuple[np.ndarray, np.ndarray]:
-    """Each user's serving cell id, -1 while unserved, and each cell's load
-    counted from those ids."""
-    serving = np.array([-1 if u.serving_uav is None else u.serving_uav
-                        for u in world.users], dtype=int)
-    loads = np.bincount(serving[serving >= 0], minlength=len(world.uavs))
-    return serving, loads
+def _loads(world: WorldState) -> np.ndarray:
+    """Each cell's load, counted from the users' serving ids."""
+    serving = world.serving
+    return np.bincount(serving[serving >= 0], minlength=len(world.alive))
 
 
 def channel_switching(world: WorldState, powers: np.ndarray,
@@ -272,32 +280,30 @@ def channel_switching(world: WorldState, powers: np.ndarray,
     events: list[SwitchEvent] = []
     noise_mw = float(dbm_to_mw(radio.noise))
     n_channels = radio.num_channels
-    usage = [0] * n_channels
-    for uav in world.uavs:
-        if uav.alive:
-            usage[uav.channel] += 1
-    # a switch releases only its own cell's users, so one snapshot serves
-    serving = _association(world)[0]
-    for uav in world.uavs:
-        if not uav.alive or world.time - uav.last_switch_time < gains.tau:
+    channel, serving = world.channel, world.serving
+    usage = np.bincount(channel[world.alive], minlength=n_channels).tolist()
+    # a switch writes only its own cell's entries, which later cells never read
+    alive, last_switch = world.alive.tolist(), world.last_switch.tolist()
+    rate, target = world.rate.tolist(), world.target.tolist()
+    premium, users = world.premium.tolist(), world.users
+    for n, is_alive in enumerate(alive):
+        if not is_alive or world.time - last_switch[n] < gains.tau:
             continue
-        served = np.flatnonzero(serving == uav.id).tolist()   # ascending
+        served = np.flatnonzero(serving == n).tolist()        # ascending
         trig = None
         best_deficit = 0.0
         for m in served:
-            user = world.users[m]
-            if user.klass != PREMIUM:
+            if not premium[m]:
                 continue
-            c = user.achieved_rate
-            if c < user.target_rate and c <= user.mean_rate:
-                deficit = user.target_rate - c
+            c = rate[m]
+            if c < target[m] and c <= users[m].mean_rate:
+                deficit = target[m] - c
                 if deficit > best_deficit:
                     best_deficit = deficit
                     trig = m
         if trig is None:
             continue
-        n = uav.id
-        current = uav.channel
+        current = int(channel[n])
         current_interf = float(chan_power[current, trig] - powers[n, trig])
         free = [k for k in range(1, n_channels) if usage[k] == 0]
         if free:
@@ -315,8 +321,7 @@ def channel_switching(world: WorldState, powers: np.ndarray,
                     best_k = k
         if best_k is None or not cand_interf < current_interf:
             continue
-        released = [m for m in served
-                    if current == L0 and world.users[m].klass == REGULAR]
+        released = [m for m in served if current == L0 and not premium[m]]
         retained = [m for m in served if m not in released]
         sinr_before = [
             float(powers[n, m] / (noise_mw + chan_power[current, m] - powers[n, m]))
@@ -328,11 +333,10 @@ def channel_switching(world: WorldState, powers: np.ndarray,
         chan_power[best_k] += powers[n]
         usage[current] -= 1
         usage[best_k] += 1
-        uav.channel = best_k
-        uav.last_switch_time = world.time
-        for m in released:
-            world.users[m].serving_uav = None
-            world.users[m].achieved_rate = 0.0
+        channel[n] = best_k
+        world.last_switch[n] = world.time
+        serving[released] = -1
+        world.rate[released] = 0.0
         events.append(SwitchEvent(world.time, n, current, best_k, retained,
                                   sinr_before, sinr_after))
     return events
@@ -342,85 +346,87 @@ def control_all(world: WorldState, gains: ControlGains,
                 mode: str) -> np.ndarray:
     """Control inputs for all UAVs from one frozen state snapshot.
 
-    The state is gathered into arrays once and each controller term runs
-    once for the whole fleet; dead UAVs get zero rows.
+    Each controller term runs once for the whole fleet, on the world's
+    arrays; dead UAVs get zero rows.
     """
-    uavs, users = world.uavs, world.users
-    if not uavs:
-        return np.zeros((0, 3))
-    positions = np.array([u.position for u in uavs])
-    velocities = np.array([u.velocity for u in uavs])
-    serving, loads = _association(world)
-    alive = np.array([u.alive for u in uavs])
-    user_pos = np.array([u.position for u in users]).reshape(-1, 3)
-    rates = np.array([u.achieved_rate for u in users], dtype=float)
-    targets = np.array([u.target_rate for u in users], dtype=float)
-    premium = np.array([u.klass == PREMIUM for u in users], dtype=bool)
+    serving = world.serving
     served = np.flatnonzero(serving >= 0)
-    connected = np.zeros((len(uavs), len(users)), dtype=bool)
+    connected = np.zeros((len(world.alive), len(serving)), dtype=bool)
     connected[serving[served], served] = True
-    return control_input(positions, velocities, loads, alive, connected,
-                         user_pos, rates, targets, premium, gains, mode)
+    return control_input(world.uav_pos, world.uav_vel, _loads(world),
+                         world.alive, connected, world.user_pos, world.rate,
+                         world.target, world.premium, gains, mode)
 
 
 def advance(world: WorldState, controls: np.ndarray, gains: ControlGains,
             height: float) -> None:
-    """Semi-implicit Euler step with speed clamp and fixed flight height."""
-    for i, uav in enumerate(world.uavs):
-        if not uav.alive:
-            continue
-        uav.velocity = uav.velocity + controls[i] * gains.dt
-        uav.velocity[2] = 0.0
-        speed = float(np.linalg.norm(uav.velocity))
-        if speed > gains.v_max:
-            uav.velocity = uav.velocity * (gains.v_max / speed)
-        uav.position = uav.position + uav.velocity * gains.dt
-        uav.position[2] = height
+    """Semi-implicit Euler step with speed clamp and fixed flight height;
+    dead cells are not touched.  Each speed is the root of a stacked-matmul
+    dot product, which has np.linalg.norm's bits; einsum's does not."""
+    live = np.flatnonzero(world.alive)
+    vel = world.uav_vel[live] + controls[live] * gains.dt
+    vel[:, 2] = 0.0
+    speed = np.sqrt(np.matmul(vel[:, None, :], vel[:, :, None]))[:, 0, 0]
+    over = speed > gains.v_max
+    vel[over] *= (gains.v_max / speed[over])[:, None]
+    pos = world.uav_pos[live] + vel * gains.dt
+    pos[:, 2] = height
+    world.uav_vel[live] = vel
+    world.uav_pos[live] = pos
     world.tick += 1
     world.time = world.tick * gains.dt
 
 
+def _raise_first(checks) -> None:
+    """Raise for the lowest index failing any of ``checks``, (mask, message
+    for an index) pairs, with the message of the first check it fails."""
+    masks = np.array([mask for mask, _ in checks])
+    bad = masks.any(axis=0)
+    if bad.any():
+        i = int(bad.argmax())
+        raise RuntimeError(checks[int(masks[:, i].argmax())][1](i))
+
+
 def _check_invariants(world: WorldState, config: ScenarioConfig,
                       geom: Geometry) -> None:
-    positions = np.array([u.position for u in world.uavs]).reshape(-1, 3)
-    finite = np.isfinite(positions).all(axis=1).tolist()
-    serving, loads = _association(world)
-    for uav, is_finite, load in zip(world.uavs, finite, loads.tolist()):
-        if load > config.gains.n_max:
-            raise RuntimeError(f"UAV {uav.id} over capacity: {load}")
-        if not is_finite:
-            raise RuntimeError(f"UAV {uav.id} position not finite")
-        if uav.alive:
-            if uav.position[2] != config.H:
-                raise RuntimeError(f"UAV {uav.id} off the flight plane")
-            if uav.velocity[2] != 0.0:
-                raise RuntimeError(f"UAV {uav.id} has vertical velocity")
-        if not 0 <= uav.channel < config.radio.num_channels:
-            raise RuntimeError(f"UAV {uav.id} on invalid channel {uav.channel}")
+    pos, vel, alive, channel = (world.uav_pos, world.uav_vel, world.alive,
+                                world.channel)
+    serving, rate = world.serving, world.rate
+    _raise_first([((serving < -1) | (serving >= len(alive)),
+                   lambda m: f"user {m} served by unknown UAV {serving[m]}")])
+    loads = _loads(world)
+    _raise_first([
+        (loads > config.gains.n_max, lambda n: f"UAV {n} over capacity: {loads[n]}"),
+        (~np.isfinite(pos).all(axis=1), lambda n: f"UAV {n} position not finite"),
+        (alive & (pos[:, 2] != config.H), lambda n: f"UAV {n} off the flight plane"),
+        (alive & (vel[:, 2] != 0.0), lambda n: f"UAV {n} has vertical velocity"),
+        ((channel < 0) | (channel >= config.radio.num_channels),
+         lambda n: f"UAV {n} on invalid channel {channel[n]}"),
+        (~np.isfinite(vel).all(axis=1), lambda n: f"UAV {n} velocity not finite")])
     served = np.flatnonzero(serving >= 0)
     cells = serving[served]
     # the distances association read, so a user it found in range at
     # exactly r passes here too
-    far_off = geom.dist[cells, served] > config.gains.r
-    for m, n, far in zip(served.tolist(), cells.tolist(), far_off.tolist()):
-        user, server = world.users[m], world.uavs[n]
-        if not server.alive:
-            raise RuntimeError(f"user {user.id} served by dead UAV {server.id}")
-        if far:
-            raise RuntimeError(f"user {user.id} served out of range")
-        if user.klass == REGULAR and server.channel != L0:
-            raise RuntimeError(
-                f"regular user {user.id} served off the default channel")
+    _raise_first([
+        (~alive[cells], lambda i: f"user {served[i]} served by dead UAV {cells[i]}"),
+        (geom.dist[cells, served] > config.gains.r,
+         lambda i: f"user {served[i]} served out of range"),
+        (~world.premium[served] & (channel[cells] != L0),
+         lambda i: f"regular user {served[i]} served off the default channel")])
+    _raise_first([
+        (~np.isfinite(rate) | (rate < 0.0),
+         lambda m: f"user {m} has invalid rate {rate[m]}"),
+        ((serving < 0) & (rate != 0.0),
+         lambda m: f"unserved user {m} has rate {rate[m]}")])
 
 
 def _record_min_distance(world: WorldState, gains: ControlGains) -> None:
-    alive = [u for u in world.uavs if u.alive]
-    pos = np.array([u.position for u in alive]).reshape(-1, 3)
-    dist = geometry(pos, pos).dist
+    ids = np.flatnonzero(world.alive).tolist()
+    dist = geometry(world.uav_pos[ids], world.uav_pos[ids]).dist
     # row-major order: the (i, j > i) pairs in the order of a nested loop
     for i, j in zip(*np.nonzero(np.triu(dist < gains.d, k=1))):
         world.min_distance_violations.append(
-            (world.time, alive[i].id, alive[j].id, float(dist[i, j])))
+            (world.time, ids[i], ids[j], float(dist[i, j])))
 
 
 def step(world: WorldState,
@@ -452,8 +458,9 @@ def _evaluate(world: WorldState, config: ScenarioConfig):
         if events:
             _apply_rates(world, powers, chan_power, config.radio,
                          config.gains, record=False)
-    active = len({u.channel for u in world.uavs if u.alive})
-    metrics = compute_metrics(world.time, world.users, active)
+    active = len(set(world.channel[world.alive].tolist()))
+    metrics = compute_metrics(world.time, world.premium, world.serving,
+                              world.rate, world.target, active)
     _check_invariants(world, config, geom)
     _record_min_distance(world, config.gains)
     return metrics, events
@@ -492,14 +499,17 @@ def run(config: ScenarioConfig, run_seed: Optional[int] = None,
         switch_events.extend(events)
         metrics_rows.append(metrics)
         if trace:
-            serving, loads = _association(world)
+            t = world.time
             cell_trace.extend(
-                (world.time, uav.id, *uav.position.tolist(),
-                 *uav.velocity[:2].tolist(), uav.channel, uav.alive, load)
-                for uav, load in zip(world.uavs, loads.tolist()))
+                (t, n, *p, *v, ch, a, load) for n, (p, v, ch, a, load)
+                in enumerate(zip(world.uav_pos.tolist(),
+                                 world.uav_vel[:, :2].tolist(),
+                                 world.channel.tolist(), world.alive.tolist(),
+                                 _loads(world).tolist())))
             user_trace.extend(
-                (world.time, user.id, n, user.achieved_rate, user.mean_rate)
-                for user, n in zip(world.users, serving.tolist()))
+                (t, m, n, r, user.mean_rate) for m, (user, n, r)
+                in enumerate(zip(world.users, world.serving.tolist(),
+                                 world.rate.tolist())))
         if k < ticks:
             _integrate(world, config)
     return RunResult(config=config, seed=_seed(config, run_seed),

@@ -166,9 +166,9 @@ def summary_dict(result: RunResult) -> dict:
     return {
         "mode": result.config.controller_mode,
         "seed": result.seed,
-        "uav_count": len(result.world.uavs),
-        "uavs_alive_at_end": sum(1 for u in result.world.uavs if u.alive),
-        "n_users": len(result.world.users),
+        "uav_count": len(result.world.alive),
+        "uavs_alive_at_end": int(result.world.alive.sum()),
+        "n_users": len(result.world.serving),
         "duration": result.config.duration,
         "ticks": len(result.metrics),
         "channel_switches": len(result.switch_events),

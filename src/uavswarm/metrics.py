@@ -1,14 +1,16 @@
 """Per-tick service metrics and steady-state aggregation.
 
-Sums use plain Python arithmetic over the user list so that a by-hand
-recomputation from the same states reproduces every field bit for bit.
+The metrics read the world's user arrays.  Counts are count_nonzero; sums
+are Python's sum() over tolist(), left to right in user order, never
+ndarray.sum(), whose pairwise order changes the bits, so a by-hand
+recomputation one user at a time reproduces every field bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .model import PREMIUM, REGULAR, UserState
+import numpy as np
 
 
 @dataclass
@@ -27,26 +29,28 @@ class TickMetrics:
     active_channels: int            # distinct channels among alive UAVs
 
 
-def _group_stats(group: list[UserState]) -> tuple[float, float, float]:
-    if not group:
+def _group_stats(served: np.ndarray, fulfilled: np.ndarray,
+                 rate: np.ndarray) -> tuple[float, float, float]:
+    n = len(rate)
+    if not n:
         return (0.0, 0.0, 0.0)
-    served = sum(1 for u in group if u.serving_uav is not None)
-    fulfilled = sum(1 for u in group
-                    if u.serving_uav is not None
-                    and u.achieved_rate >= u.target_rate)
-    total_rate = sum(u.achieved_rate for u in group)
-    n = len(group)
-    return (100.0 * served / n, total_rate / n, 100.0 * fulfilled / n)
+    return (100.0 * int(np.count_nonzero(served)) / n, sum(rate.tolist()) / n,
+            100.0 * int(np.count_nonzero(fulfilled)) / n)
 
 
-def compute_metrics(time: float, users: list[UserState],
+def compute_metrics(time: float, premium: np.ndarray, serving: np.ndarray,
+                    rate: np.ndarray, target: np.ndarray,
                     active_channels: int) -> TickMetrics:
-    premium = [u for u in users if u.klass == PREMIUM]
-    regular = [u for u in users if u.klass == REGULAR]
-    p0 = sum(abs(u.achieved_rate - u.target_rate) for u in users)
+    """One tick's metrics from the users' class mask, serving ids (-1 while
+    unserved), achieved rates and targets."""
+    served = serving >= 0
+    fulfilled = served & (rate >= target)
     # per class (served %, mean rate, fulfilled %), in the fields' order
-    return TickMetrics(time, *_group_stats(premium), *_group_stats(regular),
-                       *_group_stats(users), p0, active_channels)
+    stats = [x for group in (premium, ~premium, slice(None))
+             for x in _group_stats(served[group], fulfilled[group],
+                                   rate[group])]
+    p0 = sum(np.abs(rate - target).tolist())
+    return TickMetrics(time, *stats, p0, active_channels)
 
 
 def steady_state(metrics: list[TickMetrics]) -> dict[str, float]:

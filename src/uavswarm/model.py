@@ -2,14 +2,15 @@
 
 Everything internal is SI (m, s, Hz, bits/s).  Transmit and noise powers are
 carried in dBm at the configuration boundary and converted to mW exactly once,
-inside the radio module.  Positions are numpy float arrays of shape (3,).
-UAVs fly at a fixed height with zero vertical velocity; ground users sit at
-z = 0 and do not move.
+inside the radio module.  UAVs fly at a fixed height with zero vertical
+velocity; ground users sit at z = 0 and do not move.
 
-A user's `serving_uav` is the one association record: a cell's users and
-its load are counted from the users' serving ids, never stored on the cell.
-A user's rate window is kept per tick; its trailing mean is computed only
-when read.
+A world's state is a set of arrays on engine.WorldState, one row per cell
+or user.  UavState and UserState are views of one row, with a named
+attribute per array; a user's view also keeps its rate window, one entry
+per tick, whose trailing mean is computed only when read.
+The users' serving ids are the one association record: a cell's users and
+its load are counted from them, never stored on the cell.
 
 Values the model fixes are derived, not configured: ControlGains computes
 the premium gain and the sigma-norm images the kernels need.  Distances
@@ -30,7 +31,7 @@ import operator
 import re
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -70,26 +71,59 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass
+class _Item:
+    """A view's attribute: entry ``id`` of one of its world's arrays, passed
+    through ``read``.  Read-only; _Settable writes the entry in place."""
+
+    def __init__(self, array: str, read=None):
+        self.array, self.read = array, read
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        value = view._arrays[self.array][view.id]
+        return value if self.read is None else self.read(value)
+
+
+class _Settable(_Item):
+    def __set__(self, view, value) -> None:
+        view._arrays[self.array][view.id] = value
+
+
 class UavState:
-    id: int
-    position: np.ndarray            # (3,) m, z pinned to the scenario height
-    velocity: np.ndarray            # (3,) m/s, z component always 0
-    channel: int = L0
-    alive: bool = True
-    last_switch_time: float = 0.0
+    """Cell ``id``, a view of a world's arrays.  ``position`` and
+    ``velocity`` are row views that write through; z is pinned to the
+    height and vz is always 0.  ``_arrays`` maps the world's array names to
+    its arrays and never holds the world, so no view keeps a finished world
+    alive."""
+
+    __slots__ = ("id", "_arrays")
+
+    def __init__(self, id: int, arrays) -> None:
+        self.id, self._arrays = id, arrays
+
+    position = _Settable("uav_pos")                 # (3,) m
+    velocity = _Settable("uav_vel")                 # (3,) m/s
+    alive = _Settable("alive", bool)
+    channel = _Settable("channel", int)
+    last_switch_time = _Item("last_switch", float)
 
 
-@dataclass
 class UserState:
-    id: int
-    position: np.ndarray            # (3,) m, z = 0
-    klass: str                      # PREMIUM or REGULAR
-    target_rate: float              # bits/s
-    serving_uav: Optional[int] = None
-    achieved_rate: float = 0.0      # bits/s, 0 while unserved
-    rate_window: deque = field(default_factory=deque)  # trailing rates
-    rate_times: deque = field(default_factory=deque)   # and their times
+    """Ground user ``id`` at z = 0, a view of a world's arrays as UavState
+    is, and its trailing rate window."""
+
+    __slots__ = ("id", "_arrays", "rate_window", "rate_times")
+    position = _Item("user_pos")                    # (3,) m
+    klass = _Item("premium", lambda p: PREMIUM if p else REGULAR)
+    target_rate = _Item("target", float)            # bits/s
+    serving_uav = _Item("serving", lambda n: None if n < 0 else int(n))
+    achieved_rate = _Item("rate", float)            # bits/s, 0 while unserved
+
+    def __init__(self, id: int, arrays) -> None:
+        self.id, self._arrays = id, arrays
+        self.rate_window: deque = deque()   # trailing rates
+        self.rate_times: deque = deque()    # and their times
 
     @property
     def mean_rate(self) -> float:

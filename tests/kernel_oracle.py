@@ -1,5 +1,6 @@
 """Per-neighbor loop forms of the controller terms and of greedy association,
-and the (time, rate) pair form of the trailing rate window.
+the (time, rate) pair form of the trailing rate window, the per-cell form
+of the integration step and the per-user form of the tick metrics.
 
 These are the scalar reference versions that the package's masked array
 reductions replace.  They walk one cell, neighbor or user at a time,
@@ -22,6 +23,7 @@ from uavswarm.kernels import (
     phi_sigmoid,
     sigma_norm_scalar,
 )
+from uavswarm.metrics import TickMetrics
 from uavswarm.model import L0, PREMIUM
 
 
@@ -147,3 +149,42 @@ def oracle_mean_rates(times, rates, tau):
             window.popleft()
         means.append(sum(map(itemgetter(1), window)) / len(window))
     return means
+
+
+def oracle_advance(positions, velocities, alive, controls, gains, height):
+    """The semi-implicit Euler step one cell at a time, its speed from
+    np.linalg.norm; returns new (positions, velocities) arrays."""
+    positions, velocities = positions.copy(), velocities.copy()
+    for i in range(len(positions)):
+        if not alive[i]:
+            continue
+        v = velocities[i] + controls[i] * gains.dt
+        v[2] = 0.0
+        speed = float(np.linalg.norm(v))
+        if speed > gains.v_max:
+            v = v * (gains.v_max / speed)
+        p = positions[i] + v * gains.dt
+        p[2] = height
+        positions[i], velocities[i] = p, v
+    return positions, velocities
+
+
+def oracle_metrics(time, premium, serving, rate, target, active_channels):
+    """The tick metrics one user at a time: counts and sums are generators
+    over Python floats in user order."""
+    users = list(zip(premium.tolist(), serving.tolist(), rate.tolist(),
+                     target.tolist()))
+
+    def group_stats(group):
+        if not group:
+            return (0.0, 0.0, 0.0)
+        served = sum(1 for _, n, _, _ in group if n >= 0)
+        fulfilled = sum(1 for _, n, r, t in group if n >= 0 and r >= t)
+        total_rate = sum(r for _, _, r, _ in group)
+        k = len(group)
+        return (100.0 * served / k, total_rate / k, 100.0 * fulfilled / k)
+
+    p0 = sum(abs(r - t) for _, _, r, t in users)
+    return TickMetrics(time, *group_stats([u for u in users if u[0]]),
+                       *group_stats([u for u in users if not u[0]]),
+                       *group_stats(users), p0, active_channels)

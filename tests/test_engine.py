@@ -215,8 +215,10 @@ class TestAssociation:
 
 class TestInvariants:
     def _served_world(self):
+        # 82 users at one spot: cell 0 serves its capacity of 80 of them,
+        # cell 1 is out of everyone's range, and users 80 and 81 go unserved
         cfg = ScenarioConfig(
-            users=[UserSpec(klass="regular", position=(240.0, 0.0))],
+            users=[UserSpec(klass="regular", position=(240.0, 0.0))] * 82,
             uav_count=2, uav_initial_positions=[(0.0, 0.0), (900.0, 0.0)],
             H=180.0)
         world = make_world(cfg)
@@ -235,9 +237,17 @@ class TestInvariants:
         (lambda w: setattr(w.uavs[0], "channel", 3), "off the default channel"),
         (lambda w: w.uavs[1].position.__setitem__(1, np.nan),
          "UAV 1 position not finite"),
-        (lambda w: w.users.extend(replace(w.users[0], id=m, serving_uav=1)
-                                  for m in range(1, 82)),
+        (lambda w: w.serving.__setitem__(slice(1, None), 1),
          "UAV 1 over capacity"),
+        (lambda w: w.uav_vel.__setitem__((1, 0), np.nan),
+         "UAV 1 velocity not finite"),
+        (lambda w: w.rate.__setitem__(0, np.nan), "user 0 has invalid rate nan"),
+        (lambda w: w.rate.__setitem__(0, -1.0), "user 0 has invalid rate -1"),
+        (lambda w: w.rate.__setitem__(0, np.inf), "user 0 has invalid rate inf"),
+        (lambda w: w.rate.__setitem__(81, 5e6), "unserved user 81 has rate"),
+        (lambda w: w.serving.__setitem__(0, 2), "user 0 served by unknown UAV 2"),
+        (lambda w: w.serving.__setitem__(0, -2),
+         "user 0 served by unknown UAV -2"),
     ])
     def test_each_breach_raises(self, breach, message):
         world, cfg = self._served_world()

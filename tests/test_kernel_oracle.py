@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from kernel_oracle import (
+    oracle_advance,
     oracle_associate,
     oracle_f_term,
     oracle_flocking_goal_term,
@@ -19,17 +20,16 @@ from kernel_oracle import (
     oracle_h_term,
     oracle_mean_rates,
 )
-from uavswarm.engine import WorldState, associate_users, tick_geometry
+from uavswarm.engine import advance, associate_users, tick_geometry
 from uavswarm.kernels import f_term, flocking_goal_term, g_term, h_term
 from uavswarm.model import (
     PREMIUM,
     REGULAR,
     TARGET_RATE,
     ControlGains,
-    UavState,
-    UserState,
     vec3,
 )
+from worlds import world_of
 
 GAINS = ControlGains()
 SEEDS = range(200)
@@ -153,20 +153,16 @@ def _assoc_world(rng):
     n_cells = int(rng.integers(0, 7))
     n_users = int(rng.integers(0, 40))
     positions, alive, _, _ = _cells(rng, n_cells)
-    uavs = [UavState(id=n, position=positions[n], velocity=vec3(),
-                     channel=int(rng.choice([0, 0, 2])),
-                     alive=bool(alive[n]))
-            for n in range(n_cells)]
+    channels = [int(rng.choice([0, 0, 2])) for _ in range(n_cells)]
     anchor = positions[0] if n_cells else vec3(0.0, 0.0, HEIGHT)
     _, user_pos, _, _, premium = _users(rng, n_users, anchor)
-    users = [UserState(id=m, position=user_pos[m],
-                       klass=PREMIUM if premium[m] else REGULAR,
-                       target_rate=TARGET_RATE[PREMIUM if premium[m]
-                                               else REGULAR])
-             for m in range(n_users)]
     gains = ControlGains(n_max=int(rng.integers(1, 5)))
-    return WorldState(time=0.0, tick=0, uavs=uavs, users=users,
-                      failure_rng=np.random.default_rng(0)), gains
+    world = world_of(positions[:, :2].tolist(),
+                     [(PREMIUM if p else REGULAR, x, y)
+                      for p, (x, y, _) in zip(premium, user_pos.tolist())],
+                     channels=channels, H=HEIGHT, gains=gains)
+    world.alive[:] = alive
+    return world, gains
 
 
 def _spilled(world, serving, gains):
@@ -214,11 +210,32 @@ def test_rate_window_mean_matches_pair_form_bits(dt, tau):
     rates = (rng.choice([0.0, 1.0, 1e-3, 1e8], ticks) *
              rng.uniform(0.5, 3.0, ticks)).tolist()
     want = oracle_mean_rates(times, rates, tau)
-    user = UserState(id=0, position=vec3(), klass=PREMIUM,
-                     target_rate=TARGET_RATE[PREMIUM])
+    user = world_of([], [(PREMIUM, 0.0, 0.0)]).users[0]
     lengths = set()
     for k, (time, rate) in enumerate(zip(times, rates)):
         user.record_rate(time, rate, tau)
         assert user.mean_rate == want[k], k
         lengths.add(len(user.rate_window))
     assert {round(tau / dt), round(tau / dt) + 1} <= lengths
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_advance_matches_per_cell_loop_bits(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 120))
+    world = world_of([(0.0, 0.0)] * n, [], H=HEIGHT)
+    world.uav_pos[:] = rng.uniform(-2e3, 2e3, (n, 3))
+    # most rows end above v_max, so the clamp and its speed decide the bits
+    world.uav_vel[:] = rng.normal(scale=2 * GAINS.v_max, size=(n, 3))
+    world.alive[:] = rng.random(n) < 0.8
+    controls = rng.normal(scale=4 * GAINS.u_max, size=(n, 3))
+    before = world.uav_pos.copy(), world.uav_vel.copy()
+    want = oracle_advance(*before, world.alive, controls, GAINS, HEIGHT)
+    advance(world, controls, GAINS, HEIGHT)
+    assert world.uav_pos.tobytes() == want[0].tobytes()
+    assert world.uav_vel.tobytes() == want[1].tobytes()
+    dead = ~world.alive
+    assert world.uav_pos[dead].tobytes() == before[0][dead].tobytes()
+    assert world.uav_vel[dead].tobytes() == before[1][dead].tobytes()
+    speeds = np.linalg.norm(world.uav_vel[world.alive], axis=1)
+    assert (speeds > GAINS.v_max * (1 - 1e-12)).mean() > 0.5

@@ -1,9 +1,10 @@
 """Metamorphic tests: changes to fig3 that the model must not notice.
 
 A quarter turn of the plane, (x, y) -> (-y, x), moves every coordinate
-exactly in floats, and a dead cell serves no one, interferes with no one
-and takes no part in the spacing terms.  Either must leave fig3's metrics,
-switches and failures as they are, within the golden comparer's
+exactly in floats, as does a shift of the plane by an offset whose sums with
+fig3's coordinates are exact; a dead cell serves no one, interferes with no
+one and takes no part in the spacing terms.  None of these may change
+fig3's metrics, switches and failures beyond the golden comparer's
 tolerance.
 """
 
@@ -39,6 +40,25 @@ def test_quarter_turn_matches_golden(goldens, name):
     # turn the final cell states back: (x', y') = (-y, x) gives (y', -x')
     for key in ("final_positions", "final_velocities"):
         got["float"][key] = [[y, -x] for x, y in got["float"][key]]
+    assert compare(goldens[name], got) == []
+
+
+@pytest.mark.parametrize("offset", [(1000.0, -500.0), (256.0, 128.0),
+                                    (3.0, -7.0)])
+@pytest.mark.parametrize("name", ["qos", "flocking"])
+def test_plane_shift_matches_golden(goldens, name, offset):
+    config = fig3_configs()[name]
+    dx, dy = offset
+    shifted = replace(
+        config,
+        users=[replace(spec, position=(spec.position[0] + dx,
+                                       spec.position[1] + dy))
+               for spec in config.users],
+        uav_initial_positions=[(x + dx, y + dy)
+                               for x, y in config.uav_initial_positions])
+    got = digest(run(shifted))
+    got["float"]["final_positions"] = [
+        [x - dx, y - dy] for x, y in got["float"]["final_positions"]]
     assert compare(goldens[name], got) == []
 
 

@@ -1,14 +1,28 @@
 """Service metrics: exact group arithmetic and steady-state tails."""
 
+import numpy as np
 import pytest
 
+from kernel_oracle import oracle_metrics
 from uavswarm.metrics import TickMetrics, compute_metrics, steady_state
-from uavswarm.model import UserState, vec3
+from uavswarm.model import PREMIUM, REGULAR, TARGET_RATE
+from worlds import world_of
 
 
 def _user(uid, klass, target, served=None, rate=0.0):
-    return UserState(uid, vec3(uid * 10.0, 0, 0), klass, target,
-                     serving_uav=served, achieved_rate=rate)
+    return (klass, (uid * 10.0, 0.0), target, served, rate)
+
+
+def _metrics(time, users, active_channels):
+    """compute_metrics over a world of ``users`` made by _user, with each
+    user's target, serving id and rate written into the world's arrays."""
+    world = world_of([], [(klass, *xy) for klass, xy, *_ in users])
+    for m, (_, _, target, served, rate) in enumerate(users):
+        world.target[m] = target
+        world.serving[m] = -1 if served is None else served
+        world.rate[m] = rate
+    return compute_metrics(time, world.premium, world.serving, world.rate,
+                           world.target, active_channels)
 
 
 class TestComputeMetrics:
@@ -19,7 +33,7 @@ class TestComputeMetrics:
             _user(0, "regular", 100e6, served=3, rate=200e6),
             _user(1, "regular", 100e6),
         ]
-        m = compute_metrics(1.0, users, active_channels=1)
+        m = _metrics(1.0, users, active_channels=1)
         assert m.regular_served_pct == 50.0
         assert m.regular_fulfilled_pct == 50.0
         assert m.regular_mean_rate == 100e6
@@ -32,7 +46,7 @@ class TestComputeMetrics:
             _user(0, "premium", 300e6, served=0, rate=300e6),
             _user(1, "regular", 100e6, served=1, rate=100e6),
         ]
-        m = compute_metrics(2.0, users, active_channels=2)
+        m = _metrics(2.0, users, active_channels=2)
         assert m.premium_fulfilled_pct == 100.0
         assert m.regular_fulfilled_pct == 100.0
         assert m.all_fulfilled_pct == 100.0
@@ -41,18 +55,18 @@ class TestComputeMetrics:
 
     def test_served_but_below_target_not_fulfilled(self):
         users = [_user(0, "premium", 300e6, served=0, rate=299e6)]
-        m = compute_metrics(0.0, users, active_channels=1)
+        m = _metrics(0.0, users, active_channels=1)
         assert m.premium_served_pct == 100.0
         assert m.premium_fulfilled_pct == 0.0
 
     def test_unserved_rate_never_counts_as_fulfilled(self):
         # a stale achieved_rate on an unserved user must not fulfil
         u = _user(0, "premium", 300e6, served=None, rate=400e6)
-        m = compute_metrics(0.0, [u], active_channels=0)
+        m = _metrics(0.0, [u], active_channels=0)
         assert m.premium_fulfilled_pct == 0.0
 
     def test_empty_groups_are_zero(self):
-        m = compute_metrics(0.0, [], active_channels=0)
+        m = _metrics(0.0, [], active_channels=0)
         for field in ("premium_served_pct", "regular_mean_rate",
                       "all_fulfilled_pct", "p0_objective"):
             assert getattr(m, field) == 0.0
@@ -65,7 +79,7 @@ class TestComputeMetrics:
             _user(3, "regular", 100e6, served=1, rate=100e6),
             _user(4, "regular", 100e6, served=1, rate=60e6),
         ]
-        m = compute_metrics(7.0, users, active_channels=2)
+        m = _metrics(7.0, users, active_channels=2)
         assert m.premium_served_pct == pytest.approx(100.0 * 2 / 3)
         assert m.premium_fulfilled_pct == pytest.approx(100.0 / 3)
         assert m.premium_mean_rate == pytest.approx((310e6 + 120e6) / 3)
@@ -74,6 +88,24 @@ class TestComputeMetrics:
         assert m.all_served_pct == 80.0
         assert m.p0_objective == pytest.approx(
             10e6 + 180e6 + 300e6 + 0.0 + 40e6)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_array_metrics_match_per_user_oracle_bits(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 40))
+    # empty classes, everyone unserved, and rates exactly at target
+    premium = rng.random(n) < rng.choice([0.0, 0.3, 1.0])
+    serving = rng.integers(-1, 5, n) if seed % 4 else np.full(n, -1)
+    target = np.where(premium, TARGET_RATE[PREMIUM], TARGET_RATE[REGULAR])
+    rate = target * rng.choice([0.0, 1.0, 0.5, 1.5], n) * \
+        rng.choice([1.0, 1.0, rng.uniform(0.1, 3.0)], n)
+    rate[serving < 0] = rng.choice([0.0, 0.0, 1e6])
+    got = compute_metrics(seed * 0.1, premium, serving, rate, target, 3)
+    want = oracle_metrics(seed * 0.1, premium, serving, rate, target, 3)
+    assert got == want
+    # repr shows types and the sign of a zero
+    assert repr(got) == repr(want)
 
 
 def _row(t, value):

@@ -13,7 +13,6 @@ from uavswarm import engine
 from uavswarm.model import (
     MAX_TICKS,
     PREMIUM,
-    TARGET_RATE,
     ControlGains,
     FailureEvent,
     RadioParams,
@@ -29,6 +28,7 @@ from uavswarm.model import (
     vec3,
 )
 from uavswarm.radio import link_budget
+from worlds import world_of
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 SHIPPED = ["fig3_three_users.yaml", "fig5_parade.yaml", "sweep_base.yaml"]
@@ -431,8 +431,7 @@ def test_empty_section_keeps_default(key, value):
 
 
 def _user() -> UserState:
-    return UserState(id=0, position=vec3(), klass=PREMIUM,
-                     target_rate=TARGET_RATE[PREMIUM])
+    return world_of([], [(PREMIUM, 0.0, 0.0)]).users[0]
 
 
 @pytest.mark.parametrize("dt, tau", [(0.1, 5.0), (0.1, 0.3), (0.3, 0.9),

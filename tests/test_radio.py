@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from radio_oracle import oracle_link
-from uavswarm.engine import WorldState, make_world, tick_geometry, update_rates
+from uavswarm.engine import make_world, tick_geometry, update_rates
 from uavswarm.model import (
     ControlGains,
     RadioParams,
     ScenarioConfig,
-    UavState,
     UserSpec,
-    UserState,
     vec3,
 )
 from uavswarm.radio import (
@@ -25,6 +23,7 @@ from uavswarm.radio import (
     path_loss_db,
     received_power_field,
 )
+from worlds import world_of
 
 AS_WRITTEN = RadioParams()
 STANDARD = RadioParams(plos_form="standard")
@@ -131,14 +130,10 @@ def test_geometry_puts_a_right_triangle_at_exactly_r():
 
 def _radio_world():
     """UAV 0 serves one premium user; UAV 1 is an idle co-channel cell."""
-    uavs = [
-        UavState(0, vec3(0, 0, 100), vec3(), channel=1),
-        UavState(1, vec3(400, 0, 100), vec3(), channel=1),
-        UavState(2, vec3(-400, 0, 100), vec3(), channel=2),
-    ]
-    users = [UserState(0, vec3(10, 0, 0), "premium", 300e6, serving_uav=0)]
-    return WorldState(time=0.0, tick=0, uavs=uavs, users=users,
-                      failure_rng=np.random.default_rng(0))
+    world = world_of([(0, 0), (400, 0), (-400, 0)], [("premium", 10, 0)],
+                     channels=[1, 1, 2], H=100.0)
+    world.serving[0] = 0
+    return world
 
 
 def _rate(world):

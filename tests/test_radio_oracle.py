@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 from radio_oracle import (
@@ -15,21 +14,18 @@ from radio_oracle import (
     oracle_sinr,
 )
 from uavswarm.engine import (
-    WorldState,
     associate_users,
     channel_switching,
     tick_geometry,
     update_rates,
 )
 from uavswarm.model import (
-    TARGET_RATE,
     ControlGains,
     RadioParams,
-    UavState,
-    UserState,
     vec3,
 )
 from uavswarm.radio import link_budget
+from worlds import world_of
 
 REL = 1e-9
 
@@ -71,11 +67,6 @@ def _link_kw(radio):
                 form=radio.plos_form)
 
 
-def _world(uavs, users, time=0.0):
-    return WorldState(time=time, tick=0, uavs=uavs, users=users,
-                      failure_rng=np.random.default_rng(0))
-
-
 def _oracle_sinr(world, channels, n, m, radio):
     """User m's SINR from cell n, with every other alive cell on n's
     channel (per ``channels``) interfering, served or idle."""
@@ -97,14 +88,12 @@ def test_sinr_matches_oracle():
         pts = [(rnd.uniform(-400, 400), rnd.uniform(-400, 400), 100.0)
                for _ in range(4)]
         user_xy = (rnd.uniform(-400, 400), rnd.uniform(-400, 400), 0.0)
-        uavs = [UavState(i, vec3(*p), vec3(), channel=1 if i < 3 else 2)
-                for i, p in enumerate(pts)]
-        users = [UserState(0, vec3(*user_xy), "premium", 300e6,
-                           serving_uav=0)]
-        world = _world(uavs, users)
+        world = world_of([p[:2] for p in pts], [("premium", *user_xy[:2])],
+                         channels=[1, 1, 1, 2], H=100.0)
+        world.serving[0] = 0
         update_rates(world, params, ControlGains(), tick_geometry(world))
         want = oracle_sinr(pts[0], pts[1:3], user_xy, form="standard")
-        assert users[0].achieved_rate == pytest.approx(
+        assert world.users[0].achieved_rate == pytest.approx(
             _oracle_rate(want, params), rel=REL)
 
 
@@ -116,20 +105,19 @@ def _random_world(rnd):
     radio = RadioParams(num_channels=channels,
                         plos_form=rnd.choice(["as_written", "standard"]),
                         delta=rnd.choice([2.0, 1.43]))
-    uavs = [UavState(n, vec3(rnd.uniform(0, 500), rnd.uniform(0, 300), 100.0),
-                     vec3(), channel=rnd.randrange(channels))
-            for n in range(rnd.randint(3, 6))]
-    uavs[rnd.randrange(len(uavs))].alive = False
-    uavs.append(UavState(len(uavs), vec3(3000.0, 0.0, 100.0), vec3(),
-                         channel=rnd.randrange(channels)))
+    cells = [((rnd.uniform(0, 500), rnd.uniform(0, 300)),
+              rnd.randrange(channels)) for _ in range(rnd.randint(3, 6))]
+    dead = rnd.randrange(len(cells))
+    cells.append(((3000.0, 0.0), rnd.randrange(channels)))
     users = []
-    for m in range(rnd.randint(4, 14)):
+    for _ in range(rnd.randint(4, 14)):
         klass = rnd.choice(["premium", "regular"])
-        users.append(UserState(m, vec3(rnd.uniform(0, 500),
-                                       rnd.uniform(0, 300), 0.0),
-                               klass, TARGET_RATE[klass]))
+        users.append((klass, rnd.uniform(0, 500), rnd.uniform(0, 300)))
     # past the switch cooldown, so every deficient premium user may trigger
-    return _world(uavs, users, time=10.0), radio
+    world = world_of([xy for xy, _ in cells], users,
+                     channels=[k for _, k in cells], time=10.0, H=100.0)
+    world.alive[dead] = False
+    return world, radio
 
 
 def test_engine_rates_and_switch_sinr_match_oracle():

@@ -55,3 +55,19 @@ def test_traced_ticks_count_one_rate_record_per_user(tracer, fig3_config):
     for span in ("engine.control", "kernels.f", "kernels.g", "kernels.h",
                  "engine.advance"):
         assert traced.calls[span] == ticks - 1, span
+
+
+@pytest.mark.parametrize("name, seed", [("fig5", 169), ("field_flock", 0)])
+def test_benchmark_digest_matches_its_reference(monkeypatch, tmp_path, name,
+                                                seed):
+    # the digest reads world.users[i].klass and world.uavs[i].id / .alive,
+    # so a view that breaks them fails here, not only in the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from worker import REL_TOL, load_reference
+
+    config = workloads.build_config(name, seed)
+    result = workloads.run_op(name, config, seed, tmp_path)
+    assert workloads.check_outputs(name, config, result, tmp_path) == []
+    assert workloads.compare(load_reference(name, seed),
+                             workloads.digest(name, result), REL_TOL) == []
