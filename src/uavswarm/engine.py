@@ -21,6 +21,15 @@ built once per tick, right after (1).  Association reads its distances,
 update_rates hands it to radio.received_power_field, and the invariant
 check reads the served pairs' distances from it: the range test sees the
 very values association saw.
+
+The world's cell and user counts are fixed (dead cells keep their rows),
+so every (cells, users) array of a tick lives in one Workspace that the
+world builds on first use and the tick writes in place with out=: the
+geometry, association's eligibility mask and masked distances, and the
+power field.  What tick_geometry returns stays valid until the next
+tick_geometry on that world, and the power field until the next
+update_rates; nothing reads either after its tick.  run() drops the
+workspace when it returns, and a later step() builds it again.
 """
 
 from __future__ import annotations
@@ -50,6 +59,24 @@ from .radio import (Geometry, data_rate, dbm_to_mw, geometry,
                     received_power_field)
 
 
+class Workspace:
+    """The (cells, users) arrays of one tick, written in place tick after
+    tick: the geometry's distances and elevations, the power field,
+    association's eligibility mask and one float scratch array.  The
+    scratch holds dz in the geometry, then association's masked distances
+    (users, cells), then ln d in the power field.  It holds no reference
+    to its world."""
+
+    __slots__ = ("geom", "scratch", "powers", "eligible")
+
+    def __init__(self, n_cells: int, n_users: int) -> None:
+        shape = (n_cells, n_users)
+        self.geom = Geometry(np.empty(shape), np.empty(shape))
+        self.scratch = np.empty(shape)
+        self.powers = np.empty(shape)
+        self.eligible = np.empty(shape, dtype=bool)
+
+
 @dataclass(eq=False)
 class WorldState:
     """The world's state as arrays indexed by cell and user id.  Phases
@@ -71,6 +98,8 @@ class WorldState:
     failures: list[tuple[float, list[int]]] = field(default_factory=list)
     # (time, uav_id, uav_id, distance) per alive pair closer than gains.d
     min_distance_violations: list[tuple] = field(default_factory=list)
+    # the tick's (cells, users) buffers, built on first use
+    workspace: Optional[Workspace] = field(default=None, repr=False)
     uavs: list[UavState] = field(init=False, repr=False)
     users: list[UserState] = field(init=False, repr=False)
 
@@ -174,9 +203,20 @@ def inject_failures(world: WorldState, fraction: float) -> list[int]:
     return killed
 
 
+def _workspace(world: WorldState) -> Workspace:
+    if world.workspace is None:
+        world.workspace = Workspace(len(world.alive), len(world.serving))
+    return world.workspace
+
+
 def tick_geometry(world: WorldState) -> Geometry:
-    """The cells x users geometry of the world's current positions."""
-    return geometry(world.uav_pos, world.user_pos)
+    """The cells x users geometry of the world's current positions, as
+    views into the world's workspace: they hold until the next
+    tick_geometry on that world.  Code that keeps two geometries calls
+    radio.geometry."""
+    ws = _workspace(world)
+    return geometry(world.uav_pos, world.user_pos, out=ws.geom,
+                    scratch=ws.scratch)
 
 
 def associate_users(world: WorldState, gains: ControlGains,
@@ -188,20 +228,34 @@ def associate_users(world: WorldState, gains: ControlGains,
     distance to their nearest eligible UAV; each takes the nearest eligible
     UAV with spare capacity, spilling to the next nearest when full.
     Distances come from the tick's geometry.
+
+    When no UAV is the nearest eligible one of more than n_max users, no
+    user ever finds its nearest UAV full, so every user takes it; the
+    greedy pass runs only when some UAV would spill.
     """
     n_cells, n_users = len(world.alive), len(world.serving)
     world.serving.fill(-1)
     if not n_cells or not n_users:
         return
-    dist = geom.dist
-    eligible = world.alive[:, None] & (dist <= gains.r) & \
-        (world.premium[None, :] | (world.channel == L0)[:, None])
+    ws = _workspace(world)
+    dist, eligible = geom.dist, ws.eligible
+    np.less_equal(dist, gains.r, out=eligible)
+    eligible &= world.alive[:, None]
+    for n in np.flatnonzero(world.channel != L0).tolist():
+        eligible[n] &= world.premium
+    # one row per user, so that the argmin runs along rows, copying nothing
+    masked = ws.scratch.reshape(n_users, n_cells)
+    masked.fill(np.inf)
+    np.copyto(masked, dist.T, where=eligible.T)
     ids = np.arange(n_users)
-    masked = np.where(eligible, dist, np.inf)
-    closest = masked.argmin(axis=0)         # lowest id among equal distances
-    nearest = masked[closest, ids]
+    closest = masked.argmin(axis=1)         # lowest id among equal distances
+    nearest = masked[ids, closest]
+    reachable = np.isfinite(nearest)
+    if np.bincount(closest[reachable], minlength=n_cells).max() <= gains.n_max:
+        world.serving[reachable] = closest[reachable]
+        return
     order = np.lexsort((ids, nearest))
-    order = order[:np.count_nonzero(np.isfinite(nearest))].tolist()
+    order = order[:np.count_nonzero(reachable)].tolist()
     closest = closest.tolist()
     load = [0] * n_cells
     taken, cells = [], []
@@ -245,10 +299,13 @@ def update_rates(world: WorldState, radio: RadioParams, gains: ControlGains,
     """Compute every link's achieved rate and push it into the rate windows.
 
     Returns the (n_uavs, n_users) received-power matrix in mW over the
-    tick's geometry with dead UAVs zeroed, and the (num_channels, n_users)
-    per-channel power sums.
+    tick's geometry with dead UAVs zeroed, which is the world's workspace
+    and holds until the next update_rates on that world, and the
+    (num_channels, n_users) per-channel power sums.
     """
-    powers = received_power_field(geom, radio)
+    ws = _workspace(world)
+    powers = received_power_field(geom, radio, out=ws.powers,
+                                  scratch=ws.scratch)
     powers[~world.alive] = 0.0
     chan_power = np.zeros((radio.num_channels, len(world.serving)))
     for n, k in zip(np.flatnonzero(world.alive).tolist(),
@@ -512,6 +569,7 @@ def run(config: ScenarioConfig, run_seed: Optional[int] = None,
                                  world.rate.tolist())))
         if k < ticks:
             _integrate(world, config)
+    world.workspace = None      # a later step() on the world rebuilds it
     return RunResult(config=config, seed=_seed(config, run_seed),
                      metrics=metrics_rows, trace=cell_trace,
                      user_trace=user_trace, switch_events=switch_events,

@@ -20,9 +20,10 @@ read-only properties on it.
 The terms follow Olfati-Saber's flocking construction, which is defined over
 neighbor sets, so each term is evaluated for the whole fleet at once and
 returns one (cells, 3) row per cell: f and g are masked (cells, cells)
-reductions over the alive cells within r of each cell, h is one masked
-(cells, users) reduction whose per-user weights are computed once, and the
-flocking goal computes the user centroid once.  The per-pair weights are
+reductions over the alive cells within r of each cell, sharing one build
+of the cell pairs per control pass, h is one masked (cells, users)
+reduction whose per-user weights are computed once, and the flocking goal
+computes the user centroid once.  The per-pair weights are
 contracted with the stacked sigma-gradients in one batched matmul, so each
 row sums in BLAS order rather than neighbor order; results agree with a per-neighbor loop
 to rounding, within 1e-12 relative.
@@ -88,11 +89,13 @@ def pair_potential(z_sig, p: ControlGains):
     return val
 
 
-def _sigma_grads(rel: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sigma-gradients of (..., 3) offsets along the last axis, and their
-    Euclidean norms."""
+def _sigma_grads(rel: np.ndarray, eps: float,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma-gradients of (..., 3) offsets along the last axis, in ``out``
+    when given (which may be ``rel``), and their Euclidean norms."""
     sq = np.einsum("...k,...k->...", rel, rel)
-    return rel / np.sqrt(1.0 + eps * sq)[..., None], np.sqrt(sq)
+    return (np.divide(rel, np.sqrt(1.0 + eps * sq)[..., None], out=out),
+            np.sqrt(sq))
 
 
 def _row_sums(weight: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -112,16 +115,18 @@ def _cell_pairs(positions: np.ndarray, alive: np.ndarray, p: ControlGains):
 
 
 def f_term(positions: np.ndarray, loads: np.ndarray, alive: np.ndarray,
-           p: ControlGains) -> np.ndarray:
+           p: ControlGains, pairs=None) -> np.ndarray:
     """Inter-UAV spacing force on every cell, as (cells, 3) rows.
 
     For each alive neighbor within range r: pair potential of the
     sigma-distance plus a crowding penalty a * (1 - bump(...)) that turns on
     as the neighbor's load approaches n_max, both along the sigma-gradient
     toward the neighbor.  Coincident neighbors (distance 0) exert nothing.
+    ``pairs``, when given, is _cell_pairs(positions, alive, p), shared with
+    g_term and left unchanged.
     """
-    grads, dist, near = _cell_pairs(positions, alive, p)
-    near &= dist > 0.0
+    grads, dist, near = pairs or _cell_pairs(positions, alive, p)
+    near = near & (dist > 0.0)
     overload = np.maximum(loads - p.n_max, 0)
     crowd = p.a * (1.0 - bump(
         sigma_norm_scalar(overload, p.eps) / p.n_max_sig, 0.0))
@@ -130,13 +135,14 @@ def f_term(positions: np.ndarray, loads: np.ndarray, alive: np.ndarray,
 
 
 def g_term(positions: np.ndarray, velocities: np.ndarray, alive: np.ndarray,
-           p: ControlGains) -> np.ndarray:
+           p: ControlGains, pairs=None) -> np.ndarray:
     """Velocity consensus force on every cell over its alive neighbors
     within r, as (cells, 3) rows.
 
-    Coincident neighbors count, with full weight.
+    Coincident neighbors count, with full weight.  ``pairs`` is as in
+    f_term.
     """
-    _, dist, near = _cell_pairs(positions, alive, p)
+    _, dist, near = pairs or _cell_pairs(positions, alive, p)
     weight = np.where(near, bump(sigma_norm_scalar(dist, p.eps) / p.r_sig,
                                  0.2), 0.0)
     return _row_sums(weight, velocities[None, :, :] - velocities[:, None, :])
@@ -154,14 +160,19 @@ def h_term(positions: np.ndarray, connected: np.ndarray, user_pos: np.ndarray,
     Mbit/s, with class-specific gain, gated to zero once the rate reaches
     beta * target.  Both per-user weights are the same for every cell.
     """
-    grads, dist = _sigma_grads(user_pos[None, :, :] - positions[:, None, :],
-                               p.eps)
+    rel = user_pos[None, :, :] - positions[:, None, :]
+    grads, weight = _sigma_grads(rel, p.eps, out=rel)
     gain = np.where(premium, p.c2_prem, p.c2_reg)
     gate = bump(rates / (p.beta * targets), 0.0)
     pull = gain * gate * phi_sigmoid((targets - rates) / 1e6, p)
     # repulsion runs along the negated sigma-gradient of rel
     push = -p.c1 * (np.maximum(targets - rates, 0.0) / targets)
-    weight = np.where(connected, pull, np.where(dist <= p.r, push, 0.0))
+    # the weights overwrite the distances: pull where connected, else push
+    # within r, else 0
+    in_range = weight <= p.r
+    weight.fill(0.0)
+    np.copyto(weight, push, where=in_range)
+    np.copyto(weight, pull, where=connected)
     return _row_sums(weight, grads)
 
 
@@ -183,8 +194,9 @@ def control_input(positions: np.ndarray, velocities: np.ndarray,
                   mode: str = QOS_MODE) -> np.ndarray:
     """Control inputs for every cell as (cells, 3) rows: z zeroed, each row
     clamped to p.u_max, dead cells zero."""
-    u = f_term(positions, loads, alive, p) + \
-        g_term(positions, velocities, alive, p)
+    pairs = _cell_pairs(positions, alive, p)
+    u = f_term(positions, loads, alive, p, pairs=pairs) + \
+        g_term(positions, velocities, alive, p, pairs=pairs)
     if mode == QOS_MODE:
         u += h_term(positions, connected, user_pos, rates, targets, premium, p)
     elif mode == FLOCKING_MODE:

@@ -1,9 +1,10 @@
 """Per-tick service metrics and steady-state aggregation.
 
 The metrics read the world's user arrays.  Counts are count_nonzero; sums
-are Python's sum() over tolist(), left to right in user order, never
-ndarray.sum(), whose pairwise order changes the bits, so a by-hand
-recomputation one user at a time reproduces every field bit for bit.
+are seq_sum, left to right in user order, never ndarray.sum(), whose
+pairwise order changes the bits, nor Python's sum(), which is compensated
+from CPython 3.12 on.  So a by-hand recomputation one user at a time,
+acc += x, reproduces every field bit for bit on any interpreter.
 """
 
 from __future__ import annotations
@@ -29,12 +30,22 @@ class TickMetrics:
     active_channels: int            # distinct channels among alive UAVs
 
 
+def seq_sum(values) -> float:
+    """The float sum of ``values`` taken left to right, one addition at a
+    time, as a Python float: acc = 0.0, then acc += x for each x.  The
+    trailing + 0.0 turns an all -0.0 sum into 0.0, as that loop does.  No
+    values give int 0, as sum() does."""
+    if not len(values):
+        return 0
+    return float(np.add.accumulate(np.asarray(values, dtype=float))[-1]) + 0.0
+
+
 def _group_stats(served: np.ndarray, fulfilled: np.ndarray,
                  rate: np.ndarray) -> tuple[float, float, float]:
     n = len(rate)
     if not n:
         return (0.0, 0.0, 0.0)
-    return (100.0 * int(np.count_nonzero(served)) / n, sum(rate.tolist()) / n,
+    return (100.0 * int(np.count_nonzero(served)) / n, seq_sum(rate) / n,
             100.0 * int(np.count_nonzero(fulfilled)) / n)
 
 
@@ -49,7 +60,7 @@ def compute_metrics(time: float, premium: np.ndarray, serving: np.ndarray,
     stats = [x for group in (premium, ~premium, slice(None))
              for x in _group_stats(served[group], fulfilled[group],
                                    rate[group])]
-    p0 = sum(np.abs(rate - target).tolist())
+    p0 = seq_sum(np.abs(rate - target))
     return TickMetrics(time, *stats, p0, active_channels)
 
 
@@ -61,5 +72,5 @@ def steady_state(metrics: list[TickMetrics]) -> dict[str, float]:
     tail = metrics[-n_tail:]
     out = {}
     for f in fields(TickMetrics):
-        out[f.name] = sum(getattr(m, f.name) for m in tail) / len(tail)
+        out[f.name] = seq_sum([getattr(m, f.name) for m in tail]) / len(tail)
     return out

@@ -131,10 +131,17 @@ class UserState:
 
         Re-summed over the window on each read, not kept as a running sum,
         so it has the same bits whatever came before: the switch trigger
-        compares against it.
+        compares against it.  The sum is a plain loop, left to right, as
+        metrics.seq_sum adds: Python's sum() is compensated from CPython
+        3.12 on, and the loop costs less than converting the window.
         """
         window = self.rate_window
-        return sum(window) / len(window) if window else 0.0
+        if not window:
+            return 0.0
+        total = 0.0
+        for rate in window:
+            total += rate
+        return total / len(window)
 
     def record_rate(self, time: float, rate: float, tau: float) -> None:
         """Append this tick's rate and its time to the trailing window.

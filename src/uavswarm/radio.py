@@ -40,7 +40,8 @@ class Geometry(NamedTuple):
     elev: np.ndarray
 
 
-def geometry(uav_positions, user_positions) -> Geometry:
+def geometry(uav_positions, user_positions, out: Geometry | None = None,
+             scratch: np.ndarray | None = None) -> Geometry:
     """The cells x users geometry, built with in-place ufuncs so that at
     most three (n_uavs, n_users) arrays are live at once.
 
@@ -50,23 +51,30 @@ def geometry(uav_positions, user_positions) -> Geometry:
     code: association, the invariant check, the power field and the
     spacing log all read it, so a user at exactly r is at exactly r
     everywhere.
+
+    Given ``out``, a Geometry of (n_uavs, n_users) arrays, and a
+    ``scratch`` array of that shape, it writes into them (dz goes to
+    ``scratch``) and allocates nothing of that size; the values are the
+    same bits either way.
     """
     uavs = np.asarray(uav_positions, dtype=float).reshape(-1, 3)
     users = np.asarray(user_positions, dtype=float).reshape(-1, 3)
-    h2 = np.subtract.outer(uavs[:, 0], users[:, 0])        # dx
+    dist, h2, dz = (None, None, None) if out is None else (*out, scratch)
+    h2 = np.subtract.outer(uavs[:, 0], users[:, 0], out=h2)     # dx
     np.multiply(h2, h2, out=h2)
-    dz = np.subtract.outer(uavs[:, 1], users[:, 1])        # dy, then dz
+    dz = np.subtract.outer(uavs[:, 1], users[:, 1], out=dz)     # dy, then dz
     np.multiply(dz, dz, out=dz)
     h2 += dz                                               # dx*dx + dy*dy
     np.subtract.outer(uavs[:, 2], users[:, 2], out=dz)
-    dist = np.multiply(dz, dz)
+    dist = np.multiply(dz, dz, out=dist)
     dist += h2
     np.sqrt(dist, out=dist)
     np.sqrt(h2, out=h2)
     return Geometry(dist, np.arctan2(dz, h2, out=h2))
 
 
-def los_probability(elevation_rad, params: RadioParams):
+def los_probability(elevation_rad, params: RadioParams,
+                    out: np.ndarray | None = None):
     """Probability of a line-of-sight link at the given elevation angle.
 
     Two sigmoid-in-degrees forms are supported:
@@ -77,11 +85,12 @@ def los_probability(elevation_rad, params: RadioParams):
     where theta_deg is the elevation in degrees and (theta, xi) are the
     environment constants.  The first keeps p_los near 1 at all angles for
     urban constants; the second falls off at low elevation.  The result is
-    one new array, computed in place.
+    computed in place, in ``out`` when given, else in one new array.
     """
     th, xi = params.theta_env, params.xi_env
-    p = np.array(elevation_rad, dtype=float)
-    np.degrees(p, out=p)
+    if out is None:
+        out = np.empty(np.shape(elevation_rad))
+    p = np.degrees(elevation_rad, out=out)
     if params.plos_form == PLOS_AS_WRITTEN:
         p *= -xi
         p -= th
@@ -111,7 +120,8 @@ def path_loss_db(distance_m, elevation_rad, params: RadioParams):
 
 
 def _require_positive(distance_m: np.ndarray) -> None:
-    if np.any(distance_m <= 0):
+    # a reduction, not a (n_uavs, n_users) mask; NaN passes both ways
+    if distance_m.size and distance_m.min() <= 0:
         raise ValueError("path loss requires a positive distance")
 
 
@@ -119,22 +129,24 @@ def dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
 
 
-def received_power_field(geom: Geometry, params: RadioParams) -> np.ndarray:
+def received_power_field(geom: Geometry, params: RadioParams,
+                         out: np.ndarray | None = None,
+                         scratch: np.ndarray | None = None) -> np.ndarray:
     """Received power in mW over a geometry, shape (n_uavs, n_users).
 
     The closed form of the module docstring, as exp(ln K - delta ln d -
     ln(10)/10 * excess loss), evaluated in place: one output array and one
-    temporary for ln d.
+    temporary for ln d, or ``out`` and ``scratch`` when given.
     """
     dist, elev = geom
     _require_positive(dist)
     per_db = math.log(10.0) / 10.0          # ln of a power ratio per dB
     ln_k = per_db * params.p_t + params.delta * math.log(
         params.c_light / (4.0 * math.pi * params.f_c))
-    out = los_probability(elev, params)
+    out = los_probability(elev, params, out=out)
     out *= -per_db * (params.eta_los - params.eta_nlos)
     out += ln_k - per_db * params.eta_nlos
-    log_d = np.log(dist)
+    log_d = np.log(dist, out=scratch)
     log_d *= params.delta
     out -= log_d
     return np.exp(out, out=out)

@@ -1,6 +1,7 @@
 """Per-neighbor loop forms of the controller terms and of greedy association,
 the (time, rate) pair form of the trailing rate window, the per-cell form
-of the integration step and the per-user form of the tick metrics.
+of the integration step and the per-user form of the tick metrics, with
+left_sum, the sequential float sum every reported sum is held to.
 
 These are the scalar reference versions that the package's masked array
 reductions replace.  They walk one cell, neighbor or user at a time,
@@ -96,6 +97,23 @@ def oracle_h_term(uav_pos, connected, user_pos, rates, targets, premium, p):
     return out
 
 
+def oracle_h_term_allocating(positions, connected, user_pos, rates, targets,
+                             premium, p):
+    """h_term for every cell over freshly allocated offsets, gradients,
+    distances and np.where weights: the same arithmetic as the package's
+    in-place form, so the two must agree bit for bit."""
+    rel = user_pos[None, :, :] - positions[:, None, :]
+    sq = np.einsum("...k,...k->...", rel, rel)
+    grads = rel / np.sqrt(1.0 + p.eps * sq)[..., None]
+    dist = np.sqrt(sq)
+    gain = np.where(premium, p.c2_prem, p.c2_reg)
+    gate = bump(rates / (p.beta * targets), 0.0)
+    pull = gain * gate * phi_sigmoid((targets - rates) / 1e6, p)
+    push = -p.c1 * (np.maximum(targets - rates, 0.0) / targets)
+    weight = np.where(connected, pull, np.where(dist <= p.r, push, 0.0))
+    return np.matmul(weight[:, None, :], grads)[:, 0, :]
+
+
 def oracle_flocking_goal_term(uav_pos, user_pos, p):
     if len(user_pos) == 0:
         return np.zeros(3)
@@ -138,6 +156,18 @@ def oracle_associate(uavs, users, gains):
     return serving
 
 
+def left_sum(values):
+    """acc += x for each value, left to right from acc = 0.0: the same bits
+    on every interpreter.  No values give int 0, as sum() does."""
+    values = list(values)
+    if not values:
+        return 0
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
+
+
 def oracle_mean_rates(times, rates, tau):
     """Trailing-tau mean after each (time, rate) record, from one deque of
     (time, rate) pairs: entries at or before time - tau drop out."""
@@ -147,7 +177,7 @@ def oracle_mean_rates(times, rates, tau):
         window.append((time, rate))
         while window and window[0][0] <= time - tau:
             window.popleft()
-        means.append(sum(map(itemgetter(1), window)) / len(window))
+        means.append(left_sum(map(itemgetter(1), window)) / len(window))
     return means
 
 
@@ -170,8 +200,8 @@ def oracle_advance(positions, velocities, alive, controls, gains, height):
 
 
 def oracle_metrics(time, premium, serving, rate, target, active_channels):
-    """The tick metrics one user at a time: counts and sums are generators
-    over Python floats in user order."""
+    """The tick metrics one user at a time: counts are generators and sums
+    are left_sum over Python floats, in user order."""
     users = list(zip(premium.tolist(), serving.tolist(), rate.tolist(),
                      target.tolist()))
 
@@ -180,11 +210,11 @@ def oracle_metrics(time, premium, serving, rate, target, active_channels):
             return (0.0, 0.0, 0.0)
         served = sum(1 for _, n, _, _ in group if n >= 0)
         fulfilled = sum(1 for _, n, r, t in group if n >= 0 and r >= t)
-        total_rate = sum(r for _, _, r, _ in group)
+        total_rate = left_sum(r for _, _, r, _ in group)
         k = len(group)
         return (100.0 * served / k, total_rate / k, 100.0 * fulfilled / k)
 
-    p0 = sum(abs(r - t) for _, _, r, t in users)
+    p0 = left_sum(abs(r - t) for _, _, r, t in users)
     return TickMetrics(time, *group_stats([u for u in users if u[0]]),
                        *group_stats([u for u in users if not u[0]]),
                        *group_stats(users), p0, active_channels)

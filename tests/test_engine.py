@@ -522,6 +522,45 @@ def test_step_fires_failures_like_run():
     assert world.failures == full.failures
 
 
+def test_stepped_world_traces_like_run_through_a_failure_wave():
+    # the workspace's rows of cells killed by the wave keep old values;
+    # every traced value of every tick must still match run()'s, bit for
+    # bit, with association spilling (n_max 5) and cells switching channel
+    cfg = ScenarioConfig(
+        users=[UserSpec(klass="premium", region=(0.0, 0.0, 300.0, 200.0),
+                        count=16),
+               UserSpec(klass="regular", region=(0.0, 0.0, 300.0, 200.0),
+                        count=16)],
+        uav_count=5, uav_region=(0.0, 0.0, 300.0, 200.0), seed=11,
+        duration=1.5, gains=ControlGains(n_max=5, tau=0.3),
+        radio=RadioParams(num_channels=3),
+        failure_events=[FailureEvent(at_time=0.5, fraction=0.4)])
+    world = make_world(cfg)
+    cells, users, switches = [], [], []
+    for _ in range(cfg.ticks() + 1):
+        t = world.time
+        pos, vel = world.uav_pos.copy(), world.uav_vel.copy()
+        switches += step(world, cfg)[1]
+        # the trace shows the evaluated state: a cell the wave kills stops
+        # there, and the integration moves only alive cells
+        dead = ~world.alive
+        pos[dead], vel[dead] = world.uav_pos[dead], world.uav_vel[dead]
+        pos, vel = pos.tolist(), vel[:, :2].tolist()
+        loads = np.bincount(world.serving[world.serving >= 0],
+                            minlength=len(world.alive)).tolist()
+        cells += [(t, n, *p, *v, ch, a, load) for n, (p, v, ch, a, load)
+                  in enumerate(zip(pos, vel, world.channel.tolist(),
+                                   world.alive.tolist(), loads))]
+        users += [(t, m, n, r, user.mean_rate) for m, (user, n, r)
+                  in enumerate(zip(world.users, world.serving.tolist(),
+                                   world.rate.tolist()))]
+    full = run(cfg, trace=True)
+    assert world.failures == full.failures and full.failures
+    assert repr(cells) == repr(full.trace)
+    assert repr(users) == repr(full.user_trace)
+    assert switches == full.switch_events
+
+
 def test_step_logs_spacing_like_run():
     cfg = ScenarioConfig(
         users=[], uav_count=2,

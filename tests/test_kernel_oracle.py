@@ -18,6 +18,7 @@ from kernel_oracle import (
     oracle_flocking_goal_term,
     oracle_g_term,
     oracle_h_term,
+    oracle_h_term_allocating,
     oracle_mean_rates,
 )
 from uavswarm.engine import advance, associate_users, tick_geometry
@@ -123,6 +124,18 @@ def test_user_coupling_matches_loop(seed):
     assert h.shape == positions.shape
     for i, cell in enumerate(positions):
         _assert_close(h[i], oracle_h_term(cell, connected[i], *args, GAINS), n)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_user_coupling_keeps_allocating_form_bits(seed):
+    rng = np.random.default_rng(seed)
+    positions, _, _, _ = _cells(rng, int(rng.integers(1, 6)))
+    n = int(rng.integers(0, 60))
+    _, *args = _users(rng, n, positions[0])
+    connected = rng.random((len(positions), n)) < 0.4
+    got = h_term(positions, connected, *args, GAINS)
+    want = oracle_h_term_allocating(positions, connected, *args, GAINS)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_user_coupling_counts_unconnected_user_at_exact_range():

@@ -1,10 +1,13 @@
 """Service metrics: exact group arithmetic and steady-state tails."""
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from kernel_oracle import oracle_metrics
-from uavswarm.metrics import TickMetrics, compute_metrics, steady_state
+from kernel_oracle import left_sum, oracle_metrics
+from uavswarm.metrics import TickMetrics, compute_metrics, seq_sum, steady_state
 from uavswarm.model import PREMIUM, REGULAR, TARGET_RATE
 from worlds import world_of
 
@@ -143,3 +146,43 @@ def test_fulfilled_never_exceeds_served(fig3_result):
         assert m.premium_fulfilled_pct <= m.premium_served_pct
         assert m.regular_fulfilled_pct <= m.regular_served_pct
         assert m.all_fulfilled_pct <= m.all_served_pct
+
+
+def _spread(rng, n):
+    """Floats whose sum depends on the order and the method of summing:
+    magnitudes 1e-3 .. 1e16 of both signs, exact zeros of both signs."""
+    values = rng.choice([1e16, 1e8, 1.0, 1e-3, 0.0], n) * \
+        rng.uniform(0.5, 3.0, n) * rng.choice([1.0, -1.0], n)
+    values[rng.random(n) < 0.1] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_seq_sum_is_the_left_to_right_loop(seed):
+    rng = np.random.default_rng(seed)
+    values = _spread(rng, int(rng.integers(0, 700)))
+    if seed % 10 == 0:
+        values[:] = -0.0
+    assert repr(seq_sum(values)) == repr(left_sum(values.tolist()))
+
+
+def test_seq_sum_is_neither_pairwise_nor_compensated():
+    rng = np.random.default_rng(1)
+    cases = [_spread(rng, 600) for _ in range(50)]
+    assert any(seq_sum(v) != float(v.sum()) for v in cases)
+    assert any(seq_sum(v) != math.fsum(v) for v in cases)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_steady_state_matches_left_sum_oracle_bits(seed):
+    rng = np.random.default_rng(seed)
+    n_rows = int(rng.integers(1, 300))
+    names = [f.name for f in fields(TickMetrics)]
+    columns = {name: np.abs(_spread(rng, n_rows)).tolist() for name in names}
+    columns["active_channels"] = rng.integers(1, 9, n_rows).tolist()
+    rows = [TickMetrics(**{name: columns[name][k] for name in names})
+            for k in range(n_rows)]
+    n_tail = max(1, -(-n_rows // 10))
+    want = {name: left_sum(columns[name][-n_tail:]) / n_tail
+            for name in names}
+    assert repr(steady_state(rows)) == repr(want)

@@ -11,6 +11,8 @@ from dataclasses import replace
 import pytest
 
 from uavswarm import engine
+from uavswarm.harness import generate_scenario
+from uavswarm.model import FLOCKING_MODE
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,6 +57,29 @@ def test_traced_ticks_count_one_rate_record_per_user(tracer, fig3_config):
     for span in ("engine.control", "kernels.f", "kernels.g", "kernels.h",
                  "engine.advance"):
         assert traced.calls[span] == ticks - 1, span
+
+
+def test_traced_flocking_run_counts_each_term_once_per_pass(tracer):
+    # f and g share one build of the cell pairs, but each still runs behind
+    # its public name once per control pass, and the power field still
+    # covers every cell and user on every tick
+    config = generate_scenario(
+        120, 0.25, (0.0, 0.0, 900.0, 300.0), (0.0, 0.0, 300.0, 300.0), 9,
+        duration=0.5, seed=4, controller_mode=FLOCKING_MODE)
+    ticks = config.ticks() + 1
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        result = engine.run(config)
+    finally:
+        traced.uninstall()
+    cells, users = len(result.world.alive), len(result.world.serving)
+    for span in ("kernels.f", "kernels.g", "kernels.goal", "engine.control"):
+        assert traced.calls[span] == ticks - 1, span
+    assert traced.calls["kernels.h"] == 0
+    assert traced.counts["kernels.fg_pairs"] == 2 * (ticks - 1) * (cells - 1)
+    assert traced.calls["radio.power_field"] == ticks
+    assert traced.counts["radio.links"] == ticks * cells * users
 
 
 @pytest.mark.parametrize("name, seed", [("fig5", 169), ("field_flock", 0)])
