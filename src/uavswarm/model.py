@@ -16,10 +16,14 @@ Values the model fixes are derived, not configured: ControlGains computes
 the premium gain and the sigma-norm images the kernels need.  Distances
 are radio.geometry's, the one Euclidean distance code.
 
-The dataclass field types are the scenario schema, and validate() checks a
-config against them before its range checks: a file at load and a config
-built in code fail alike, with the field named, on a non-finite number, a
-fractional integer or a list of the wrong length.  A run may span at most
+The dataclass field types are the scenario schema, and each field's bound
+lives on its type (Positive, NonNegative, Fraction, AtLeastOne, or a
+Literal of the accepted strings).  A dataclass keeps only the rules that
+span its fields, in its _check().  One walk of the schema, read_value,
+checks them all: it reads a file's mapping at load, and validate() runs it
+over a config built in code.  Both fail alike, and every field error starts
+with the field's path: a non-finite number, a fractional integer, a list
+of the wrong length or a value past its bound.  A run may span at most
 MAX_TICKS ticks, so every valid scenario ends.
 """
 
@@ -31,14 +35,13 @@ import operator
 import re
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
-PREMIUM = "premium"
-REGULAR = "regular"
-USER_CLASSES = (PREMIUM, REGULAR)
+UserClass = Literal["premium", "regular"]
+PREMIUM, REGULAR = USER_CLASSES = get_args(UserClass)
 
 # Per-class downlink rate targets, bits/s.
 TARGET_RATE = {PREMIUM: 300e6, REGULAR: 100e6}
@@ -46,16 +49,25 @@ TARGET_RATE = {PREMIUM: 300e6, REGULAR: 100e6}
 # Default channel.  Regular users can only be served on it.
 L0 = 0
 
-QOS_MODE = "qos_driven"
-FLOCKING_MODE = "flocking_baseline"
-MODES = (QOS_MODE, FLOCKING_MODE)
+ControllerMode = Literal["qos_driven", "flocking_baseline"]
+QOS_MODE, FLOCKING_MODE = MODES = get_args(ControllerMode)
 
-PLOS_AS_WRITTEN = "as_written"
-PLOS_STANDARD = "standard"
-PLOS_FORMS = (PLOS_AS_WRITTEN, PLOS_STANDARD)
+PlosForm = Literal["as_written", "standard"]
+PLOS_AS_WRITTEN, PLOS_STANDARD = PLOS_FORMS = get_args(PlosForm)
 
-# Longest run validate() accepts, in ticks (11.6 days at the default dt)
+# Longest run a valid scenario spans, in ticks (11.6 days at the default dt)
 MAX_TICKS = 10_000_000
+
+
+# A field's bounds ride on its type as (op, limit) pairs: its value must be
+# op limit.  A Literal type's choices are read as the rule ("one of", choices).
+_HOLDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le,
+          "one of": lambda value, choices: value in choices}
+
+Positive = Annotated[float, (">", 0)]
+NonNegative = Annotated[float, (">=", 0)]
+Fraction = Annotated[float, (">=", 0), ("<=", 1)]
+AtLeastOne = Annotated[int, (">=", 1)]
 
 
 class ScenarioError(ValueError):
@@ -162,51 +174,37 @@ class UserState:
 class RadioParams:
     """Air-to-ground link parameters.  Powers in dBm, frequencies in Hz."""
 
-    f_c: float = 2e9                # carrier frequency
-    delta: float = 2.0              # path-loss exponent
+    f_c: Positive = 2e9             # carrier frequency
+    delta: Positive = 2.0           # path-loss exponent
     eta_los: float = 0.1            # excess LoS loss, dB
     eta_nlos: float = 21.0          # excess NLoS loss, dB
     theta_env: float = 4.88         # environment constant (dimensionless)
     xi_env: float = 0.43            # environment constant (1/deg)
     p_t: float = 37.0               # transmit power, dBm
-    bandwidth: float = 15e6         # per-link bandwidth, Hz
+    bandwidth: Positive = 15e6      # per-link bandwidth, Hz
     noise: float = -80.0            # thermal noise power, dBm
-    c_light: float = 3e8            # propagation speed, m/s
-    num_channels: int = 8           # channels 0 .. num_channels - 1
-    plos_form: str = PLOS_AS_WRITTEN
-
-    def validate(self) -> None:
-        if self.f_c <= 0:
-            raise ScenarioError("radio.f_c must be positive")
-        if self.delta <= 0:
-            raise ScenarioError("radio.delta must be positive")
-        if self.bandwidth <= 0:
-            raise ScenarioError("radio.bandwidth must be positive")
-        if self.c_light <= 0:
-            raise ScenarioError("radio.c_light must be positive")
-        if self.num_channels < 1:
-            raise ScenarioError("radio.num_channels must be >= 1")
-        if self.plos_form not in PLOS_FORMS:
-            raise ScenarioError(f"radio.plos_form must be one of {PLOS_FORMS}")
+    c_light: Positive = 3e8         # propagation speed, m/s
+    num_channels: AtLeastOne = 8    # channels 0 .. num_channels - 1
+    plos_form: PlosForm = PLOS_AS_WRITTEN
 
 
 @dataclass
 class ControlGains:
     """Controller gains, spacing constraints, and integration settings."""
 
-    eps: float = 0.1                # sigma-norm curvature
-    a: float = 5.0                  # sigmoid ceiling / crowding gain
-    b: float = 5.0                  # sigmoid floor
-    c1: float = 6.0                 # repulsion / navigation gain
-    c2_reg: float = 4.0             # attraction gain, regular users
-    beta: float = 1.5               # satisfaction ceiling factor
-    n_max: int = 80                 # per-UAV serving capacity
+    eps: Positive = 0.1             # sigma-norm curvature
+    a: Positive = 5.0               # sigmoid ceiling / crowding gain
+    b: Positive = 5.0               # sigmoid floor
+    c1: NonNegative = 6.0           # repulsion / navigation gain
+    c2_reg: NonNegative = 4.0       # attraction gain, regular users
+    beta: Positive = 1.5            # satisfaction ceiling factor
+    n_max: AtLeastOne = 80          # per-UAV serving capacity
     r: float = 300.0                # communication range, m
     d: float = 100.0                # minimum separation, m
-    tau: float = 5.0                # rate window span / switch cooldown, s
-    dt: float = 0.1                 # tick length, s
-    v_max: float = 20.0             # speed clamp, m/s
-    u_max: float = 10.0             # control clamp, m/s^2
+    tau: Positive = 5.0             # rate window span / switch cooldown, s
+    dt: Positive = 0.1              # tick length, s
+    v_max: Positive = 20.0          # speed clamp, m/s
+    u_max: Positive = 10.0          # control clamp, m/s^2
 
     @property
     def c2_prem(self) -> float:
@@ -235,27 +233,11 @@ class ControlGains:
     def n_max_sig(self) -> float:
         return self._sigma(float(self.n_max))
 
-    def validate(self) -> None:
-        if self.eps <= 0:
-            raise ScenarioError("gains.eps must be positive")
-        if self.a <= 0 or self.b <= 0:
-            raise ScenarioError("gains.a and gains.b must be positive")
-        if self.c1 < 0 or self.c2_reg < 0:
-            raise ScenarioError("gains.c1 and gains.c2_reg must be non-negative")
-        if self.beta <= 0:
-            raise ScenarioError("gains.beta must be positive")
-        if self.n_max < 1:
-            raise ScenarioError("gains.n_max must be >= 1")
+    def _check(self, where: str) -> None:
         if not 0 < self.d < self.r:
-            raise ScenarioError("gains must satisfy 0 < d < r")
-        if self.tau <= 0:
-            raise ScenarioError("gains.tau must be positive")
-        if self.dt <= 0:
-            raise ScenarioError("gains.dt must be positive")
+            raise ScenarioError(f"{where} must satisfy 0 < d < r")
         if self.dt > self.tau:
-            raise ScenarioError("gains.dt must not exceed gains.tau")
-        if self.v_max <= 0 or self.u_max <= 0:
-            raise ScenarioError("gains.v_max and gains.u_max must be positive")
+            raise ScenarioError(f"{where}.dt must not exceed {where}.tau")
 
 
 @dataclass
@@ -266,29 +248,37 @@ class UserSpec:
     sampled uniformly in a rectangular region (x0, y0, x1, y1).
     """
 
-    klass: str
+    klass: UserClass
     position: tuple[float, float] | None = None
     region: tuple[float, float, float, float] | None = None
-    count: int = 1
+    count: AtLeastOne = 1
+
+    def _check(self, where: str) -> None:
+        if (self.position is None) == (self.region is None):
+            raise ScenarioError(f"{where}: exactly one of position/region required")
+        if self.region is not None:
+            _check_region(self.region, where)
+        elif self.count != 1:
+            raise ScenarioError(f"{where}: count requires a region")
 
 
 @dataclass
 class FailureEvent:
-    at_time: float                  # s; fires at the first tick at or past this
-    fraction: float                 # fraction of currently alive UAVs to kill
+    at_time: NonNegative            # s; fires at the first tick at or past this
+    fraction: Fraction              # fraction of currently alive UAVs to kill
 
 
 @dataclass
 class ScenarioConfig:
     users: list[UserSpec]
-    uav_count: int
+    uav_count: Annotated[int, (">=", 0)]
     uav_initial_positions: list[tuple[float, float]] | None = None
     uav_region: tuple[float, float, float, float] | None = None
-    H: float = 100.0                # flight height, m
-    duration: float = 30.0          # s
+    H: Positive = 100.0             # flight height, m
+    duration: NonNegative = 30.0    # s
     seed: int = 0
     failure_events: list[FailureEvent] = field(default_factory=list)
-    controller_mode: str = QOS_MODE
+    controller_mode: ControllerMode = QOS_MODE
     radio: RadioParams = field(default_factory=RadioParams)
     gains: ControlGains = field(default_factory=ControlGains)
 
@@ -300,49 +290,25 @@ class ScenarioConfig:
         return int(round(self.duration / self.gains.dt))
 
     def validate(self) -> None:
+        """Check this config as a file is checked at load."""
         read_value(ScenarioConfig, self, "")
-        for i, spec in enumerate(self.users):
-            where = f"users[{i}]"
-            if spec.klass not in USER_CLASSES:
-                raise ScenarioError(f"{where}: klass must be one of {USER_CLASSES}")
-            if (spec.position is None) == (spec.region is None):
-                raise ScenarioError(f"{where}: exactly one of position/region required")
-            if spec.region is not None:
-                _check_region(spec.region, where)
-                if spec.count < 1:
-                    raise ScenarioError(f"{where}: count must be >= 1")
-            elif spec.count != 1:
-                raise ScenarioError(f"{where}: count requires a region")
-        if self.uav_count < 0:
-            raise ScenarioError("uav_count must be >= 0")
+
+    def _check(self, where: str) -> None:
+        has_pos = self.uav_initial_positions is not None
+        # a fleet of 0 needs no placement, but any start list must fit
         if self.uav_count > 0:
-            has_pos = self.uav_initial_positions is not None
-            has_reg = self.uav_region is not None
-            if has_pos == has_reg:
+            if has_pos == (self.uav_region is not None):
                 raise ScenarioError(
                     "exactly one of uav_initial_positions/uav_region required")
-            if has_pos and len(self.uav_initial_positions) != self.uav_count:
-                raise ScenarioError(
-                    "uav_initial_positions length must equal uav_count")
-            if has_reg:
+            if not has_pos:
                 _check_region(self.uav_region, "uav_region")
-        if self.H <= 0:
-            raise ScenarioError("H must be positive")
+        if has_pos and len(self.uav_initial_positions) != self.uav_count:
+            raise ScenarioError(
+                "uav_initial_positions length must equal uav_count")
         # range is slant distance: above r no user is ever in range
         if self.H > self.gains.r:
             raise ScenarioError("H must not exceed gains.r")
-        if self.duration < 0:
-            raise ScenarioError("duration must be >= 0")
         check_seed(self.seed, "seed")
-        for i, ev in enumerate(self.failure_events):
-            if ev.at_time < 0:
-                raise ScenarioError(f"failure_events[{i}]: at_time must be >= 0")
-            if not 0 <= ev.fraction <= 1:
-                raise ScenarioError(f"failure_events[{i}]: fraction must be in [0, 1]")
-        if self.controller_mode not in MODES:
-            raise ScenarioError(f"controller_mode must be one of {MODES}")
-        self.radio.validate()
-        self.gains.validate()
         if self.ticks() > MAX_TICKS:
             raise ScenarioError(
                 f"duration must span at most {MAX_TICKS} ticks of gains.dt")
@@ -363,18 +329,18 @@ def _check_region(region, where: str) -> None:
 
 # --- scenario file format -------------------------------------------------
 #
-# One YAML document per scenario, keys mirroring ScenarioConfig field names.
-# The dataclass field types are the schema: read_value walks them to read a
-# file's mapping and to check a config built in code, by the same rules.
+# One YAML document per scenario, keys mirroring ScenarioConfig field names,
+# read by the schema walk of the module docstring.
 
 _LEAF_KINDS = {float: "a finite number", int: "an integer", str: "a string"}
 
 
 @functools.cache
 def _schema(cls) -> tuple[tuple[str, object, bool, bool], ...]:
-    """(name, type, required, null keeps default) per field of a dataclass."""
-    hints = get_type_hints(cls)
-    return tuple((f.name, hints[f.name],
+    """(name, reader, required, null keeps default) per field of a
+    dataclass."""
+    hints = get_type_hints(cls, include_extras=True)
+    return tuple((f.name, _reader(hints[f.name]),
                   f.default is MISSING and f.default_factory is MISSING,
                   f.default_factory is not MISSING) for f in fields(cls))
 
@@ -383,45 +349,73 @@ def read_value(tp, value, where: str):
     """``value`` read as type ``tp``, else a ScenarioError naming ``where``.
 
     ``tp`` is a dataclass, ``list[...]``, fixed-length ``tuple[...]``,
-    ``X | None``, int, float or str.  A dataclass is read from a mapping,
-    whose unknown and missing keys are rejected and where a null, an empty
-    list or an empty mapping for a list or section keeps its default, or
-    checked in place when given an instance.
+    ``X | None``, ``Annotated[X, (op, limit), ...]``, a ``Literal`` of
+    strings, int, float or str.  A dataclass is read from a mapping, whose
+    unknown and missing keys are rejected and where a null, an empty list
+    or an empty mapping for a list or section keeps its default, or checked
+    in place when given an instance; either way its ``_check(where)``, the
+    rules that span its fields, runs once its fields are read.
     A float must be finite; an int accepts an integral float and never
     truncates one.  A bool or a string is neither: YAML's true is not the
     number 1, and a quoted "2e9" is text.
     """
-    kind = _LEAF_KINDS.get(tp)
-    if kind is not None:
-        try:
-            if isinstance(value, (bool, np.bool_, str)) and tp is not str:
-                raise TypeError("a bool or a string is not a number")
-            if tp is float and math.isfinite(float(value)):
-                return float(value)
-            if tp is int:
-                if isinstance(value, float) and value.is_integer():
-                    return int(value)
-                return operator.index(value)
-            if tp is str and isinstance(value, str):
-                return value
-        except (TypeError, ValueError, OverflowError):
-            pass
-        raise ScenarioError(f"{where}: expected {kind}, got {value!r}")
+    return _reader(tp)(value, where)
+
+
+@functools.cache
+def _reader(tp):
+    """The function ``(value, where) -> value`` that reads type ``tp``,
+    built once per type, so reading a value costs no type dispatch."""
+    if tp in _LEAF_KINDS:
+        return functools.partial(_read_leaf, tp)
     if is_dataclass(tp):
-        return _read_dataclass(tp, value, where)
-    args = get_args(tp)
+        return functools.partial(_read_dataclass, tp)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Annotated:
+        return functools.partial(_read_ruled, _reader(args[0]), args[1:])
+    if origin is Literal:
+        return functools.partial(_read_ruled, _reader(str), [("one of", args)])
     if type(None) in args:
-        if value is None:
-            return None
         (tp,) = (a for a in args if a is not type(None))
-        return read_value(tp, value, where)
-    origin = get_origin(tp)
+        read = _reader(tp)
+        return lambda value, where: None if value is None else read(value, where)
+    return functools.partial(_read_items, origin, tuple(map(_reader, args)))
+
+
+def _read_leaf(tp, value, where: str):
+    try:
+        if isinstance(value, (bool, np.bool_, str)) and tp is not str:
+            raise TypeError("a bool or a string is not a number")
+        if tp is float and math.isfinite(float(value)):
+            return float(value)
+        if tp is int:
+            if isinstance(value, float) and value.is_integer():
+                return int(value)
+            return operator.index(value)
+        if tp is str and isinstance(value, str):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ScenarioError(f"{where}: expected {_LEAF_KINDS[tp]}, got {value!r}")
+
+
+def _read_ruled(read, rules, value, where: str):
+    value = read(value, where)
+    for op, limit in rules:
+        if not _HOLDS[op](value, limit):
+            raise ScenarioError(f"{where}: must be {op} {limit}")
+    return value
+
+
+def _read_items(origin, reads, value, where: str):
     if not isinstance(value, (list, tuple)):
         raise ScenarioError(f"{where}: expected a list, got {value!r}")
-    if origin is tuple and len(value) != len(args):
-        raise ScenarioError(f"{where}: expected {len(args)} values")
-    items = [read_value(args[0] if origin is list else args[i], item,
-                        f"{where}[{i}]") for i, item in enumerate(value)]
+    if origin is list:
+        reads *= len(value)
+    elif len(value) != len(reads):
+        raise ScenarioError(f"{where}: expected {len(reads)} values")
+    items = [read(item, f"{where}[{i}]")
+             for i, (read, item) in enumerate(zip(reads, value))]
     return items if origin is list else tuple(items)
 
 
@@ -429,25 +423,29 @@ def _read_dataclass(cls, value, where: str):
     prefix = f"{where}." if where else ""
     schema = _schema(cls)
     if isinstance(value, cls):
-        for name, tp, _, _ in schema:
-            read_value(tp, getattr(value, name), prefix + name)
-        return value
-    where = where or "scenario"
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{where}: expected a mapping")
-    unknown = set(value) - {name for name, *_ in schema}
-    if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown, key=str)}")
-    kwargs = {}
-    for name, tp, required, null_keeps_default in schema:
-        item = value.get(name)
-        empty = item is None or (isinstance(item, (dict, list)) and not item)
-        if name not in value or (empty and null_keeps_default):
-            if required:
-                raise ScenarioError(f"{prefix}{name}: required")
-            continue
-        kwargs[name] = read_value(tp, item, prefix + name)
-    return cls(**kwargs)
+        for name, read, _, _ in schema:
+            read(getattr(value, name), prefix + name)
+    else:
+        if not isinstance(value, dict):
+            raise ScenarioError(f"{where or 'scenario'}: expected a mapping")
+        unknown = set(value) - {name for name, *_ in schema}
+        if unknown:
+            raise ScenarioError(f"{where or 'scenario'}: unknown keys "
+                                f"{sorted(unknown, key=str)}")
+        kwargs = {}
+        for name, read, required, null_keeps_default in schema:
+            item = value.get(name)
+            empty = item is None or (isinstance(item, (dict, list)) and not item)
+            if name not in value or (empty and null_keeps_default):
+                if required:
+                    raise ScenarioError(f"{prefix}{name}: required")
+                continue
+            kwargs[name] = read(item, prefix + name)
+        value = cls(**kwargs)
+    check = getattr(cls, "_check", None)
+    if check is not None:
+        check(value, where)
+    return value
 
 
 def _plain(value):
@@ -487,9 +485,7 @@ def load_scenario(path) -> ScenarioConfig:
             data = yaml.load(fh, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
-    config = scenario_from_dict(data)
-    config.validate()
-    return config
+    return scenario_from_dict(data)
 
 
 def save_scenario(config: ScenarioConfig, path) -> None:

@@ -4,7 +4,8 @@ import math
 import pathlib
 import random
 import re
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import pytest
 import yaml
@@ -83,9 +84,9 @@ class TestGains:
 
     def test_spacing_ordering_enforced(self):
         with pytest.raises(ScenarioError):
-            ControlGains(d=300.0, r=300.0).validate()
+            _minimal_config(gains=ControlGains(d=300.0, r=300.0)).validate()
         with pytest.raises(ScenarioError):
-            ControlGains(d=0.0).validate()
+            _minimal_config(gains=ControlGains(d=0.0)).validate()
 
 
 class TestScenarioValidation:
@@ -133,6 +134,12 @@ class TestScenarioValidation:
     def test_position_list_length(self):
         with pytest.raises(ScenarioError, match="length"):
             _minimal_config(uav_count=3).validate()
+
+    def test_position_list_length_checked_without_cells(self, fig3_config):
+        # starts that no cell takes are rejected, not silently dropped
+        with pytest.raises(ScenarioError, match="length"):
+            replace(fig3_config, uav_count=0).validate()
+        replace(fig3_config, uav_count=0, uav_initial_positions=[]).validate()
 
     def test_seed_range(self):
         with pytest.raises(ScenarioError):
@@ -428,6 +435,80 @@ def test_empty_section_keeps_default(key, value):
     assert getattr(scenario_from_dict(data), key) == \
         getattr(scenario_from_dict({**data, key: None}), key) == \
         getattr(ScenarioConfig(users=[], uav_count=0), key)
+
+
+def _declared_bounds(cls=ScenarioConfig, path=()):
+    """(path, field type, bound) for every bound the schema declares; a
+    list's item fields are reached through its first item."""
+    for name, tp in get_type_hints(cls, include_extras=True).items():
+        where = path + (name,)
+        if get_origin(tp) is list:
+            tp, where = get_args(tp)[0], where + (0,)
+        if is_dataclass(tp):
+            yield from _declared_bounds(tp, where)
+        elif get_origin(tp) is Annotated:
+            base, *bounds = get_args(tp)
+            for bound in bounds:
+                yield where, base, bound
+
+
+def _dotted(path) -> str:
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in path).lstrip(".")
+
+
+DECLARED_BOUNDS = list(_declared_bounds())
+
+
+def test_schema_declares_each_single_field_bound():
+    assert sorted({_dotted(path) for path, _, _ in DECLARED_BOUNDS}) == sorted([
+        "users[0].count", "uav_count", "H", "duration",
+        "failure_events[0].at_time", "failure_events[0].fraction",
+        "radio.f_c", "radio.delta", "radio.bandwidth", "radio.c_light",
+        "radio.num_channels", "gains.eps", "gains.a", "gains.b", "gains.c1",
+        "gains.c2_reg", "gains.beta", "gains.n_max", "gains.tau", "gains.dt",
+        "gains.v_max", "gains.u_max"])
+
+
+def _config_with(path, value) -> ScenarioConfig:
+    """A valid config reaching every bounded field, with ``value`` at
+    ``path``."""
+    config = _minimal_config(
+        users=[UserSpec(klass="regular", region=(0.0, 0.0, 50.0, 50.0),
+                        count=2)],
+        uav_initial_positions=None, uav_region=(0.0, 0.0, 50.0, 50.0),
+        failure_events=[FailureEvent(1.0, 0.5)])
+    target = config
+    for key in path[:-1]:
+        target = target[key] if isinstance(key, int) else getattr(target, key)
+    setattr(target, path[-1], value)
+    return config
+
+
+@pytest.mark.parametrize(
+    "path, base, bound", DECLARED_BOUNDS,
+    ids=[f"{_dotted(path)} {op} {limit}" for path, _, (op, limit) in
+         DECLARED_BOUNDS])
+def test_declared_bound_holds_at_its_edge(path, base, bound):
+    name, (op, limit) = _dotted(path), bound
+    below = op in (">", ">=")
+    past = [math.nextafter(limit, -math.inf if below else math.inf)]
+    if base is int:
+        past.append(limit - 1 if below else limit + 1)
+    named = "^" + re.escape(f"{name}: ")
+    for check in (lambda c: c.validate(),
+                  lambda c: scenario_from_dict(scenario_to_dict(c))):
+        on_edge = _config_with(path, base(limit))
+        if op == ">":
+            with pytest.raises(ScenarioError, match=named):
+                check(on_edge)
+        else:
+            check(on_edge)
+        for value in past:
+            with pytest.raises(ScenarioError, match=named) as caught:
+                check(_config_with(path, value))
+            if type(value) is base:
+                assert str(caught.value) == f"{name}: must be {op} {limit}"
 
 
 def _user() -> UserState:
