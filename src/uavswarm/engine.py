@@ -20,7 +20,10 @@ cells x users geometry (radio.geometry: slant distance and elevation) is
 built once per tick, right after (1).  Association reads its distances,
 update_rates hands it to radio.received_power_field, and the invariant
 check reads the served pairs' distances from it: the range test sees the
-very values association saw.
+very values association saw.  The tick makes each of those two radio
+calls once, from its own thread; on a field of at least
+radio._SPLIT_LINKS links radio computes blocks of cell rows on a thread
+pool inside the call, with the same bits on any CPU count.
 
 The world's cell and user counts are fixed (dead cells keep their rows),
 so every (cells, users) array of a tick lives in one Workspace that the
@@ -55,8 +58,8 @@ from .model import (
     read_value,
     round_half_up,
 )
-from .radio import (Geometry, data_rate, dbm_to_mw, geometry,
-                    received_power_field)
+from .radio import (Geometry, _slant_distance, data_rate, dbm_to_mw,
+                    geometry, received_power_field)
 
 
 class Workspace:
@@ -479,7 +482,8 @@ def _check_invariants(world: WorldState, config: ScenarioConfig,
 
 def _record_min_distance(world: WorldState, gains: ControlGains) -> None:
     ids = np.flatnonzero(world.alive).tolist()
-    dist = geometry(world.uav_pos[ids], world.uav_pos[ids]).dist
+    # geometry's distances, without the elevations this log never reads
+    dist = _slant_distance(world.uav_pos[ids], world.uav_pos[ids])[0]
     # row-major order: the (i, j > i) pairs in the order of a nested loop
     for i, j in zip(*np.nonzero(np.triu(dist < gains.d, k=1))):
         world.min_distance_violations.append(

@@ -355,9 +355,10 @@ def read_value(tp, value, where: str):
     or an empty mapping for a list or section keeps its default, or checked
     in place when given an instance; either way its ``_check(where)``, the
     rules that span its fields, runs once its fields are read.
-    A float must be finite; an int accepts an integral float and never
-    truncates one.  A bool or a string is neither: YAML's true is not the
-    number 1, and a quoted "2e9" is text.
+    A float must be finite; an int read from a mapping accepts an integral
+    float and never truncates one, and an instance's int field must hold
+    an int, since nothing converts it before a run.  A bool or a string is
+    neither: YAML's true is not the number 1, and a quoted "2e9" is text.
     """
     return _reader(tp)(value, where)
 
@@ -424,7 +425,12 @@ def _read_dataclass(cls, value, where: str):
     schema = _schema(cls)
     if isinstance(value, cls):
         for name, read, _, _ in schema:
-            read(getattr(value, name), prefix + name)
+            item = getattr(value, name)
+            # a file's 2.0 is read as 2, but an instance keeps what it holds
+            if isinstance(read(item, prefix + name), int) and isinstance(
+                    item, float):
+                raise ScenarioError(
+                    f"{prefix}{name}: expected an integer, got {item!r}")
     else:
         if not isinstance(value, dict):
             raise ScenarioError(f"{where or 'scenario'}: expected a mapping")

@@ -17,6 +17,17 @@ in place over one output array.  It is the one received-power formula:
 link_budget takes its received power from the same function on a 1 x 1
 geometry, and path_loss_db gives only the reported loss in dB.
 
+A field of at least _SPLIT_LINKS cells x users links is computed in
+contiguous blocks of cell rows, one per CPU the process may run on: the
+calling thread runs the first block and a thread pool, built on the first
+split, the others; a block no worker has started when the calling thread
+is done runs on the calling thread too.  numpy releases the interpreter
+lock inside its ufunc loops, so the blocks run at once.  Every element
+goes through the same ufuncs in the same order whatever the split, so the
+bits do not depend on the CPU count.  The threads run only this module's
+private block helpers, never a public function, and a forked child drops
+the pool whose threads it does not have.
+
 Interference is network wide: every alive UAV on the same channel as a
 user's serving UAV contributes its received power at that user, whether or
 not it currently serves anyone.
@@ -25,12 +36,24 @@ not it currently serves anyone.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import PLOS_AS_WRITTEN, PLOS_STANDARD, RadioParams
+from .model import PLOS_FORMS, PLOS_STANDARD, RadioParams
+
+# Fields of fewer links run on the calling thread alone.  Measured on a
+# 2-vCPU x86-64 KVM guest, geometry plus power field over 3,000 users with
+# Python work between the calls as in a tick (60 interleaved pairs per
+# size): two blocks took 1.16x the serial time at 51,000 links, 0.89x at
+# 75,000, 0.77x at 102,000 and 0.60x at 300,000.  An idle worker can take
+# milliseconds to wake on a shared host, so the line sits above break-even;
+# fig5's 9,000 links and the sweep's 12,600 stay serial.
+_SPLIT_LINKS = 100_000
+
+_pool = None        # the ThreadPoolExecutor of the other blocks, when built
 
 
 class Geometry(NamedTuple):
@@ -59,7 +82,18 @@ def geometry(uav_positions, user_positions, out: Geometry | None = None,
     """
     uavs = np.asarray(uav_positions, dtype=float).reshape(-1, 3)
     users = np.asarray(user_positions, dtype=float).reshape(-1, 3)
-    dist, h2, dz = (None, None, None) if out is None else (*out, scratch)
+    shape = (len(uavs), len(users))
+    if out is None:
+        out = Geometry(np.empty(shape), np.empty(shape))
+    if scratch is None:
+        scratch = np.empty(shape)
+    _by_rows(_geometry_rows, shape, uavs, users, *out, scratch)
+    return out
+
+
+def _slant_distance(uavs, users, dist=None, h2=None, dz=None):
+    """geometry's distance half, written into ``dist``, ``h2`` and ``dz``
+    when given: the slant distances, dx*dx + dy*dy and dz."""
     h2 = np.subtract.outer(uavs[:, 0], users[:, 0], out=h2)     # dx
     np.multiply(h2, h2, out=h2)
     dz = np.subtract.outer(uavs[:, 1], users[:, 1], out=dz)     # dy, then dz
@@ -69,8 +103,63 @@ def geometry(uav_positions, user_positions, out: Geometry | None = None,
     dist = np.multiply(dz, dz, out=dist)
     dist += h2
     np.sqrt(dist, out=dist)
-    np.sqrt(h2, out=h2)
-    return Geometry(dist, np.arctan2(dz, h2, out=h2))
+    return dist, h2, dz
+
+
+def _geometry_rows(rows: slice, uavs, users, dist, elev, dz) -> None:
+    # elev holds dx*dx + dy*dy until the arctan2
+    h = _slant_distance(uavs[rows], users, dist[rows], elev[rows],
+                        dz[rows])[1]
+    np.sqrt(h, out=h)
+    np.arctan2(dz[rows], h, out=h)
+
+
+def _by_rows(block, shape: tuple[int, int], *args) -> None:
+    """``block(rows, *args)`` over slices of a field's rows that together
+    cover all ``shape[0]`` of them, each once; returns when all are done.
+
+    A field of fewer than _SPLIT_LINKS links is one slice on the calling
+    thread, a larger one a slice per CPU.  The calling thread runs the
+    first, then any that no pool worker has started by then.
+    """
+    n_rows, blocks = shape[0], 1
+    if n_rows * shape[1] >= _SPLIT_LINKS:
+        try:
+            blocks = min(n_rows, len(os.sched_getaffinity(0)))
+        except AttributeError:          # no affinity on this platform
+            blocks = min(n_rows, os.cpu_count() or 1)
+    if blocks == 1:
+        block(slice(0, n_rows), *args)
+        return
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = ThreadPoolExecutor(blocks - 1, thread_name_prefix="radio")
+    edges = [n_rows * k // blocks for k in range(blocks + 1)]
+    rest = [slice(lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+    futures = [_pool.submit(block, rows, *args) for rows in rest]
+    try:
+        block(slice(0, edges[1]), *args)
+    finally:
+        # the blocks write into the caller's arrays: wait for every one a
+        # worker has started, and take back the others, since an idle
+        # worker can take longer to wake than a block takes
+        left = [rows for rows, f in zip(rest, futures) if f.cancel()]
+        for f in futures:
+            if not f.cancelled():
+                f.result()
+    for rows in left:
+        block(rows, *args)
+
+
+def _drop_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads; it builds its own
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def los_probability(elevation_rad, params: RadioParams,
@@ -87,18 +176,27 @@ def los_probability(elevation_rad, params: RadioParams,
     urban constants; the second falls off at low elevation.  The result is
     computed in place, in ``out`` when given, else in one new array.
     """
-    th, xi = params.theta_env, params.xi_env
+    standard = _is_standard(params)
     if out is None:
         out = np.empty(np.shape(elevation_rad))
+    return _los(elevation_rad, params, standard, out)
+
+
+def _is_standard(params: RadioParams) -> bool:
+    if params.plos_form not in PLOS_FORMS:
+        raise ValueError(f"unknown plos_form {params.plos_form!r}")
+    return params.plos_form == PLOS_STANDARD
+
+
+def _los(elevation_rad, params: RadioParams, standard: bool, out):
+    th, xi = params.theta_env, params.xi_env
     p = np.degrees(elevation_rad, out=out)
-    if params.plos_form == PLOS_AS_WRITTEN:
-        p *= -xi
-        p -= th
-    elif params.plos_form == PLOS_STANDARD:
+    if standard:
         p -= th
         p *= -xi
     else:
-        raise ValueError(f"unknown plos_form {params.plos_form!r}")
+        p *= -xi
+        p -= th
     np.exp(p, out=p)
     p *= th
     p += 1.0
@@ -140,16 +238,29 @@ def received_power_field(geom: Geometry, params: RadioParams,
     """
     dist, elev = geom
     _require_positive(dist)
+    standard = _is_standard(params)
     per_db = math.log(10.0) / 10.0          # ln of a power ratio per dB
     ln_k = per_db * params.p_t + params.delta * math.log(
         params.c_light / (4.0 * math.pi * params.f_c))
-    out = los_probability(elev, params, out=out)
-    out *= -per_db * (params.eta_los - params.eta_nlos)
-    out += ln_k - per_db * params.eta_nlos
-    log_d = np.log(dist, out=scratch)
+    if out is None:
+        out = np.empty(dist.shape)
+    if scratch is None:
+        scratch = np.empty(dist.shape)
+    _by_rows(_power_rows, dist.shape, dist, elev, params, standard,
+             -per_db * (params.eta_los - params.eta_nlos),
+             ln_k - per_db * params.eta_nlos, out, scratch)
+    return out
+
+
+def _power_rows(rows: slice, dist, elev, params, standard, per_p_los,
+                offset, out, scratch) -> None:
+    p = _los(elev[rows], params, standard, out[rows])
+    p *= per_p_los
+    p += offset
+    log_d = np.log(dist[rows], out=scratch[rows])
     log_d *= params.delta
-    out -= log_d
-    return np.exp(out, out=out)
+    p -= log_d
+    np.exp(p, out=p)
 
 
 def data_rate(sinr_linear, bandwidth: float):

@@ -416,6 +416,25 @@ def test_bool_in_code_built_config_rejected(name, make, fig3_config):
         make(fig3_config).validate()
 
 
+@pytest.mark.parametrize("name, make", [
+    ("seed", lambda c: replace(c, seed=3.0)),
+    ("radio.num_channels",
+     lambda c: replace(c, radio=replace(c.radio, num_channels=8.0))),
+], ids=["seed", "radio.num_channels"])
+def test_integral_float_in_code_built_int_field_rejected(name, make,
+                                                         fig3_config):
+    # a file's 8.0 is read as 8, but an instance keeps what it holds, and a
+    # float seed or channel count would fail mid-run
+    config = make(fig3_config)
+    named = "^" + re.escape(f"{name}: expected an integer, got ")
+    with pytest.raises(ScenarioError, match=named):
+        config.validate()
+    with pytest.raises(ScenarioError, match=named):
+        engine.run(config)
+    read = scenario_from_dict(scenario_to_dict(config))
+    assert type(read.seed) is int and type(read.radio.num_channels) is int
+
+
 @pytest.mark.parametrize("value", [0, False, ""])
 @pytest.mark.parametrize("key", ["radio", "gains", "failure_events"])
 def test_falsy_non_section_rejected_at_load(key, value, tmp_path):

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from uavswarm import engine
+from uavswarm import engine, radio
 from uavswarm.harness import generate_scenario
 from uavswarm.model import FLOCKING_MODE
 
@@ -80,6 +80,28 @@ def test_traced_flocking_run_counts_each_term_once_per_pass(tracer):
     assert traced.counts["kernels.fg_pairs"] == 2 * (ticks - 1) * (cells - 1)
     assert traced.calls["radio.power_field"] == ticks
     assert traced.counts["radio.links"] == ticks * cells * users
+
+
+def test_traced_split_field_counts_one_call_per_tick(tracer):
+    # above radio._SPLIT_LINKS the field is computed in cell-row blocks on
+    # a thread pool; the workers call only private helpers, so the traced
+    # span still counts one field per tick, on the main thread, and
+    # radio.links still covers every cell and user
+    config = generate_scenario(
+        2600, 0.25, (0.0, 0.0, 4000.0, 1500.0), (0.0, 0.0, 1200.0, 1500.0),
+        40, duration=0.2, seed=6, controller_mode=FLOCKING_MODE)
+    ticks = config.ticks() + 1
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        result = engine.run(config)
+    finally:
+        traced.uninstall()
+    cells, users = len(result.world.alive), len(result.world.serving)
+    assert cells * users >= radio._SPLIT_LINKS
+    assert traced.calls["radio.power_field"] == ticks
+    assert traced.counts["radio.links"] == ticks * cells * users
+    assert traced.calls["engine.associate"] == ticks
 
 
 @pytest.mark.parametrize("name, seed", [("fig5", 169), ("field_flock", 0)])
