@@ -9,7 +9,6 @@ larger scenarios.
 import math
 
 from uavswarm import RadioParams, link_budget, los_probability
-from uavswarm.model import vec3
 
 URBAN = RadioParams()                                   # delta = 2
 OPEN = RadioParams(delta=1.43, plos_form="standard")    # long-reach profile
@@ -33,7 +32,7 @@ print("standard form punishes grazing links, which matters once users sit")
 print("hundreds of meters from their serving cell.")
 
 section("Budget for a cell hovering 100 m overhead (delta = 2)")
-lb = link_budget(vec3(0, 0, 100), vec3(0, 0, 0), URBAN)
+lb = link_budget((0, 0, 100), (0, 0, 0), URBAN)
 print(f"slant distance   {lb.distance_m:10.1f} m")
 print(f"LoS probability  {lb.p_los:10.4f}")
 print(f"path loss        {lb.path_loss_db:10.2f} dB")
@@ -44,9 +43,7 @@ print(f"Shannon rate     {lb.rate_bps / 1e6:10.1f} Mbit/s")
 section("Rate vs ground offset, low-exponent profile, height 100 m")
 print(f"{'offset m':>9} {'elev deg':>9} {'PL dB':>8} {'rate Mbps':>10}")
 for offset in (0, 20, 40, 46, 60, 100, 200, 290):
-    uav = vec3(0, 0, 100)
-    user = vec3(offset, 0, 0)
-    lb = link_budget(uav, user, OPEN)
+    lb = link_budget((0, 0, 100), (offset, 0, 0), OPEN)
     elev = math.degrees(lb.elevation_rad)
     print(f"{offset:9d} {elev:9.1f} {lb.path_loss_db:8.2f}"
           f" {lb.rate_bps / 1e6:10.2f}")
@@ -56,7 +53,7 @@ print("use that contour to place premium pockets on serviceable rings.")
 
 section("Same geometry, urban delta = 2 profile")
 for offset in (0, 40, 100, 290):
-    lb = link_budget(vec3(0, 0, 100), vec3(offset, 0, 0), URBAN)
+    lb = link_budget((0, 0, 100), (offset, 0, 0), URBAN)
     print(f"{offset:9d} {'':9} {lb.path_loss_db:8.2f}"
           f" {lb.rate_bps / 1e6:10.2f}")
 print("The steeper exponent costs over 120 Mbit/s at the edge of the")

@@ -43,11 +43,10 @@ for tick in range(1200):
     geom = tick_geometry(world)
     associate_users(world, gains, geom)
     update_rates(world, cfg.radio, gains, geom)
-    controls = control_all(world, gains, "qos_driven")
+    controls = control_all(world, gains, "qos_driven", geom.dist)
     advance(world, controls, gains, cfg.H)
     if tick % 200 == 199:
-        sep = float(np.linalg.norm(world.uavs[0].position -
-                                   world.uavs[1].position))
+        sep = float(np.linalg.norm(world.uav_pos[0] - world.uav_pos[1]))
         print(f"  t={world.time:5.1f}s separation {sep:7.2f} m")
 print("the velocity-matching term damps the relative motion, so the pair")
 print("parks on the 100 m rest distance instead of ringing around it")
@@ -65,14 +64,12 @@ for tick in range(600):
     geom = tick_geometry(world)
     associate_users(world, gains, geom)
     update_rates(world, cfg.radio, gains, geom)
-    controls = control_all(world, gains, "qos_driven")
+    controls = control_all(world, gains, "qos_driven", geom.dist)
     advance(world, controls, gains, cfg.H)
     if tick % 100 == 99:
-        user = world.users[0]
-        gap = float(np.linalg.norm(world.uavs[0].position[:2] -
-                                   user.position[:2]))
+        gap = float(np.linalg.norm(world.uav_pos[0, :2] - world.user_pos[0, :2]))
         print(f"  t={world.time:5.1f}s offset {gap:6.1f} m "
-              f"rate {user.achieved_rate / 1e6:6.1f} Mbps")
+              f"rate {world.rate[0] / 1e6:6.1f} Mbps")
 print("the cell hunts around the 300 Mbit/s contour: outside it the")
 print("deficit pulls in, inside it the surplus pushes back out, and with")
 print("no damping partner nearby the hover is a slow orbit, not a point")

@@ -39,10 +39,12 @@ for ev in result.switch_events:
 
 print()
 print("final rates, all at or above 90% of target:")
-for user in result.world.users:
-    print(f"  user {user.id} ({user.klass:7s}) "
-          f"{user.achieved_rate / 1e6:6.1f} of "
-          f"{user.target_rate / 1e6:.0f} Mbit/s")
+world = result.world
+for m, (premium, rate, target) in enumerate(zip(
+        world.premium.tolist(), world.rate.tolist(), world.target.tolist())):
+    klass = "premium" if premium else "regular"
+    print(f"  user {m} ({klass:7s}) {rate / 1e6:6.1f} of "
+          f"{target / 1e6:.0f} Mbit/s")
 print()
 print("the switch is the whole story: before it, interference on the")
 print("shared channel caps every user below a sixth of the premium")

@@ -12,15 +12,15 @@ from an integer tick counter, never by accumulation.
 
 The world's state is WorldState's arrays, one row per cell or per user, and
 every phase reads and writes them whole; world.uavs and world.users are
-views of their rows.  Only the rate windows and the switching pass still go
-one user or one cell at a time.
+read-only views of their rows.  Only the rate windows and the switching pass
+still go one user or one cell at a time.
 
 Positions do not change between the failure phase and the step, so the
 cells x users geometry (radio.geometry: slant distance and elevation) is
 built once per tick, right after (1).  Association reads its distances,
 update_rates hands it to radio.received_power_field, and the invariant
-check reads the served pairs' distances from it: the range test sees the
-very values association saw.  The tick makes each of those two radio
+check and h's range test read its distances too: every range test sees
+the very values association saw.  The tick makes each of those two radio
 calls once, from its own thread; on a field of at least
 radio._SPLIT_LINKS links radio computes blocks of cell rows on a thread
 pool inside the call, with the same bits on any CPU count.
@@ -37,6 +37,7 @@ workspace when it returns, and a later step() builds it again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -279,17 +280,22 @@ def associate_users(world: WorldState, gains: ControlGains,
     world.serving[taken] = cells
 
 
+def _sinr(signal, total, noise_mw: float):
+    """Linear SINR of a link whose channel carries ``total`` mW at its user,
+    ``signal`` of it from the serving cell: the one SINR expression."""
+    return signal / (noise_mw + (total - signal))
+
+
 def _apply_rates(world: WorldState, powers: np.ndarray, chan_power: np.ndarray,
                  radio: RadioParams, gains: ControlGains, record: bool) -> None:
     rate = world.rate
     served = np.flatnonzero(world.serving >= 0)
     cells = world.serving[served]
-    signal = powers[cells, served]
-    interference = chan_power[world.channel[cells], served] - signal
-    noise_mw = float(dbm_to_mw(radio.noise))
+    sinr = _sinr(powers[cells, served],
+                 chan_power[world.channel[cells], served],
+                 float(dbm_to_mw(radio.noise)))
     rate.fill(0.0)
-    rate[served] = data_rate(signal / (noise_mw + interference),
-                             radio.bandwidth)
+    rate[served] = data_rate(sinr, radio.bandwidth)
     if record:
         time, tau = world.time, gains.tau
         # `or 0.0`: unserved users' windows share one 0.0 object
@@ -334,8 +340,10 @@ def channel_switching(world: WorldState, powers: np.ndarray,
     elapsed.  The candidate channel (never the default) is the lowest-index
     free one, else the one with least co-channel power at the worst-deficit
     user.  The switch happens only if it strictly reduces interference for
-    that user; leaving the default channel releases any regular users.
-    Later UAVs in the same pass see the updated channel occupancy.
+    that user, each side summed exactly (math.fsum) over the other alive
+    cells' powers on its channel, so a tie never switches; leaving the
+    default channel releases any regular users.  Later UAVs in the same pass
+    see the updated channel occupancy.
     """
     events: list[SwitchEvent] = []
     noise_mw = float(dbm_to_mw(radio.noise))
@@ -364,33 +372,26 @@ def channel_switching(world: WorldState, powers: np.ndarray,
         if trig is None:
             continue
         current = int(channel[n])
-        current_interf = float(chan_power[current, trig] - powers[n, trig])
-        free = [k for k in range(1, n_channels) if usage[k] == 0]
-        if free:
-            best_k = free[0]
-            cand_interf = 0.0
-        else:
-            best_k = None
-            cand_interf = np.inf
-            for k in range(1, n_channels):
-                if k == current:
-                    continue
-                ik = float(chan_power[k, trig])
-                if ik < cand_interf:
-                    cand_interf = ik
-                    best_k = k
-        if best_k is None or not cand_interf < current_interf:
+        candidates = [k for k in range(1, n_channels) if k != current]
+        if not candidates:
+            continue
+        free = [k for k in candidates if usage[k] == 0]
+        best_k = free[0] if free else min(
+            candidates, key=chan_power[:, trig].__getitem__)
+        # dead cells' powers are 0, so a channel's cells need no alive mask
+        at_trig = powers[:, trig]
+        others = channel == current
+        others[n] = False
+        if not math.fsum(at_trig[channel == best_k]) < math.fsum(
+                at_trig[others]):
             continue
         released = [m for m in served if current == L0 and not premium[m]]
         retained = [m for m in served if m not in released]
-        sinr_before = [
-            float(powers[n, m] / (noise_mw + chan_power[current, m] - powers[n, m]))
-            for m in retained]
-        sinr_after = [
-            float(powers[n, m] / (noise_mw + chan_power[best_k, m]))
-            for m in retained]
+        signal = powers[n, retained]
+        sinr_before = _sinr(signal, chan_power[current, retained], noise_mw)
         chan_power[current] -= powers[n]
         chan_power[best_k] += powers[n]
+        sinr_after = _sinr(signal, chan_power[best_k, retained], noise_mw)
         usage[current] -= 1
         usage[best_k] += 1
         channel[n] = best_k
@@ -398,24 +399,25 @@ def channel_switching(world: WorldState, powers: np.ndarray,
         serving[released] = -1
         world.rate[released] = 0.0
         events.append(SwitchEvent(world.time, n, current, best_k, retained,
-                                  sinr_before, sinr_after))
+                                  sinr_before.tolist(), sinr_after.tolist()))
     return events
 
 
-def control_all(world: WorldState, gains: ControlGains,
-                mode: str) -> np.ndarray:
+def control_all(world: WorldState, gains: ControlGains, mode: str,
+                dist: np.ndarray) -> np.ndarray:
     """Control inputs for all UAVs from one frozen state snapshot.
 
     Each controller term runs once for the whole fleet, on the world's
-    arrays; dead UAVs get zero rows.
+    arrays; dead UAVs get zero rows.  ``dist`` is the geometry's
+    (cells, users) distances at these positions, h's range test.
     """
     serving = world.serving
     served = np.flatnonzero(serving >= 0)
     connected = np.zeros((len(world.alive), len(serving)), dtype=bool)
     connected[serving[served], served] = True
     return control_input(world.uav_pos, world.uav_vel, _loads(world),
-                         world.alive, connected, world.user_pos, world.rate,
-                         world.target, world.premium, gains, mode)
+                         world.alive, connected, world.user_pos, dist,
+                         world.rate, world.target, world.premium, gains, mode)
 
 
 def advance(world: WorldState, controls: np.ndarray, gains: ControlGains,
@@ -494,13 +496,14 @@ def step(world: WorldState,
          config: ScenarioConfig) -> tuple[TickMetrics, list[SwitchEvent]]:
     """One full evaluate-and-integrate tick for callers driving a world by
     hand: the same two halves run() uses."""
-    metrics, events = _evaluate(world, config)
-    _integrate(world, config)
+    metrics, events, geom = _evaluate(world, config)
+    _integrate(world, config, geom)
     return metrics, events
 
 
 def _evaluate(world: WorldState, config: ScenarioConfig):
-    """Phases 1-5 of a tick on frozen positions; fills the world's logs."""
+    """Phases 1-5 of a tick on frozen positions; fills the world's logs and
+    returns the tick's metrics, switch events and geometry."""
     for idx, ev in enumerate(config.failure_events):
         if idx in world.fired or world.time < ev.at_time:
             continue
@@ -524,12 +527,15 @@ def _evaluate(world: WorldState, config: ScenarioConfig):
                               world.rate, world.target, active)
     _check_invariants(world, config, geom)
     _record_min_distance(world, config.gains)
-    return metrics, events
+    return metrics, events, geom
 
 
-def _integrate(world: WorldState, config: ScenarioConfig) -> None:
-    """Phase 6: control inputs from the evaluated state, then one step."""
-    controls = control_all(world, config.gains, config.controller_mode)
+def _integrate(world: WorldState, config: ScenarioConfig,
+               geom: Geometry) -> None:
+    """Phase 6: control inputs from the evaluated state and its geometry,
+    then one step."""
+    controls = control_all(world, config.gains, config.controller_mode,
+                           geom.dist)
     advance(world, controls, config.gains, config.H)
 
 
@@ -556,7 +562,7 @@ def run(config: ScenarioConfig, run_seed: Optional[int] = None,
     user_trace: list[tuple] = []
     switch_events: list[SwitchEvent] = []
     for k in range(ticks + 1):
-        metrics, events = _evaluate(world, config)
+        metrics, events, geom = _evaluate(world, config)
         switch_events.extend(events)
         metrics_rows.append(metrics)
         if trace:
@@ -572,7 +578,7 @@ def run(config: ScenarioConfig, run_seed: Optional[int] = None,
                 in enumerate(zip(world.users, world.serving.tolist(),
                                  world.rate.tolist())))
         if k < ticks:
-            _integrate(world, config)
+            _integrate(world, config, geom)
     world.workspace = None      # a later step() on the world rebuilds it
     return RunResult(config=config, seed=_seed(config, run_seed),
                      metrics=metrics_rows, trace=cell_trace,

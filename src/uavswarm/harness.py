@@ -25,8 +25,6 @@ from .model import (
     PREMIUM,
     QOS_MODE,
     REGULAR,
-    ControlGains,
-    RadioParams,
     ScenarioConfig,
     ScenarioError,
     UserSpec,
@@ -39,15 +37,12 @@ from .model import (
 def generate_scenario(n_users: int, premium_fraction: float,
                       area: tuple[float, float, float, float],
                       premium_area: tuple[float, float, float, float],
-                      uav_count: int, *,
-                      uav_region: tuple[float, float, float, float] | None = None,
-                      H: float = 100.0, duration: float = 30.0, seed: int = 0,
-                      controller_mode: str = QOS_MODE,
-                      radio: RadioParams | None = None,
-                      gains: ControlGains | None = None) -> ScenarioConfig:
+                      uav_count: int, *, duration: float = 30.0,
+                      seed: int = 0,
+                      controller_mode: str = QOS_MODE) -> ScenarioConfig:
     """Build a two-zone scenario: premium users in a left slice of the area,
-    regular users in the remainder, UAVs placed uniformly in uav_region
-    (defaults to the whole area).
+    regular users in the remainder, UAVs placed uniformly over the whole
+    area, and the default height, radio and gains.
 
     The premium count is the round-half-up share of n_users.  User draws go
     through the same seeded resolver as any region-based scenario, so the
@@ -69,13 +64,10 @@ def generate_scenario(n_users: int, premium_fraction: float,
     config = ScenarioConfig(
         users=users,
         uav_count=uav_count,
-        uav_region=tuple(uav_region) if uav_region is not None else tuple(area),
-        H=H,
+        uav_region=tuple(area),
         duration=duration,
         seed=seed,
         controller_mode=controller_mode,
-        radio=radio if radio is not None else RadioParams(),
-        gains=gains if gains is not None else ControlGains(),
     )
     config.validate()
     return config

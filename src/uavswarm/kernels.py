@@ -149,8 +149,8 @@ def g_term(positions: np.ndarray, velocities: np.ndarray, alive: np.ndarray,
 
 
 def h_term(positions: np.ndarray, connected: np.ndarray, user_pos: np.ndarray,
-           rates: np.ndarray, targets: np.ndarray, premium: np.ndarray,
-           p: ControlGains) -> np.ndarray:
+           dist: np.ndarray, rates: np.ndarray, targets: np.ndarray,
+           premium: np.ndarray, p: ControlGains) -> np.ndarray:
     """User-coupling force on every cell, as (cells, 3) rows.
 
     `connected` is the (cells, users) serving matrix.  Users not connected
@@ -159,6 +159,8 @@ def h_term(positions: np.ndarray, connected: np.ndarray, user_pos: np.ndarray,
     it along the line of sight through an odd sigmoid of the deficit in
     Mbit/s, with class-specific gain, gated to zero once the rate reaches
     beta * target.  Both per-user weights are the same for every cell.
+    Range is read from `dist`, the tick geometry's (cells, users) distances
+    that association read, so a user at exactly r is in range for both.
     """
     rel = user_pos[None, :, :] - positions[:, None, :]
     grads, weight = _sigma_grads(rel, p.eps, out=rel)
@@ -167,9 +169,9 @@ def h_term(positions: np.ndarray, connected: np.ndarray, user_pos: np.ndarray,
     pull = gain * gate * phi_sigmoid((targets - rates) / 1e6, p)
     # repulsion runs along the negated sigma-gradient of rel
     push = -p.c1 * (np.maximum(targets - rates, 0.0) / targets)
-    # the weights overwrite the distances: pull where connected, else push
+    # the weights overwrite the norms: pull where connected, else push
     # within r, else 0
-    in_range = weight <= p.r
+    in_range = dist <= p.r
     weight.fill(0.0)
     np.copyto(weight, push, where=in_range)
     np.copyto(weight, pull, where=connected)
@@ -189,16 +191,17 @@ def flocking_goal_term(positions: np.ndarray, user_pos: np.ndarray,
 def control_input(positions: np.ndarray, velocities: np.ndarray,
                   loads: np.ndarray, alive: np.ndarray,
                   connected: np.ndarray, user_pos: np.ndarray,
-                  rates: np.ndarray, targets: np.ndarray,
+                  dist: np.ndarray, rates: np.ndarray, targets: np.ndarray,
                   premium: np.ndarray, p: ControlGains,
                   mode: str = QOS_MODE) -> np.ndarray:
     """Control inputs for every cell as (cells, 3) rows: z zeroed, each row
-    clamped to p.u_max, dead cells zero."""
+    clamped to p.u_max, dead cells zero.  ``dist`` is as in h_term."""
     pairs = _cell_pairs(positions, alive, p)
     u = f_term(positions, loads, alive, p, pairs=pairs) + \
         g_term(positions, velocities, alive, p, pairs=pairs)
     if mode == QOS_MODE:
-        u += h_term(positions, connected, user_pos, rates, targets, premium, p)
+        u += h_term(positions, connected, user_pos, dist, rates, targets,
+                    premium, p)
     elif mode == FLOCKING_MODE:
         u += flocking_goal_term(positions, user_pos, p)
     else:

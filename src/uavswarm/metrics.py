@@ -33,10 +33,10 @@ class TickMetrics:
 def seq_sum(values) -> float:
     """The float sum of ``values`` taken left to right, one addition at a
     time, as a Python float: acc = 0.0, then acc += x for each x.  The
-    trailing + 0.0 turns an all -0.0 sum into 0.0, as that loop does.  No
-    values give int 0, as sum() does."""
+    trailing + 0.0 turns an all -0.0 sum into 0.0, as that loop does, and
+    no values give 0.0."""
     if not len(values):
-        return 0
+        return 0.0
     return float(np.add.accumulate(np.asarray(values, dtype=float))[-1]) + 0.0
 
 

@@ -6,9 +6,10 @@ inside the radio module.  UAVs fly at a fixed height with zero vertical
 velocity; ground users sit at z = 0 and do not move.
 
 A world's state is a set of arrays on engine.WorldState, one row per cell
-or user.  UavState and UserState are views of one row, with a named
-attribute per array; a user's view also keeps its rate window, one entry
-per tick, whose trailing mean is computed only when read.
+or user, and they are its only write path.  UavState and UserState are
+read-only views of one row, with a named attribute per array they show; a
+user's view also keeps its rate window, one entry per tick, whose trailing
+mean is computed only when read.
 The users' serving ids are the one association record: a cell's users and
 its load are counted from them, never stored on the cell.
 
@@ -74,18 +75,14 @@ class ScenarioError(ValueError):
     """Raised for malformed or inconsistent scenario configurations."""
 
 
-def vec3(x: float = 0.0, y: float = 0.0, z: float = 0.0) -> np.ndarray:
-    return np.array([float(x), float(y), float(z)])
-
-
 def round_half_up(x: float) -> int:
     """Round to the nearest integer with ties going up (4.5 -> 5)."""
     return int(math.floor(x + 0.5))
 
 
 class _Item:
-    """A view's attribute: entry ``id`` of one of its world's arrays, passed
-    through ``read``.  Read-only; _Settable writes the entry in place."""
+    """A view's read-only attribute: entry ``id`` of one of its world's
+    arrays, passed through ``read``."""
 
     def __init__(self, array: str, read=None):
         self.array, self.read = array, read
@@ -97,40 +94,33 @@ class _Item:
         return value if self.read is None else self.read(value)
 
 
-class _Settable(_Item):
-    def __set__(self, view, value) -> None:
-        view._arrays[self.array][view.id] = value
+def _frozen(row: np.ndarray) -> np.ndarray:
+    row.flags.writeable = False     # this view of the row, not the array
+    return row
 
 
 class UavState:
-    """Cell ``id``, a view of a world's arrays.  ``position`` and
-    ``velocity`` are row views that write through; z is pinned to the
-    height and vz is always 0.  ``_arrays`` maps the world's array names to
-    its arrays and never holds the world, so no view keeps a finished world
-    alive."""
+    """Cell ``id``, a read-only view of a world's arrays; its position is a
+    row that does not write through.  ``_arrays`` maps the world's array
+    names to its arrays and never holds the world, so no view keeps a
+    finished world alive."""
 
     __slots__ = ("id", "_arrays")
 
     def __init__(self, id: int, arrays) -> None:
         self.id, self._arrays = id, arrays
 
-    position = _Settable("uav_pos")                 # (3,) m
-    velocity = _Settable("uav_vel")                 # (3,) m/s
-    alive = _Settable("alive", bool)
-    channel = _Settable("channel", int)
-    last_switch_time = _Item("last_switch", float)
+    position = _Item("uav_pos", _frozen)            # (3,) m
+    alive = _Item("alive", bool)
 
 
 class UserState:
-    """Ground user ``id`` at z = 0, a view of a world's arrays as UavState
+    """Ground user ``id``, a read-only view of a world's arrays as UavState
     is, and its trailing rate window."""
 
     __slots__ = ("id", "_arrays", "rate_window", "rate_times")
-    position = _Item("user_pos")                    # (3,) m
     klass = _Item("premium", lambda p: PREMIUM if p else REGULAR)
-    target_rate = _Item("target", float)            # bits/s
     serving_uav = _Item("serving", lambda n: None if n < 0 else int(n))
-    achieved_rate = _Item("rate", float)            # bits/s, 0 while unserved
 
     def __init__(self, id: int, arrays) -> None:
         self.id, self._arrays = id, arrays
@@ -183,7 +173,6 @@ class RadioParams:
     p_t: float = 37.0               # transmit power, dBm
     bandwidth: Positive = 15e6      # per-link bandwidth, Hz
     noise: float = -80.0            # thermal noise power, dBm
-    c_light: Positive = 3e8         # propagation speed, m/s
     num_channels: AtLeastOne = 8    # channels 0 .. num_channels - 1
     plos_form: PlosForm = PLOS_AS_WRITTEN
 

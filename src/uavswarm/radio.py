@@ -13,9 +13,10 @@ received power in closed form, with no dB round trip,
     P = K * d**-delta * 10**(-(eta_nlos + p_los * (eta_los - eta_nlos)) / 10),
     K = 10**(p_t / 10) * (c / (4 pi f_c))**delta,
 
-in place over one output array.  It is the one received-power formula:
-link_budget takes its received power from the same function on a 1 x 1
-geometry, and path_loss_db gives only the reported loss in dB.
+in place over one output array, with c the speed of light.  It is the one
+path-loss formula: link_budget takes its received power from the same
+function on a 1 x 1 geometry and reports the loss as p_t minus that power
+in dBm.
 
 A field of at least _SPLIT_LINKS cells x users links is computed in
 contiguous blocks of cell rows, one per CPU the process may run on: the
@@ -54,6 +55,8 @@ from .model import PLOS_FORMS, PLOS_STANDARD, RadioParams
 _SPLIT_LINKS = 100_000
 
 _pool = None        # the ThreadPoolExecutor of the other blocks, when built
+
+C_LIGHT = 3e8       # propagation speed, m/s
 
 
 class Geometry(NamedTuple):
@@ -162,8 +165,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def los_probability(elevation_rad, params: RadioParams,
-                    out: np.ndarray | None = None):
+def los_probability(elevation_rad, params: RadioParams):
     """Probability of a line-of-sight link at the given elevation angle.
 
     Two sigmoid-in-degrees forms are supported:
@@ -174,12 +176,10 @@ def los_probability(elevation_rad, params: RadioParams,
     where theta_deg is the elevation in degrees and (theta, xi) are the
     environment constants.  The first keeps p_los near 1 at all angles for
     urban constants; the second falls off at low elevation.  The result is
-    computed in place, in ``out`` when given, else in one new array.
+    computed in place in one new array.
     """
-    standard = _is_standard(params)
-    if out is None:
-        out = np.empty(np.shape(elevation_rad))
-    return _los(elevation_rad, params, standard, out)
+    return _los(elevation_rad, params, _is_standard(params),
+                np.empty(np.shape(elevation_rad)))
 
 
 def _is_standard(params: RadioParams) -> bool:
@@ -203,26 +203,6 @@ def _los(elevation_rad, params: RadioParams, standard: bool, out):
     return np.reciprocal(p, out=p)
 
 
-def path_loss_db(distance_m, elevation_rad, params: RadioParams):
-    """Mean path loss in dB over a slant distance at an elevation angle.
-
-    Free-space term with exponent delta, plus the LoS/NLoS excess losses
-    weighted by the LoS probability.
-    """
-    distance_m = np.asarray(distance_m, dtype=float)
-    _require_positive(distance_m)
-    p_los = los_probability(elevation_rad, params)
-    fspl = 10.0 * params.delta * np.log10(
-        4.0 * math.pi * params.f_c * distance_m / params.c_light)
-    return fspl + p_los * params.eta_los + (1.0 - p_los) * params.eta_nlos
-
-
-def _require_positive(distance_m: np.ndarray) -> None:
-    # a reduction, not a (n_uavs, n_users) mask; NaN passes both ways
-    if distance_m.size and distance_m.min() <= 0:
-        raise ValueError("path loss requires a positive distance")
-
-
 def dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
 
@@ -237,11 +217,13 @@ def received_power_field(geom: Geometry, params: RadioParams,
     temporary for ln d, or ``out`` and ``scratch`` when given.
     """
     dist, elev = geom
-    _require_positive(dist)
+    # a reduction, not a (n_uavs, n_users) mask; NaN passes both ways
+    if dist.size and dist.min() <= 0:
+        raise ValueError("path loss requires a positive distance")
     standard = _is_standard(params)
     per_db = math.log(10.0) / 10.0          # ln of a power ratio per dB
     ln_k = per_db * params.p_t + params.delta * math.log(
-        params.c_light / (4.0 * math.pi * params.f_c))
+        C_LIGHT / (4.0 * math.pi * params.f_c))
     if out is None:
         out = np.empty(dist.shape)
     if scratch is None:
@@ -283,16 +265,13 @@ def link_budget(uav_pos, user_pos, params: RadioParams) -> LinkBudget:
     """Single-link budget with no interference, for inspection and tests."""
     geom = geometry(uav_pos, user_pos)
     dist, elev = (float(v[0, 0]) for v in geom)
-    p_los = float(los_probability(elev, params))
-    pl = float(path_loss_db(dist, elev, params))
     rx_mw = float(received_power_field(geom, params)[0, 0])
-    noise_mw = float(dbm_to_mw(params.noise))
-    snr = rx_mw / noise_mw
+    snr = rx_mw / float(dbm_to_mw(params.noise))
     return LinkBudget(
         distance_m=dist,
         elevation_rad=elev,
-        p_los=p_los,
-        path_loss_db=pl,
+        p_los=float(los_probability(elev, params)),
+        path_loss_db=params.p_t - 10.0 * math.log10(rx_mw),
         received_mw=rx_mw,
         snr_db=10.0 * math.log10(snr),
         rate_bps=float(data_rate(snr, params.bandwidth)),

@@ -36,9 +36,11 @@ import pathlib
 import tempfile
 from dataclasses import replace
 
+import numpy as np
+
 from uavswarm.engine import run
 from uavswarm.harness import export_run, export_sweep_csv, run_sweep
-from uavswarm.model import FLOCKING_MODE, PREMIUM, load_scenario
+from uavswarm.model import FLOCKING_MODE, load_scenario
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -90,9 +92,9 @@ def export_digests(out) -> dict:
 
 def digest(result) -> dict:
     dt = result.config.gains.dt
-    users = result.world.users
-    n_prem = sum(1 for u in users if u.klass == PREMIUM)
-    n_reg = len(users) - n_prem
+    world = result.world
+    n_prem = int(np.count_nonzero(world.premium))
+    n_reg = len(world.premium) - n_prem
 
     def tick(t: float) -> int:
         return int(round(t / dt))
@@ -114,17 +116,15 @@ def digest(result) -> dict:
                           e.new_channel, list(e.user_ids)]
                          for e in result.switch_events],
             "failures": [[tick(t), list(ids)] for t, ids in result.failures],
-            "alive_at_end": [u.id for u in result.world.uavs if u.alive],
+            "alive_at_end": np.flatnonzero(world.alive).tolist(),
         },
         "float": {
             "rates": [[getattr(m, k) for k in _RATE_FIELDS]
                       for m in result.metrics],
             "switch_sinr": [[*e.sinr_before, *e.sinr_after]
                             for e in result.switch_events],
-            "final_positions": [u.position[:2].tolist()
-                                for u in result.world.uavs],
-            "final_velocities": [u.velocity[:2].tolist()
-                                 for u in result.world.uavs],
+            "final_positions": world.uav_pos[:, :2].tolist(),
+            "final_velocities": world.uav_vel[:, :2].tolist(),
         },
     }
 

@@ -25,7 +25,7 @@ from uavswarm.kernels import (
     sigma_norm_scalar,
 )
 from uavswarm.metrics import TickMetrics
-from uavswarm.model import L0, PREMIUM
+from uavswarm.model import L0
 
 
 def sigma_norm(vec, eps: float) -> float:
@@ -97,15 +97,15 @@ def oracle_h_term(uav_pos, connected, user_pos, rates, targets, premium, p):
     return out
 
 
-def oracle_h_term_allocating(positions, connected, user_pos, rates, targets,
-                             premium, p):
-    """h_term for every cell over freshly allocated offsets, gradients,
-    distances and np.where weights: the same arithmetic as the package's
-    in-place form, so the two must agree bit for bit."""
+def oracle_h_term_allocating(positions, connected, user_pos, dist, rates,
+                             targets, premium, p):
+    """h_term for every cell over freshly allocated offsets, gradients and
+    np.where weights, its range read from ``dist`` as h_term reads it: the
+    same arithmetic as the package's in-place form, so the two must agree
+    bit for bit."""
     rel = user_pos[None, :, :] - positions[:, None, :]
     sq = np.einsum("...k,...k->...", rel, rel)
     grads = rel / np.sqrt(1.0 + p.eps * sq)[..., None]
-    dist = np.sqrt(sq)
     gain = np.where(premium, p.c2_prem, p.c2_reg)
     gate = bump(rates / (p.beta * targets), 0.0)
     pull = gain * gate * phi_sigmoid((targets - rates) / 1e6, p)
@@ -123,30 +123,26 @@ def oracle_flocking_goal_term(uav_pos, user_pos, p):
     return p.c1 * sigma_grad(total / len(user_pos) - uav_pos, p.eps)
 
 
-def oracle_associate(uavs, users, gains):
+def oracle_associate(world, gains):
     """Greedy nearest-feasible association, one user and one sort at a time.
 
-    Returns the serving cell or None per user without touching the states
-    passed in.
+    Returns the serving cell or -1 per user without touching the world.
     """
-    serving = [None] * len(users)
-    if not uavs or not users:
+    n_cells, n_users = len(world.alive), len(world.serving)
+    serving = [-1] * n_users
+    if not n_cells or not n_users:
         return serving
-    uav_pos = np.array([u.position for u in uavs])
-    user_pos = np.array([u.position for u in users])
-    dist = np.linalg.norm(uav_pos[:, None, :] - user_pos[None, :, :], axis=2)
-    alive = np.array([u.alive for u in uavs])
-    on_default = np.array([u.channel == L0 for u in uavs])
-    prem = np.array([u.klass == PREMIUM for u in users])
-    eligible = alive[:, None] & (dist <= gains.r) & \
-        (prem[None, :] | on_default[:, None])
+    dist = np.linalg.norm(world.uav_pos[:, None, :]
+                          - world.user_pos[None, :, :], axis=2)
+    eligible = world.alive[:, None] & (dist <= gains.r) & \
+        (world.premium[None, :] | (world.channel == L0)[:, None])
     nearest = np.where(eligible, dist, np.inf).min(axis=0)
-    order = sorted(range(len(users)), key=lambda m: (nearest[m], m))
-    load = [0] * len(uavs)
+    order = sorted(range(n_users), key=lambda m: (nearest[m], m))
+    load = [0] * n_cells
     for m in order:
         if not np.isfinite(nearest[m]):
             continue
-        candidates = sorted((n for n in range(len(uavs)) if eligible[n, m]),
+        candidates = sorted((n for n in range(n_cells) if eligible[n, m]),
                             key=lambda n: (dist[n, m], n))
         for n in candidates:
             if load[n] < gains.n_max:
@@ -158,10 +154,7 @@ def oracle_associate(uavs, users, gains):
 
 def left_sum(values):
     """acc += x for each value, left to right from acc = 0.0: the same bits
-    on every interpreter.  No values give int 0, as sum() does."""
-    values = list(values)
-    if not values:
-        return 0
+    on every interpreter, and 0.0 for no values."""
     acc = 0.0
     for x in values:
         acc += x

@@ -36,9 +36,8 @@ from uavswarm.model import (
     ControlGains,
     RadioParams,
     load_scenario,
-    vec3,
 )
-from uavswarm.radio import link_budget
+from uavswarm.radio import geometry, link_budget
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -134,7 +133,7 @@ def test_02_radio_oracle_equivalence(capsys):
     worst = 0.0
     for uav, user in geometries(n=100):
         want = oracle_link(uav, user)
-        got = link_budget(vec3(*uav), vec3(*user), params)
+        got = link_budget(uav, user, params)
         for w, g in ((want["p_los"], got.p_los),
                      (want["pl_db"], got.path_loss_db),
                      (want["rx_mw"], got.received_mw),
@@ -143,7 +142,7 @@ def test_02_radio_oracle_equivalence(capsys):
     if worst > 1e-9:
         problems.append(f"oracle disagreement {worst:.2e} relative")
 
-    lb = link_budget(vec3(0, 0, 100), vec3(0, 0, 0), params)
+    lb = link_budget((0, 0, 100), (0, 0, 0), params)
     for name, want, got in (("path loss", OVERHEAD_PL_DB, lb.path_loss_db),
                             ("snr", OVERHEAD_SNR_DB, lb.snr_db),
                             ("rate", OVERHEAD_RATE_BPS, lb.rate_bps)):
@@ -169,7 +168,8 @@ def test_03_equilibrium_fixed_point(capsys):
     premium = np.array([True, True])
     connected = np.array([[True, False], [False, True]])
     u = control_input(positions, velocities, loads, alive, connected,
-                      user_pos, rates, targets, premium, gains)
+                      user_pos, geometry(positions, user_pos).dist, rates,
+                      targets, premium, gains)
     for i in range(2):
         if not np.array_equal(u[i], np.zeros(3)):
             problems.append(f"uav {i} control {u[i]} not exactly zero")
@@ -186,13 +186,12 @@ def test_04_three_user_convergence(capsys, fig3_config):
 
     if fig3_config.duration > 60.0:
         problems.append("scenario runs longer than 60 simulated seconds")
-    for user in result.world.users:
-        frac = user.achieved_rate / user.target_rate
+    world = result.world
+    for m, frac in enumerate((world.rate / world.target).tolist()):
         if frac < 0.90:
-            problems.append(
-                f"user {user.id} at {frac:.1%} of target")
-    a, b = result.world.uavs
-    sep = float(np.linalg.norm(a.position - b.position))
+            problems.append(f"user {m} at {frac:.1%} of target")
+    a, b = world.uav_pos
+    sep = float(np.linalg.norm(a - b))
     gains = fig3_config.gains
     if not gains.d <= sep <= gains.r:
         problems.append(f"final separation {sep:.1f} outside "

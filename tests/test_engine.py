@@ -27,7 +27,6 @@ from uavswarm.model import (
     ScenarioConfig,
     ScenarioError,
     UserSpec,
-    vec3,
 )
 from uavswarm.radio import geometry
 
@@ -71,21 +70,19 @@ class TestMakeWorld:
             uav_initial_positions=[(10.0, 20.0), (30.0, 40.0)],
             H=120.0)
         world = make_world(cfg)
-        assert [tuple(u.position) for u in world.uavs] == \
-            [(10.0, 20.0, 120.0), (30.0, 40.0, 120.0)]
-        assert all(u.channel == 0 and u.alive for u in world.uavs)
-        assert world.users[0].target_rate == 300e6
+        assert world.uav_pos.tolist() == \
+            [[10.0, 20.0, 120.0], [30.0, 40.0, 120.0]]
+        assert world.channel.tolist() == [0, 0]
+        assert world.alive.all()
+        assert world.target.tolist() == [300e6]
         assert world.time == 0.0 and world.tick == 0
 
     def test_run_seed_moves_uavs_not_users(self):
         cfg = _region_config()
         w1 = make_world(cfg, run_seed=101)
         w2 = make_world(cfg, run_seed=202)
-        for u1, u2 in zip(w1.users, w2.users):
-            assert np.array_equal(u1.position, u2.position)
-        moved = any(not np.array_equal(a.position, b.position)
-                    for a, b in zip(w1.uavs, w2.uavs))
-        assert moved
+        assert np.array_equal(w1.user_pos, w2.user_pos)
+        assert (w1.uav_pos != w2.uav_pos).any(axis=1).all()
 
     def test_validates_config(self):
         cfg = _region_config()
@@ -107,12 +104,12 @@ class TestInjectFailures:
         world = self._world(15)
         killed = inject_failures(world, 0.3)
         assert len(killed) == 5
-        assert sum(1 for u in world.uavs if not u.alive) == 5
+        assert np.count_nonzero(~world.alive) == 5
 
     def test_zero_fraction_is_noop(self):
         world = self._world(4)
         assert inject_failures(world, 0.0) == []
-        assert all(u.alive for u in world.uavs)
+        assert world.alive.all()
 
     def test_deterministic_per_seed(self):
         a = inject_failures(self._world(), 0.3)
@@ -131,15 +128,14 @@ class TestInjectFailures:
             failure_events=[FailureEvent(at_time=0.1, fraction=0.5)])
         world = make_world(cfg)
         step(world, cfg)
-        assert all(u.serving_uav is not None and u.achieved_rate > 0.0
-                   for u in world.users)
+        assert (world.serving >= 0).all() and (world.rate > 0.0).all()
         step(world, cfg)
         [(_, killed)] = world.failures
         assert len(killed) == 3
-        unserved = [u for u in world.users if u.serving_uav is None]
-        assert len(unserved) == 6
-        assert all(u.serving_uav not in killed for u in world.users)
-        assert all(u.achieved_rate == 0.0 for u in unserved)
+        unserved = world.serving < 0
+        assert np.count_nonzero(unserved) == 6
+        assert not np.isin(world.serving, killed).any()
+        assert (world.rate[unserved] == 0.0).all()
 
     def test_dead_uavs_not_rekilled(self):
         world = self._world(6)
@@ -154,8 +150,7 @@ def _assoc_world(uav_xy, channels, user_specs, gains=None):
     cfg = ScenarioConfig(users=user_specs, uav_count=len(uav_xy),
                          uav_initial_positions=uav_xy, gains=gains)
     world = make_world(cfg)
-    for uav, ch in zip(world.uavs, channels):
-        uav.channel = ch
+    world.channel[:] = channels
     return world, gains
 
 
@@ -173,7 +168,7 @@ class TestAssociation:
             [(0.0, 0.0), (200.0, 0.0)], [0, 0],
             [UserSpec(klass="premium", position=(150.0, 0.0))])
         associate_users(world, gains, tick_geometry(world))
-        assert world.users[0].serving_uav == 1
+        assert world.serving[0] == 1
 
     def test_regular_users_need_default_channel(self):
         # the nearer UAV sits off the default channel, so the regular user
@@ -183,15 +178,15 @@ class TestAssociation:
             [UserSpec(klass="regular", position=(170.0, 0.0)),
              UserSpec(klass="premium", position=(170.0, 10.0))])
         associate_users(world, gains, tick_geometry(world))
-        assert world.users[0].serving_uav == 0
-        assert world.users[1].serving_uav == 1
+        assert world.serving[0] == 0
+        assert world.serving[1] == 1
 
     def test_out_of_range_unserved(self):
         world, gains = _assoc_world(
             [(0.0, 0.0)], [0],
             [UserSpec(klass="premium", position=(1000.0, 0.0))])
         associate_users(world, gains, tick_geometry(world))
-        assert world.users[0].serving_uav is None
+        assert world.serving[0] == -1
 
     def test_capacity_spill_to_next_nearest(self):
         gains = ControlGains(n_max=1)
@@ -201,16 +196,16 @@ class TestAssociation:
              UserSpec(klass="premium", position=(20.0, 0.0))],
             gains)
         associate_users(world, gains, tick_geometry(world))
-        assert world.users[0].serving_uav == 0
-        assert world.users[1].serving_uav == 1
+        assert world.serving[0] == 0
+        assert world.serving[1] == 1
 
     def test_dead_uav_never_serves(self):
         world, gains = _assoc_world(
             [(0.0, 0.0)], [0],
             [UserSpec(klass="premium", position=(10.0, 0.0))])
-        world.uavs[0].alive = False
+        world.alive[0] = False
         associate_users(world, gains, tick_geometry(world))
-        assert world.users[0].serving_uav is None
+        assert world.serving[0] == -1
 
 
 class TestInvariants:
@@ -223,7 +218,7 @@ class TestInvariants:
             H=180.0)
         world = make_world(cfg)
         associate_users(world, cfg.gains, tick_geometry(world))
-        assert world.users[0].serving_uav == 0    # slant range exactly r
+        assert world.serving[0] == 0    # slant range exactly r
         return world, cfg
 
     def test_consistent_state_passes(self):
@@ -231,11 +226,11 @@ class TestInvariants:
         _check_invariants(world, cfg, tick_geometry(world))
 
     @pytest.mark.parametrize("breach, message", [
-        (lambda w: setattr(w.uavs[0], "alive", False), "served by dead UAV"),
-        (lambda w: w.uavs[0].position.__setitem__(0, -1e-9),
+        (lambda w: w.alive.__setitem__(0, False), "served by dead UAV"),
+        (lambda w: w.uav_pos.__setitem__((0, 0), -1e-9),
          "served out of range"),
-        (lambda w: setattr(w.uavs[0], "channel", 3), "off the default channel"),
-        (lambda w: w.uavs[1].position.__setitem__(1, np.nan),
+        (lambda w: w.channel.__setitem__(0, 3), "off the default channel"),
+        (lambda w: w.uav_pos.__setitem__((1, 1), np.nan),
          "UAV 1 position not finite"),
         (lambda w: w.serving.__setitem__(slice(1, None), 1),
          "UAV 1 over capacity"),
@@ -271,8 +266,7 @@ def _switch_world(num_channels=8, extra_uav=None, regular_too=True,
                          uav_initial_positions=uav_xy,
                          radio=RadioParams(num_channels=num_channels))
     world = make_world(cfg)
-    for uav, ch in zip(world.uavs, channels):
-        uav.channel = ch
+    world.channel[:] = channels
     world.time = time
     geom = tick_geometry(world)
     associate_users(world, cfg.gains, geom)
@@ -284,26 +278,26 @@ def _switch_world(num_channels=8, extra_uav=None, regular_too=True,
 class TestChannelSwitching:
     def test_switch_to_free_channel_and_release_regulars(self):
         world, cfg, powers, chan_power = _switch_world()
-        assert world.users[0].achieved_rate < 300e6
+        assert world.rate[0] < 300e6
         events = channel_switching(world, powers, chan_power, cfg.radio,
                                    cfg.gains)
         assert len(events) == 1
         ev = events[0]
         assert (ev.uav_id, ev.old_channel, ev.new_channel) == (0, 0, 1)
         assert ev.user_ids == [0]       # premium kept, regular dropped
-        assert world.users[1].serving_uav is None
-        assert world.uavs[0].channel == 1
-        assert world.uavs[0].last_switch_time == world.time
+        assert world.serving[1] == -1
+        assert world.channel[0] == 1
+        assert world.last_switch[0] == world.time
 
     def test_event_sinr_matches_independent_recompute(self):
         world, cfg, powers, chan_power = _switch_world()
 
         def sinr_of_user_0():
-            serving = world.uavs[0]
-            others = [u.position.tolist() for u in world.uavs[1:]
-                      if u.alive and u.channel == serving.channel]
-            return oracle_sinr(serving.position.tolist(), others,
-                               world.users[0].position.tolist(),
+            others = world.alive & (world.channel == world.channel[0])
+            others[0] = False
+            return oracle_sinr(world.uav_pos[0].tolist(),
+                               world.uav_pos[others].tolist(),
+                               world.user_pos[0].tolist(),
                                noise_dbm=cfg.radio.noise,
                                form=cfg.radio.plos_form)
 
@@ -332,7 +326,7 @@ class TestChannelSwitching:
         events = channel_switching(world, powers, chan_power, cfg.radio,
                                    cfg.gains)
         assert events == []
-        assert world.uavs[0].channel == 0
+        assert world.channel[0] == 0
 
     def test_cooldown_blocks_early_switch(self):
         world, cfg, powers, chan_power = _switch_world(time=0.0)
@@ -351,7 +345,7 @@ class TestChannelSwitching:
         associate_users(world, cfg.gains, geom)
         powers, chan_power = update_rates(world, cfg.radio, cfg.gains,
                                           geom)
-        assert world.users[0].achieved_rate < 100e6
+        assert world.rate[0] < 100e6
         assert channel_switching(world, powers, chan_power, cfg.radio,
                                  cfg.gains) == []
 
@@ -367,30 +361,29 @@ class TestAdvance:
     def test_semi_implicit_euler(self):
         world, cfg = self._world()
         advance(world, np.array([[3.0, 4.0, 0.0]]), cfg.gains, cfg.H)
-        uav = world.uavs[0]
-        assert np.allclose(uav.velocity, [0.3, 0.4, 0.0])
-        assert np.allclose(uav.position, [0.03, 0.04, 100.0])
+        assert np.allclose(world.uav_vel[0], [0.3, 0.4, 0.0])
+        assert np.allclose(world.uav_pos[0], [0.03, 0.04, 100.0])
         assert world.tick == 1
         assert world.time == pytest.approx(0.1)
 
     def test_speed_clamp(self):
         world, cfg = self._world()
         advance(world, np.array([[1000.0, 0.0, 0.0]]), cfg.gains, cfg.H)
-        assert np.linalg.norm(world.uavs[0].velocity) == pytest.approx(
+        assert np.linalg.norm(world.uav_vel[0]) == pytest.approx(
             cfg.gains.v_max)
 
     def test_height_pinned(self):
         world, cfg = self._world()
-        world.uavs[0].position[2] = 57.0
+        world.uav_pos[0, 2] = 57.0
         advance(world, np.zeros((1, 3)), cfg.gains, cfg.H)
-        assert world.uavs[0].position[2] == cfg.H
+        assert world.uav_pos[0, 2] == cfg.H
 
     def test_dead_uav_frozen(self):
         world, cfg = self._world(2)
-        world.uavs[1].alive = False
-        before = world.uavs[1].position.copy()
+        world.alive[1] = False
+        before = world.uav_pos[1].copy()
         advance(world, np.full((2, 3), 5.0), cfg.gains, cfg.H)
-        assert np.array_equal(world.uavs[1].position, before)
+        assert np.array_equal(world.uav_pos[1], before)
 
 
 class TestControlAll:
@@ -405,22 +398,23 @@ class TestControlAll:
                                    (5000.0, 0.0)],
             gains=ControlGains(u_max=2.0))
         world = make_world(cfg)
-        world.uavs[2].alive = False
-        world.uavs[2].velocity = vec3(3.0, 1.0)
-        associate_users(world, cfg.gains, tick_geometry(world))
-        return world, cfg
+        world.alive[2] = False
+        world.uav_vel[2] = (3.0, 1.0, 0.0)
+        geom = tick_geometry(world)
+        associate_users(world, cfg.gains, geom)
+        return world, cfg, geom.dist
 
     def test_dead_cell_row_is_exactly_zero(self):
-        world, cfg = self._world()
-        controls = control_all(world, cfg.gains, cfg.controller_mode)
+        world, cfg, dist = self._world()
+        controls = control_all(world, cfg.gains, cfg.controller_mode, dist)
         assert controls.shape == (4, 3)
         assert np.array_equal(controls[2], np.zeros(3))
 
     def test_row_above_u_max_is_clamped(self):
-        world, cfg = self._world()
-        controls = control_all(world, cfg.gains, cfg.controller_mode)
+        world, cfg, dist = self._world()
+        controls = control_all(world, cfg.gains, cfg.controller_mode, dist)
         loose = control_all(world, replace(cfg.gains, u_max=1e9),
-                            cfg.controller_mode)
+                            cfg.controller_mode, dist)
         for i in (0, 1):
             assert np.linalg.norm(loose[i]) > cfg.gains.u_max
             assert np.linalg.norm(controls[i]) == pytest.approx(
@@ -431,8 +425,8 @@ class TestControlAll:
                 rtol=1e-12)
 
     def test_zero_row_stays_zero(self):
-        world, cfg = self._world()
-        controls = control_all(world, cfg.gains, cfg.controller_mode)
+        world, cfg, dist = self._world()
+        controls = control_all(world, cfg.gains, cfg.controller_mode, dist)
         assert np.array_equal(controls[3], np.zeros(3))
         assert np.isfinite(controls).all()
 

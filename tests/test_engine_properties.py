@@ -1,12 +1,11 @@
 """Property tests: random small worlds driven through step() keep the
 world's invariants, and log what run() reports on the same config; a
-channel switch that lowers the interference at the user that triggered it
-raises that user's SINR."""
+channel switch lowers the exactly summed interference at the user that
+triggered it and raises that user's SINR."""
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +24,6 @@ from uavswarm.model import (
     L0,
     PREMIUM,
     QOS_MODE,
-    REGULAR,
     USER_CLASSES,
     ControlGains,
     FailureEvent,
@@ -78,7 +76,7 @@ def test_stepped_world_keeps_invariants_and_logs_like_run(config):
     rows = []
     for _ in range(config.ticks() + 1):
         # association is made at the positions before step() moves the cells
-        frozen = np.array([u.position for u in world.uavs])
+        frozen = world.uav_pos.copy()
         rows.append(step(world, config)[0])     # raises on a broken invariant
         _assert_association_valid(world, frozen, config.gains)
     full = run(config)
@@ -89,16 +87,15 @@ def test_stepped_world_keeps_invariants_and_logs_like_run(config):
 
 
 def _assert_association_valid(world, frozen, gains):
-    serving = np.array([-1 if u.serving_uav is None else u.serving_uav
-                        for u in world.users], dtype=int)
-    loads = np.bincount(serving[serving >= 0], minlength=len(world.uavs))
+    serving = world.serving
+    loads = np.bincount(serving[serving >= 0], minlength=len(world.alive))
     assert (loads <= gains.n_max).all()
-    for user, n in zip(world.users, serving.tolist()):
+    for m, n in enumerate(serving.tolist()):
         if n < 0:
             continue
-        assert world.uavs[n].alive
-        assert geometry(frozen[n], user.position).dist[0, 0] <= gains.r
-        assert user.klass != REGULAR or world.uavs[n].channel == L0
+        assert world.alive[n]
+        assert geometry(frozen[n], world.user_pos[m]).dist[0, 0] <= gains.r
+        assert world.premium[m] or world.channel[n] == L0
 
 
 @st.composite
@@ -148,13 +145,10 @@ def test_switch_raises_the_sinr_of_the_user_that_triggered_it(case):
                                & (cells != event.uav_id)])
         new = math.fsum(column[channels == event.new_channel])
         channels[event.uav_id] = event.new_channel
-        # exact sums that tie leave the switch to rounding (the xfail below)
-        if new < old:
-            assert event.sinr_after[trigger] > event.sinr_before[trigger]
+        assert new < old
+        assert event.sinr_after[trigger] > event.sinr_before[trigger]
 
 
-@pytest.mark.xfail(strict=True, reason="the switch rule compares rounded "
-                   "interference sums, so an exact tie can switch")
 def test_no_switch_onto_a_channel_with_the_same_interference():
     # cells 1 and 2 sit together, so channels 1 and 2 give the user the
     # same interference and cell 0 gains nothing by leaving channel 1

@@ -15,7 +15,7 @@ from uavswarm.harness import (
     summary_dict,
 )
 from uavswarm.metrics import TickMetrics, steady_state
-from uavswarm.model import ScenarioError, UserSpec
+from uavswarm.model import ScenarioConfig, ScenarioError
 
 
 class TestGenerateScenario:
@@ -131,6 +131,20 @@ class TestExporters:
         first = dict(zip(header, lines[1].split(",")))
         assert first["time"] == "0.000"
         assert first["active_channels"] == "1"
+
+    def test_metrics_csv_without_users_prints_floats(self, tmp_path):
+        # no users: the objective is the float 0.0, printed like every
+        # other float column, not the int 0
+        config = ScenarioConfig(
+            users=[], uav_count=2,
+            uav_initial_positions=[(0.0, 0.0), (400.0, 0.0)], duration=0.2)
+        export_run(run(config), tmp_path)
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        for row in rows:
+            assert row["p0_objective_mbps"] == "0.000"
+            assert row["all_mean_rate_mbps"] == "0.000"
 
     def test_summary_fields(self, fig3_result, tmp_path):
         export_run(fig3_result, tmp_path)

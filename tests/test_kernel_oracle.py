@@ -8,6 +8,8 @@ cells off the default channel, empty user sets and capacities small enough
 to force spills.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,8 @@ from uavswarm.model import (
     REGULAR,
     TARGET_RATE,
     ControlGains,
-    vec3,
 )
+from uavswarm.radio import geometry
 from worlds import world_of
 
 GAINS = ControlGains()
@@ -69,8 +71,8 @@ def _cells(rng, n):
 
 
 def _users(rng, n, uav_pos):
-    """Users around one cell, as h_term's (connected, positions, rates,
-    targets, premium) arguments."""
+    """Users around one cell, as (connected, positions, rates, targets,
+    premium)."""
     user_pos = np.column_stack([
         uav_pos[0] + rng.integers(-400, 400, n),
         uav_pos[1] + rng.integers(-400, 400, n), np.zeros(n)])
@@ -113,17 +115,20 @@ def test_coincident_cells_count_in_consensus_only():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_user_coupling_matches_loop(seed):
     rng = np.random.default_rng(seed)
-    uav_pos = vec3(rng.integers(0, 600), rng.integers(0, 600), HEIGHT)
+    uav_pos = np.array([rng.integers(0, 600), rng.integers(0, 600), HEIGHT],
+                       dtype=float)
     n = int(rng.integers(0, 30))
-    connected, *args = _users(rng, n, uav_pos)
+    connected, user_pos, *rest = _users(rng, n, uav_pos)
     # more cells over the same users, each with its own connected row
     others, _, _, _ = _cells(rng, int(rng.integers(0, 4)))
     positions = np.vstack([uav_pos, others])
     connected = np.vstack([connected, rng.random((len(others), n)) < 0.5])
-    h = h_term(positions, connected, *args, GAINS)
+    h = h_term(positions, connected, user_pos,
+               geometry(positions, user_pos).dist, *rest, GAINS)
     assert h.shape == positions.shape
     for i, cell in enumerate(positions):
-        _assert_close(h[i], oracle_h_term(cell, connected[i], *args, GAINS), n)
+        _assert_close(h[i], oracle_h_term(cell, connected[i], user_pos, *rest,
+                                          GAINS), n)
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -131,7 +136,8 @@ def test_user_coupling_keeps_allocating_form_bits(seed):
     rng = np.random.default_rng(seed)
     positions, _, _, _ = _cells(rng, int(rng.integers(1, 6)))
     n = int(rng.integers(0, 60))
-    _, *args = _users(rng, n, positions[0])
+    _, user_pos, *rest = _users(rng, n, positions[0])
+    args = (user_pos, geometry(positions, user_pos).dist, *rest)
     connected = rng.random((len(positions), n)) < 0.4
     got = h_term(positions, connected, *args, GAINS)
     want = oracle_h_term_allocating(positions, connected, *args, GAINS)
@@ -139,14 +145,32 @@ def test_user_coupling_keeps_allocating_form_bits(seed):
 
 
 def test_user_coupling_counts_unconnected_user_at_exact_range():
-    uav_pos = vec3(0.0, 0.0, HEIGHT)
+    uav_pos = np.array([0.0, 0.0, HEIGHT])
     user_pos = np.array([uav_pos + USER_AT_RANGE[0]])
-    args = (user_pos, np.array([0.0]), np.array([TARGET_RATE[REGULAR]]),
+    rest = (np.array([0.0]), np.array([TARGET_RATE[REGULAR]]),
             np.array([False]))
-    got = h_term(uav_pos[None], np.array([[False]]), *args, GAINS)[0]
+    got = h_term(uav_pos[None], np.array([[False]]), user_pos,
+                 geometry(uav_pos, user_pos).dist, *rest, GAINS)[0]
     assert got[0] < 0.0
-    _assert_close(got, oracle_h_term(uav_pos, np.array([False]), *args,
-                                     GAINS), 1)
+    _assert_close(got, oracle_h_term(uav_pos, np.array([False]), user_pos,
+                                     *rest, GAINS), 1)
+
+
+def test_user_coupling_range_is_the_geometry_distance():
+    # the geometry puts this user at exactly r, where association finds it
+    # in range, while the sum of squares in another order lands one ulp
+    # past r: h must push, as association's range test says
+    uav_pos = np.array([[0.0, 0.0, 100.0]])
+    user_pos = np.array([[-165.5897606807269, -229.3033605460234, 0.0]])
+    dist = geometry(uav_pos, user_pos).dist
+    rel = user_pos - uav_pos
+    assert dist[0, 0] == GAINS.r
+    assert np.sqrt(np.einsum("ik,ik->i", rel, rel))[0] == math.nextafter(
+        GAINS.r, math.inf)
+    got = h_term(uav_pos, np.array([[False]]), user_pos, dist,
+                 np.array([0.0]), np.array([TARGET_RATE[PREMIUM]]),
+                 np.array([True]), GAINS)[0]
+    assert (got[:2] > 0.0).all()        # away from the user
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -167,7 +191,7 @@ def _assoc_world(rng):
     n_users = int(rng.integers(0, 40))
     positions, alive, _, _ = _cells(rng, n_cells)
     channels = [int(rng.choice([0, 0, 2])) for _ in range(n_cells)]
-    anchor = positions[0] if n_cells else vec3(0.0, 0.0, HEIGHT)
+    anchor = positions[0] if n_cells else np.array([0.0, 0.0, HEIGHT])
     _, user_pos, _, _, premium = _users(rng, n_users, anchor)
     gains = ControlGains(n_max=int(rng.integers(1, 5)))
     world = world_of(positions[:, :2].tolist(),
@@ -182,15 +206,12 @@ def _spilled(world, serving, gains):
     """Users served by a cell other than their nearest eligible one."""
     count = 0
     for m, n in enumerate(serving):
-        if n is None:
+        if n < 0:
             continue
-        user = world.users[m]
-        dists = [np.linalg.norm(uav.position - user.position)
-                 for uav in world.uavs]
-        eligible = [d for uav, d in zip(world.uavs, dists)
-                    if uav.alive and d <= gains.r
-                    and (user.klass == PREMIUM or uav.channel == 0)]
-        count += dists[n] > min(eligible)
+        dists = np.linalg.norm(world.uav_pos - world.user_pos[m], axis=1)
+        eligible = world.alive & (dists <= gains.r) & (
+            world.premium[m] | (world.channel == 0))
+        count += dists[n] > dists[eligible].min()
     return count
 
 
@@ -198,9 +219,9 @@ def test_association_matches_greedy_loop():
     spills = 0
     for seed in range(400):
         world, gains = _assoc_world(np.random.default_rng(seed))
-        want_serving = oracle_associate(world.uavs, world.users, gains)
+        want_serving = oracle_associate(world, gains)
         associate_users(world, gains, tick_geometry(world))
-        assert [u.serving_uav for u in world.users] == want_serving, seed
+        assert world.serving.tolist() == want_serving, seed
         spills += _spilled(world, want_serving, gains)
     # the worlds must reach the spill path, not only the nearest-cell one
     assert spills > 50

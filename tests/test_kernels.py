@@ -17,6 +17,7 @@ from uavswarm.kernels import (
     sigma_norm_scalar,
 )
 from uavswarm.model import FLOCKING_MODE, ControlGains
+from uavswarm.radio import geometry
 
 KP = ControlGains()
 
@@ -179,7 +180,8 @@ class TestHTerm:
         users = np.array([[offset, 0.0, 0.0]])
         rates = np.array([rate])
         targets = np.array([300e6 if premium else 100e6])
-        return h_term(uav, np.array([[connected]]), users, rates, targets,
+        return h_term(uav, np.array([[connected]]), users,
+                      geometry(uav, users).dist, rates, targets,
                       np.array([premium]), KP)[0]
 
     def test_connected_at_target_is_exactly_zero(self):
@@ -200,9 +202,10 @@ class TestHTerm:
 
     def test_premium_gain_outweighs_regular(self):
         hp = self._single_user(200e6, premium=True)
-        hr = h_term(np.array([[0.0, 0.0, 100.0]]), np.array([[True]]),
-                    np.array([[80.0, 0.0, 0.0]]), np.array([50e6]),
-                    np.array([100e6]), np.array([False]), KP)[0]
+        uav, user = np.array([[0.0, 0.0, 100.0]]), np.array([[80.0, 0.0, 0.0]])
+        hr = h_term(uav, np.array([[True]]), user, geometry(uav, user).dist,
+                    np.array([50e6]), np.array([100e6]), np.array([False]),
+                    KP)[0]
         assert hp[0] > hr[0] > 0.0
 
     def test_non_connected_deficient_repels(self):
@@ -233,7 +236,8 @@ class TestControlInput:
         premium = np.array([True, True])
         connected = np.array([[True, False], [False, True]])
         u = control_input(positions, velocities, loads, alive, connected,
-                          user_pos, rates, targets, premium, gains)
+                          user_pos, geometry(positions, user_pos).dist, rates,
+                          targets, premium, gains)
         assert np.array_equal(u, np.zeros((2, 3)))
 
     def test_z_component_always_zero(self):
@@ -241,8 +245,8 @@ class TestControlInput:
         velocities = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
         u = control_input(positions, velocities, np.array([0, 0]),
                           np.array([True, True]), np.zeros((2, 0), dtype=bool),
-                          np.zeros((0, 3)), np.zeros(0), np.zeros(0),
-                          np.zeros(0, dtype=bool), KP)
+                          np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(0),
+                          np.zeros(0), np.zeros(0, dtype=bool), KP)
         assert np.array_equal(u[:, 2], np.zeros(2))
 
     def test_norm_clamped_to_u_max(self):
@@ -251,8 +255,9 @@ class TestControlInput:
         velocities = np.zeros((2, 3))
         u = control_input(positions, velocities, np.array([0, 0]),
                           np.array([True, True]), np.zeros((2, 0), dtype=bool),
-                          np.zeros((0, 3)), np.zeros(0), np.zeros(0),
-                          np.zeros(0, dtype=bool), ControlGains(u_max=2.0))
+                          np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(0),
+                          np.zeros(0), np.zeros(0, dtype=bool),
+                          ControlGains(u_max=2.0))
         assert np.linalg.norm(u[0]) == pytest.approx(2.0, rel=1e-12)
 
     def test_flocking_mode_ignores_rates(self):
@@ -260,7 +265,7 @@ class TestControlInput:
         velocities = np.zeros((1, 3))
         user_pos = np.array([[500.0, 0.0, 0.0]])
         args = (positions, velocities, np.array([1]), np.array([True]),
-                np.array([[True]]), user_pos)
+                np.array([[True]]), user_pos, geometry(positions, user_pos).dist)
         tail = (np.array([300e6]), np.array([True]), KP)
         starved = control_input(*args, np.array([0.0]), *tail,
                                 mode=FLOCKING_MODE)
@@ -274,8 +279,8 @@ class TestControlInput:
             control_input(np.zeros((1, 3)), np.zeros((1, 3)),
                           np.array([0]), np.array([True]),
                           np.zeros((1, 0), dtype=bool), np.zeros((0, 3)),
-                          np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool),
-                          KP, mode="hover")
+                          np.zeros((1, 0)), np.zeros(0), np.zeros(0),
+                          np.zeros(0, dtype=bool), KP, mode="hover")
 
 
 def test_flocking_goal_pulls_toward_centroid():

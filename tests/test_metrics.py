@@ -166,6 +166,11 @@ def test_seq_sum_is_the_left_to_right_loop(seed):
     assert repr(seq_sum(values)) == repr(left_sum(values.tolist()))
 
 
+def test_seq_sum_of_nothing_is_the_float_zero():
+    for empty in ([], np.zeros(0)):
+        assert repr(seq_sum(empty)) == repr(left_sum(empty)) == "0.0"
+
+
 def test_seq_sum_is_neither_pairwise_nor_compensated():
     rng = np.random.default_rng(1)
     cases = [_spread(rng, 600) for _ in range(50)]

@@ -26,7 +26,6 @@ from uavswarm.model import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    vec3,
 )
 from uavswarm.radio import link_budget
 from worlds import world_of
@@ -59,11 +58,11 @@ class TestRoundHalfUp:
 
 class TestElevation:
     def test_overhead_is_right_angle(self):
-        lb = link_budget(vec3(5, 5, 100), vec3(5, 5, 0), RadioParams())
+        lb = link_budget((5, 5, 100), (5, 5, 0), RadioParams())
         assert lb.elevation_rad == math.pi / 2
 
     def test_forty_five_degrees(self):
-        lb = link_budget(vec3(100, 0, 100), vec3(0, 0, 0), RadioParams())
+        lb = link_budget((100, 0, 100), (0, 0, 0), RadioParams())
         assert lb.elevation_rad == pytest.approx(math.pi / 4)
 
 
@@ -87,6 +86,16 @@ class TestGains:
             _minimal_config(gains=ControlGains(d=300.0, r=300.0)).validate()
         with pytest.raises(ScenarioError):
             _minimal_config(gains=ControlGains(d=0.0)).validate()
+
+
+def test_speed_of_light_key_rejected_at_load(tmp_path):
+    # the propagation speed is a constant of the radio model, not a setting
+    data = scenario_to_dict(_minimal_config())
+    data["radio"]["c_light"] = 3e8
+    path = tmp_path / "old.yaml"
+    path.write_text(yaml.safe_dump(data))
+    with pytest.raises(ScenarioError, match=r"radio: unknown keys \['c_light'\]"):
+        load_scenario(path)
 
 
 class TestScenarioValidation:
@@ -483,8 +492,7 @@ def test_schema_declares_each_single_field_bound():
     assert sorted({_dotted(path) for path, _, _ in DECLARED_BOUNDS}) == sorted([
         "users[0].count", "uav_count", "H", "duration",
         "failure_events[0].at_time", "failure_events[0].fraction",
-        "radio.f_c", "radio.delta", "radio.bandwidth", "radio.c_light",
-        "radio.num_channels", "gains.eps", "gains.a", "gains.b", "gains.c1",
+        "radio.f_c", "radio.delta", "radio.bandwidth", "radio.num_channels", "gains.eps", "gains.a", "gains.b", "gains.c1",
         "gains.c2_reg", "gains.beta", "gains.n_max", "gains.tau", "gains.dt",
         "gains.v_max", "gains.u_max"])
 
@@ -545,6 +553,22 @@ def test_mean_rate_is_the_window_mean_after_every_record(dt, tau):
         user.record_rate(k * dt, rate, tau)
         window = user.rate_window
         assert user.mean_rate == sum(window) / len(window), k
+
+
+def test_views_are_read_only_and_follow_the_arrays():
+    world = world_of([(0.0, 0.0)], [(PREMIUM, 10.0, 0.0)])
+    uav, user = world.uavs[0], world.users[0]
+    for view, name in ((uav, "position"), (uav, "alive"), (user, "klass"),
+                       (user, "serving_uav")):
+        with pytest.raises(AttributeError):
+            setattr(view, name, getattr(view, name))
+    with pytest.raises(ValueError, match="read-only"):
+        uav.position[0] = 1.0
+    world.uav_pos[0, 0] = 5.0
+    world.alive[0] = False
+    world.serving[0] = 0
+    assert uav.position.tolist() == [5.0, 0.0, 100.0]
+    assert (uav.alive, user.serving_uav) == (False, 0)
 
 
 def test_mean_rate_reads_zero_when_fresh_and_cannot_be_stored():

@@ -47,7 +47,7 @@ radios = st.builds(
     eta_los=st.floats(0.0, 10.0), eta_nlos=st.floats(0.0, 40.0),
     theta_env=positive, xi_env=positive, p_t=st.floats(-10.0, 60.0),
     bandwidth=st.floats(1e5, 1e8), noise=st.floats(-130.0, -50.0),
-    c_light=st.floats(1e8, 3e8), num_channels=st.integers(1, 32),
+    num_channels=st.integers(1, 32),
     plos_form=st.sampled_from(PLOS_FORMS))
 
 

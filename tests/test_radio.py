@@ -12,15 +12,14 @@ from uavswarm.model import (
     RadioParams,
     ScenarioConfig,
     UserSpec,
-    vec3,
 )
 from uavswarm.radio import (
+    Geometry,
     data_rate,
     dbm_to_mw,
     geometry,
     link_budget,
     los_probability,
-    path_loss_db,
     received_power_field,
 )
 from worlds import world_of
@@ -62,30 +61,31 @@ class TestLosProbability:
 class TestPathLoss:
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError):
-            path_loss_db(0.0, math.pi / 2, AS_WRITTEN)
+            link_budget((0, 0, 0), (0, 0, 0), AS_WRITTEN)
         with pytest.raises(ValueError):
-            path_loss_db(-3.0, math.pi / 2, AS_WRITTEN)
+            received_power_field(
+                Geometry(np.array([[-3.0]]), np.array([[math.pi / 2]])),
+                AS_WRITTEN)
         with pytest.raises(ValueError):
-            received_power_field(geometry(vec3(0, 0, 0), vec3(0, 0, 0)),
-                                 AS_WRITTEN)
+            received_power_field(geometry((0, 0, 0), (0, 0, 0)), AS_WRITTEN)
 
     def test_distance_doubling_adds_exponent_decades(self):
         # straight overhead keeps the LoS mix fixed, isolating the
         # free-space term
         for delta in (2.0, 1.43):
             params = RadioParams(delta=delta)
-            near = link_budget(vec3(0, 0, 100), vec3(0, 0, 0),
+            near = link_budget((0, 0, 100), (0, 0, 0),
                                params).path_loss_db
-            far = link_budget(vec3(0, 0, 200), vec3(0, 0, 0),
+            far = link_budget((0, 0, 200), (0, 0, 0),
                               params).path_loss_db
             assert far - near == pytest.approx(10.0 * delta * math.log10(2.0),
                                                rel=1e-12)
 
     def test_nlos_mix_raises_loss(self):
         # same slant range, lower elevation -> more NLoS -> more loss
-        steep = link_budget(vec3(0, 0, 200), vec3(0, 0, 0),
+        steep = link_budget((0, 0, 200), (0, 0, 0),
                             STANDARD).path_loss_db
-        shallow = link_budget(vec3(0, 0, 50), vec3(193.6, 0, 0),
+        shallow = link_budget((0, 0, 50), (193.6, 0, 0),
                               STANDARD).path_loss_db
         assert shallow > steep
 
@@ -139,36 +139,35 @@ def _radio_world():
 def _rate(world):
     """The engine's achieved rate for user 0, through update_rates."""
     update_rates(world, AS_WRITTEN, ControlGains(), tick_geometry(world))
-    return world.users[0].achieved_rate
+    return world.rate[0]
 
 
 class TestSinr:
     def test_co_channel_interference_lowers_sinr(self):
         world = _radio_world()
         with_interferer = _rate(world)
-        world.uavs[1].channel = 3
+        world.channel[1] = 3
         without = _rate(world)
         assert with_interferer < without
 
     def test_interference_free_equals_snr(self):
         world = _radio_world()
-        world.uavs[1].channel = 3
-        lb = link_budget(world.uavs[0].position, world.users[0].position,
-                         AS_WRITTEN)
+        world.channel[1] = 3
+        lb = link_budget(world.uav_pos[0], world.user_pos[0], AS_WRITTEN)
         assert _rate(world) == pytest.approx(lb.rate_bps, rel=1e-12)
 
     def test_dead_interferer_ignored(self):
         world = _radio_world()
         clean = _rate(world)
-        world.uavs[1].alive = False
+        world.alive[1] = False
         assert _rate(world) > clean
 
     def test_idle_co_channel_uav_still_interferes(self):
         world = _radio_world()
-        assert [u.serving_uav for u in world.users] == [0]
-        world.uavs[2].channel = 1  # second idle interferer
+        assert world.serving.tolist() == [0]
+        world.channel[2] = 1  # second idle interferer
         more = _rate(world)
-        world.uavs[2].channel = 2
+        world.channel[2] = 2
         fewer = _rate(world)
         assert more < fewer
 
@@ -186,7 +185,7 @@ class TestRate:
 
 class TestLinkBudget:
     def test_internal_consistency(self):
-        lb = link_budget(vec3(120, -40, 90), vec3(30, 15, 0), STANDARD)
+        lb = link_budget((120, -40, 90), (30, 15, 0), STANDARD)
         assert lb.received_mw == pytest.approx(
             float(dbm_to_mw(STANDARD.p_t - lb.path_loss_db)), rel=1e-12)
         assert lb.snr_db == pytest.approx(

@@ -19,11 +19,7 @@ from uavswarm.engine import (
     tick_geometry,
     update_rates,
 )
-from uavswarm.model import (
-    ControlGains,
-    RadioParams,
-    vec3,
-)
+from uavswarm.model import ControlGains, RadioParams
 from uavswarm.radio import link_budget
 from worlds import world_of
 
@@ -35,7 +31,7 @@ def test_link_chain_matches_oracle(form):
     params = RadioParams(plos_form=form)
     for uav, user in geometries():
         want = oracle_link(uav, user, form=form)
-        got = link_budget(vec3(*uav), vec3(*user), params)
+        got = link_budget(uav, user, params)
         assert got.p_los == pytest.approx(want["p_los"], rel=REL)
         assert got.path_loss_db == pytest.approx(want["pl_db"], rel=REL)
         assert got.received_mw == pytest.approx(want["rx_mw"], rel=REL)
@@ -46,14 +42,14 @@ def test_low_exponent_profile_matches_oracle():
     params = RadioParams(delta=1.43, plos_form="standard")
     for uav, user in geometries(n=25, seed=7):
         want = oracle_link(uav, user, delta=1.43, form="standard")
-        got = link_budget(vec3(*uav), vec3(*user), params)
+        got = link_budget(uav, user, params)
         assert got.path_loss_db == pytest.approx(want["pl_db"], rel=REL)
         assert got.rate_bps == pytest.approx(want["rate_bps"], rel=REL)
 
 
 def test_overhead_chain_frozen_values():
     """100 m overhead link reproduces the hand-derived budget to 0.1%."""
-    lb = link_budget(vec3(0, 0, 100), vec3(0, 0, 0), RadioParams())
+    lb = link_budget((0, 0, 100), (0, 0, 0), RadioParams())
     assert lb.path_loss_db == pytest.approx(OVERHEAD_PL_DB, rel=1e-3)
     assert lb.snr_db == pytest.approx(OVERHEAD_SNR_DB, rel=1e-3)
     assert lb.rate_bps == pytest.approx(OVERHEAD_RATE_BPS, rel=1e-3)
@@ -70,10 +66,11 @@ def _link_kw(radio):
 def _oracle_sinr(world, channels, n, m, radio):
     """User m's SINR from cell n, with every other alive cell on n's
     channel (per ``channels``) interfering, served or idle."""
-    others = [u.position.tolist() for u in world.uavs
-              if u.alive and u.id != n and channels[u.id] == channels[n]]
-    return oracle_sinr(world.uavs[n].position.tolist(), others,
-                       world.users[m].position.tolist(),
+    others = [p for k, (p, alive) in enumerate(zip(world.uav_pos.tolist(),
+                                                   world.alive.tolist()))
+              if alive and k != n and channels[k] == channels[n]]
+    return oracle_sinr(world.uav_pos[n].tolist(), others,
+                       world.user_pos[m].tolist(),
                        noise_dbm=radio.noise, **_link_kw(radio))
 
 
@@ -93,7 +90,7 @@ def test_sinr_matches_oracle():
         world.serving[0] = 0
         update_rates(world, params, ControlGains(), tick_geometry(world))
         want = oracle_sinr(pts[0], pts[1:3], user_xy, form="standard")
-        assert world.users[0].achieved_rate == pytest.approx(
+        assert world.rate[0] == pytest.approx(
             _oracle_rate(want, params), rel=REL)
 
 
@@ -129,16 +126,15 @@ def test_engine_rates_and_switch_sinr_match_oracle():
         geom = tick_geometry(world)
         associate_users(world, gains, geom)
         powers, chan_power = update_rates(world, radio, gains, geom)
-        channels = [u.channel for u in world.uavs]
-        for user in world.users:
-            if user.serving_uav is None:
-                assert user.achieved_rate == 0.0
+        channels = world.channel.tolist()
+        for m, (n, rate) in enumerate(zip(world.serving.tolist(),
+                                          world.rate.tolist())):
+            if n < 0:
+                assert rate == 0.0
                 continue
             served += 1
-            want = _oracle_sinr(world, channels, user.serving_uav, user.id,
-                                radio)
-            assert user.achieved_rate == pytest.approx(
-                _oracle_rate(want, radio), rel=REL)
+            want = _oracle_sinr(world, channels, n, m, radio)
+            assert rate == pytest.approx(_oracle_rate(want, radio), rel=REL)
         events = channel_switching(world, powers, chan_power, radio, gains)
         # replay the pass in order: a later cell sees earlier switches
         for ev in events:
@@ -152,5 +148,5 @@ def test_engine_rates_and_switch_sinr_match_oracle():
             for m, got in zip(ev.user_ids, ev.sinr_after):
                 want = _oracle_sinr(world, channels, n, m, radio)
                 assert got == pytest.approx(want, rel=REL)
-        assert channels == [u.channel for u in world.uavs]
+        assert channels == world.channel.tolist()
     assert served > 500 and switched > 50

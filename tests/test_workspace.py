@@ -70,9 +70,9 @@ def assoc_worlds(draw):
 def _associate(world, gains):
     """Associate ``world`` and return its serving ids, after checking them
     against the oracle."""
-    want = oracle_associate(world.uavs, world.users, gains)
+    want = oracle_associate(world, gains)
     associate_users(world, gains, tick_geometry(world))
-    assert world.serving.tolist() == [-1 if n is None else n for n in want]
+    assert world.serving.tolist() == want
     return world.serving.tolist()
 
 
