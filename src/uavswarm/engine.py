@@ -409,12 +409,15 @@ def control_all(world: WorldState, gains: ControlGains, mode: str,
 
     Each controller term runs once for the whole fleet, on the world's
     arrays; dead UAVs get zero rows.  ``dist`` is the geometry's
-    (cells, users) distances at these positions, h's range test.
+    (cells, users) distances at these positions, h's range test.  Only h
+    reads the (cells, users) serving matrix, so flocking builds none.
     """
-    serving = world.serving
-    served = np.flatnonzero(serving >= 0)
-    connected = np.zeros((len(world.alive), len(serving)), dtype=bool)
-    connected[serving[served], served] = True
+    connected = None
+    if mode == QOS_MODE:
+        serving = world.serving
+        served = np.flatnonzero(serving >= 0)
+        connected = np.zeros((len(world.alive), len(serving)), dtype=bool)
+        connected[serving[served], served] = True
     return control_input(world.uav_pos, world.uav_vel, _loads(world),
                          world.alive, connected, world.user_pos, dist,
                          world.rate, world.target, world.premium, gains, mode)

@@ -18,15 +18,22 @@ directly; the sigma-norm images of r, d and n_max and the sigmoid shift are
 read-only properties on it.
 
 The terms follow Olfati-Saber's flocking construction, which is defined over
-neighbor sets, so each term is evaluated for the whole fleet at once and
-returns one (cells, 3) row per cell: f and g are masked (cells, cells)
-reductions over the alive cells within r of each cell, sharing one build
-of the cell pairs per control pass, h is one masked (cells, users)
-reduction whose per-user weights are computed once, and the flocking goal
-computes the user centroid once.  The per-pair weights are
-contracted with the stacked sigma-gradients in one batched matmul, so each
-row sums in BLAS order rather than neighbor order; results agree with a per-neighbor loop
-to rounding, within 1e-12 relative.
+neighbor sets, so each term is evaluated for the whole fleet at once,
+returns one (cells, 3) row per cell, and does per-pair work only for the
+pairs that interact.  f and g share one list per control pass of the
+ordered pairs (i, j) with j alive and within r of i; h lists the cell-user
+pairs whose user is within r of the cell or connected to it.  A list is the
+flat indices of its (cells, cells) or (cells, users) mask (np.flatnonzero,
+then divmod by the row width), so it runs in row-major order.  Each term
+computes its sigma-gradients (g: velocity differences) and weights for the
+listed pairs only, as (pairs, 3) rows, scatters them into zero-filled
+(rows, cols) weights and (rows, cols, 3) vectors, and sums each row with
+one batched matmul.  That matmul sees the shapes and the nonzero products
+it would see over every pair, and a zero product leaves each partial sum
+as it was, so the rows keep the bits of the every-pair form.  They sum in
+BLAS order rather than neighbor order and agree with a per-neighbor loop
+to rounding, within 1e-12 relative.  The sigma-norm's sum of squares stays
+an einsum over (..., 3) rows: any other order moves the fig5 goldens.
 """
 
 from __future__ import annotations
@@ -104,14 +111,36 @@ def _row_sums(weight: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.matmul(weight[:, None, :], vectors)[:, 0, :]
 
 
+def _pair_indices(mask: np.ndarray):
+    """The True entries of a 2-D mask in row-major order, as flat indices,
+    rows and columns."""
+    flat = np.flatnonzero(mask)
+    return (flat, *divmod(flat, mask.shape[1]))
+
+
+def _pair_sums(shape: tuple[int, int], flat: np.ndarray, weight: np.ndarray,
+               vectors: np.ndarray) -> np.ndarray:
+    """_row_sums of a (rows, cols) grid of weights and (rows, cols, 3)
+    vectors that are zero except at the flat indices ``flat``, where they
+    hold ``weight`` and the (n, 3) rows of ``vectors``."""
+    dense_w = np.zeros(shape)
+    dense_w.reshape(-1)[flat] = weight
+    dense_v = np.zeros(shape + (3,))
+    dense_v.reshape(-1, 3)[flat] = vectors
+    return _row_sums(dense_w, dense_v)
+
+
 def _cell_pairs(positions: np.ndarray, alive: np.ndarray, p: ControlGains):
-    """Offsets q_j - q_i, their norms, and which alive j other than i lie
-    within r of cell i, as (cells, cells[, 3]) arrays."""
+    """The pairs (i, j) of a cell i and an alive cell j other than i within
+    r of it, as flat indices into (cells, cells), rows i and columns j,
+    with each pair's sigma-gradient toward j as (pairs, 3) rows and its
+    distance."""
     rel = positions[None, :, :] - positions[:, None, :]
-    grads, dist = _sigma_grads(rel, p.eps)
-    near = alive[None, :] & (dist <= p.r)
+    near = alive[None, :] & (np.sqrt(np.einsum("...k,...k->...", rel, rel))
+                             <= p.r)
     np.fill_diagonal(near, False)
-    return grads, dist, near
+    flat, i, j = _pair_indices(near)
+    return (flat, i, j, *_sigma_grads(rel.reshape(-1, 3)[flat], p.eps))
 
 
 def f_term(positions: np.ndarray, loads: np.ndarray, alive: np.ndarray,
@@ -125,13 +154,13 @@ def f_term(positions: np.ndarray, loads: np.ndarray, alive: np.ndarray,
     ``pairs``, when given, is _cell_pairs(positions, alive, p), shared with
     g_term and left unchanged.
     """
-    grads, dist, near = pairs or _cell_pairs(positions, alive, p)
-    near = near & (dist > 0.0)
+    flat, _, j, grads, dist = pairs or _cell_pairs(positions, alive, p)
     overload = np.maximum(loads - p.n_max, 0)
     crowd = p.a * (1.0 - bump(
         sigma_norm_scalar(overload, p.eps) / p.n_max_sig, 0.0))
-    weight = pair_potential(sigma_norm_scalar(dist, p.eps), p) + crowd
-    return _row_sums(np.where(near, weight, 0.0), grads)
+    weight = pair_potential(sigma_norm_scalar(dist, p.eps), p) + crowd[j]
+    n = len(positions)
+    return _pair_sums((n, n), flat, np.where(dist > 0.0, weight, 0.0), grads)
 
 
 def g_term(positions: np.ndarray, velocities: np.ndarray, alive: np.ndarray,
@@ -142,10 +171,10 @@ def g_term(positions: np.ndarray, velocities: np.ndarray, alive: np.ndarray,
     Coincident neighbors count, with full weight.  ``pairs`` is as in
     f_term.
     """
-    _, dist, near = pairs or _cell_pairs(positions, alive, p)
-    weight = np.where(near, bump(sigma_norm_scalar(dist, p.eps) / p.r_sig,
-                                 0.2), 0.0)
-    return _row_sums(weight, velocities[None, :, :] - velocities[:, None, :])
+    flat, i, j, _, dist = pairs or _cell_pairs(positions, alive, p)
+    weight = bump(sigma_norm_scalar(dist, p.eps) / p.r_sig, 0.2)
+    n = len(positions)
+    return _pair_sums((n, n), flat, weight, velocities[j] - velocities[i])
 
 
 def h_term(positions: np.ndarray, connected: np.ndarray, user_pos: np.ndarray,
@@ -162,20 +191,18 @@ def h_term(positions: np.ndarray, connected: np.ndarray, user_pos: np.ndarray,
     Range is read from `dist`, the tick geometry's (cells, users) distances
     that association read, so a user at exactly r is in range for both.
     """
-    rel = user_pos[None, :, :] - positions[:, None, :]
-    grads, weight = _sigma_grads(rel, p.eps, out=rel)
+    pair = dist <= p.r
+    pair |= connected
+    flat, cell, user = _pair_indices(pair)
+    rel = user_pos[user] - positions[cell]
+    grads = _sigma_grads(rel, p.eps, out=rel)[0]
     gain = np.where(premium, p.c2_prem, p.c2_reg)
     gate = bump(rates / (p.beta * targets), 0.0)
     pull = gain * gate * phi_sigmoid((targets - rates) / 1e6, p)
     # repulsion runs along the negated sigma-gradient of rel
     push = -p.c1 * (np.maximum(targets - rates, 0.0) / targets)
-    # the weights overwrite the norms: pull where connected, else push
-    # within r, else 0
-    in_range = dist <= p.r
-    weight.fill(0.0)
-    np.copyto(weight, push, where=in_range)
-    np.copyto(weight, pull, where=connected)
-    return _row_sums(weight, grads)
+    weight = np.where(connected[cell, user], pull[user], push[user])
+    return _pair_sums(pair.shape, flat, weight, grads)
 
 
 def flocking_goal_term(positions: np.ndarray, user_pos: np.ndarray,
@@ -195,7 +222,8 @@ def control_input(positions: np.ndarray, velocities: np.ndarray,
                   premium: np.ndarray, p: ControlGains,
                   mode: str = QOS_MODE) -> np.ndarray:
     """Control inputs for every cell as (cells, 3) rows: z zeroed, each row
-    clamped to p.u_max, dead cells zero.  ``dist`` is as in h_term."""
+    clamped to p.u_max, dead cells zero.  ``connected`` and ``dist`` are
+    as in h_term and read in QoS mode only."""
     pairs = _cell_pairs(positions, alive, p)
     u = f_term(positions, loads, alive, p, pairs=pairs) + \
         g_term(positions, velocities, alive, p, pairs=pairs)

@@ -11,6 +11,11 @@ kernel primitives (bump, sigma-norm, sigmoid) are shared with the package,
 since the rewrite did not touch them.  The vector sigma-norm and its
 gradient, one vector at a time, live here: the package only takes batched
 sigma-gradients.
+
+The dense forms of f, g and h keep the package's arithmetic over every
+cell pair and cell-user pair and zero the pairs that do not interact with
+np.where weights.  The package computes only the interacting pairs, so the
+two must agree bit for bit.
 """
 
 from collections import deque
@@ -97,12 +102,49 @@ def oracle_h_term(uav_pos, connected, user_pos, rates, targets, premium, p):
     return out
 
 
-def oracle_h_term_allocating(positions, connected, user_pos, dist, rates,
-                             targets, premium, p):
-    """h_term for every cell over freshly allocated offsets, gradients and
-    np.where weights, its range read from ``dist`` as h_term reads it: the
-    same arithmetic as the package's in-place form, so the two must agree
-    bit for bit."""
+def _dense_cell_pairs(positions, alive, p):
+    """Sigma-gradients, norms and the alive-neighbor-within-r mask of every
+    ordered cell pair, as (cells, cells[, 3]) arrays."""
+    rel = positions[None, :, :] - positions[:, None, :]
+    sq = np.einsum("...k,...k->...", rel, rel)
+    grads = rel / np.sqrt(1.0 + p.eps * sq)[..., None]
+    dist = np.sqrt(sq)
+    near = alive[None, :] & (dist <= p.r)
+    np.fill_diagonal(near, False)
+    return grads, dist, near
+
+
+def oracle_f_term_dense(positions, loads, alive, p):
+    """f_term for every cell over every ordered cell pair: gradients of all
+    (cells, cells, 3) offsets and np.where weights that zero the pairs out
+    of range, dead, coincident or on the diagonal.  The package computes
+    only the pairs within range, so the two must agree bit for bit."""
+    grads, dist, near = _dense_cell_pairs(positions, alive, p)
+    overload = np.maximum(loads - p.n_max, 0)
+    crowd = p.a * (1.0 - bump(
+        sigma_norm_scalar(overload, p.eps) / p.n_max_sig, 0.0))
+    weight = pair_potential(sigma_norm_scalar(dist, p.eps), p) + crowd
+    weight = np.where(near & (dist > 0.0), weight, 0.0)
+    return np.matmul(weight[:, None, :], grads)[:, 0, :]
+
+
+def oracle_g_term_dense(positions, velocities, alive, p):
+    """g_term for every cell over every ordered cell pair, as in
+    oracle_f_term_dense."""
+    _, dist, near = _dense_cell_pairs(positions, alive, p)
+    weight = np.where(near, bump(sigma_norm_scalar(dist, p.eps) / p.r_sig,
+                                 0.2), 0.0)
+    return np.matmul(weight[:, None, :],
+                     velocities[None, :, :] - velocities[:, None, :])[:, 0, :]
+
+
+def oracle_h_term_dense(positions, connected, user_pos, dist, rates, targets,
+                        premium, p):
+    """h_term for every cell over every cell-user pair: gradients of all
+    (cells, users, 3) offsets and np.where weights that zero the users
+    neither connected nor within r, the range read from ``dist`` as h_term
+    reads it.  The package computes only the connected or in-range pairs,
+    so the two must agree bit for bit."""
     rel = user_pos[None, :, :] - positions[:, None, :]
     sq = np.einsum("...k,...k->...", rel, rel)
     grads = rel / np.sqrt(1.0 + p.eps * sq)[..., None]

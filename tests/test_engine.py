@@ -1,13 +1,16 @@
 """World construction, association, failures, switching, integration."""
 
+import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from radio_oracle import oracle_sinr
+from uavswarm import kernels
 from uavswarm.engine import (
     _check_invariants,
+    _evaluate,
     advance,
     associate_users,
     channel_switching,
@@ -27,8 +30,11 @@ from uavswarm.model import (
     ScenarioConfig,
     ScenarioError,
     UserSpec,
+    load_scenario,
 )
 from uavswarm.radio import geometry
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _region_config(seed=5):
@@ -429,6 +435,34 @@ class TestControlAll:
         controls = control_all(world, cfg.gains, cfg.controller_mode, dist)
         assert np.array_equal(controls[3], np.zeros(3))
         assert np.isfinite(controls).all()
+
+    def test_gradients_only_for_interacting_pairs(self, monkeypatch):
+        # fig5 at tick 0: f and g share the sigma-gradients of the ordered
+        # alive pairs within r, and h takes those of the users in range of
+        # or connected to each cell, not of all cells x users
+        config = load_scenario(SCENARIOS / "fig5_parade.yaml")
+        world = make_world(config)
+        geom = _evaluate(world, config)[2]
+        rows = []
+        sigma_grads = kernels._sigma_grads
+
+        def recording(rel, eps, out=None):
+            rows.append(rel.shape)
+            return sigma_grads(rel, eps, out)
+
+        monkeypatch.setattr(kernels, "_sigma_grads", recording)
+        control_all(world, config.gains, config.controller_mode, geom.dist)
+        pos = world.uav_pos
+        rel = pos[None, :, :] - pos[:, None, :]
+        near = world.alive[None, :] & (
+            np.sqrt(np.einsum("...k,...k->...", rel, rel)) <= config.gains.r)
+        np.fill_diagonal(near, False)
+        connected = np.zeros(geom.dist.shape, dtype=bool)
+        served = np.flatnonzero(world.serving >= 0)
+        connected[world.serving[served], served] = True
+        h_pairs = int(((geom.dist <= config.gains.r) | connected).sum())
+        assert rows == [(int(near.sum()), 3), (h_pairs, 3)]
+        assert 0 < h_pairs < geom.dist.size / 5
 
 
 class TestRun:

@@ -17,10 +17,12 @@ from kernel_oracle import (
     oracle_advance,
     oracle_associate,
     oracle_f_term,
+    oracle_f_term_dense,
     oracle_flocking_goal_term,
     oracle_g_term,
+    oracle_g_term_dense,
     oracle_h_term,
-    oracle_h_term_allocating,
+    oracle_h_term_dense,
     oracle_mean_rates,
 )
 from uavswarm.engine import advance, associate_users, tick_geometry
@@ -112,6 +114,35 @@ def test_coincident_cells_count_in_consensus_only():
                           velocities[1])
 
 
+def test_spacing_and_consensus_keep_dense_form_bits():
+    # each world gets one more cell far from the rest, so some cell has no
+    # neighbor; across the worlds, dead cells, coincident alive pairs and
+    # alive pairs at exactly r must all occur
+    seen = dict(dead=0, coincident=0, at_range=0)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        positions, alive, loads, velocities = _cells(
+            rng, int(rng.integers(1, 12)))
+        positions = np.vstack([positions, (5000.0, 5000.0, HEIGHT)])
+        alive = np.append(alive, True)
+        loads = np.append(loads, GAINS.n_max)
+        velocities = np.vstack([velocities, (2.0, -1.0, 0.0)])
+        f = f_term(positions, loads, alive, GAINS)
+        g = g_term(positions, velocities, alive, GAINS)
+        assert f.tobytes() == oracle_f_term_dense(
+            positions, loads, alive, GAINS).tobytes(), seed
+        assert g.tobytes() == oracle_g_term_dense(
+            positions, velocities, alive, GAINS).tobytes(), seed
+        assert not f[-1].any() and not g[-1].any()
+        dist = np.linalg.norm(positions[:, None] - positions[None], axis=2)
+        pair = alive[:, None] & alive[None, :]
+        np.fill_diagonal(pair, False)
+        seen["dead"] += (~alive).sum()
+        seen["coincident"] += (pair & (dist == 0.0)).sum()
+        seen["at_range"] += (pair & (dist == GAINS.r)).sum()
+    assert min(seen.values()) > 0, seen
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_user_coupling_matches_loop(seed):
     rng = np.random.default_rng(seed)
@@ -133,15 +164,31 @@ def test_user_coupling_matches_loop(seed):
 
 @pytest.mark.parametrize("seed", range(50))
 def test_user_coupling_keeps_allocating_form_bits(seed):
+    # the random world, then the same world with a cell far from every user
+    # (a row with no pair), a huddle where every user is within r of every
+    # cell, no users, and one cell
     rng = np.random.default_rng(seed)
     positions, _, _, _ = _cells(rng, int(rng.integers(1, 6)))
     n = int(rng.integers(0, 60))
     _, user_pos, *rest = _users(rng, n, positions[0])
-    args = (user_pos, geometry(positions, user_pos).dist, *rest)
     connected = rng.random((len(positions), n)) < 0.4
-    got = h_term(positions, connected, *args, GAINS)
-    want = oracle_h_term_allocating(positions, connected, *args, GAINS)
-    assert got.tobytes() == want.tobytes()
+    lone = np.vstack([positions, positions[0] + (1e4, 0.0, 0.0)])
+    huddle = positions[0] + rng.integers(-40, 40, positions.shape) * (1, 1, 0)
+    near = np.column_stack([huddle[0, :2] + rng.integers(-100, 100, (n, 2)),
+                            np.zeros(n)])
+    worlds = [(positions, user_pos, rest, connected),
+              (lone, user_pos, rest,
+               np.vstack([connected, np.zeros(n, dtype=bool)])),
+              (huddle, near, rest, connected),
+              (positions, user_pos[:0], [a[:0] for a in rest],
+               connected[:, :0]),
+              (positions[:1], user_pos, rest, connected[:1])]
+    for cells, users, tail, conn in worlds:
+        args = (cells, conn, users, geometry(cells, users).dist, *tail, GAINS)
+        got = h_term(*args)
+        assert got.tobytes() == oracle_h_term_dense(*args).tobytes()
+    assert not (geometry(lone, user_pos).dist[-1] <= GAINS.r).any()
+    assert (geometry(huddle, near).dist <= GAINS.r).all()
 
 
 def test_user_coupling_counts_unconnected_user_at_exact_range():

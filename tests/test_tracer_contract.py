@@ -57,6 +57,9 @@ def test_traced_ticks_count_one_rate_record_per_user(tracer, fig3_config):
     for span in ("engine.control", "kernels.f", "kernels.g", "kernels.h",
                  "engine.advance"):
         assert traced.calls[span] == ticks - 1, span
+    # the tracer counts h_term's third argument, the user positions, so a
+    # reordered signature fails here rather than miscounting in --trace 1
+    assert traced.counts["kernels.h_pairs"] == users * (ticks - 1)
 
 
 def test_traced_flocking_run_counts_each_term_once_per_pass(tracer):
