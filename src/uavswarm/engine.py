@@ -23,7 +23,10 @@ check and h's range test read its distances too: every range test sees
 the very values association saw.  The tick makes each of those two radio
 calls once, from its own thread; on a field of at least
 radio._SPLIT_LINKS links radio computes blocks of cell rows on a thread
-pool inside the call, with the same bits on any CPU count.
+pool inside the call, with the same bits on any CPU count.  Each cell's
+alive neighbors within r (kernels._cell_pairs) are listed once too, right
+after the geometry, for the spacing log and for f and g; h reads the
+users' serving ids, the one association record.
 
 The world's cell and user counts are fixed (dead cells keep their rows),
 so every (cells, users) array of a tick lives in one Workspace that the
@@ -43,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import control_input
+from .kernels import _cell_pairs, control_input
 from .metrics import TickMetrics, compute_metrics
 from .model import (
     L0,
@@ -59,8 +62,8 @@ from .model import (
     read_value,
     round_half_up,
 )
-from .radio import (Geometry, _slant_distance, data_rate, dbm_to_mw,
-                    geometry, received_power_field)
+from .radio import (Geometry, data_rate, dbm_to_mw, geometry,
+                    received_power_field)
 
 
 class Workspace:
@@ -287,7 +290,7 @@ def _sinr(signal, total, noise_mw: float):
 
 
 def _apply_rates(world: WorldState, powers: np.ndarray, chan_power: np.ndarray,
-                 radio: RadioParams, gains: ControlGains, record: bool) -> None:
+                 radio: RadioParams) -> None:
     rate = world.rate
     served = np.flatnonzero(world.serving >= 0)
     cells = world.serving[served]
@@ -296,11 +299,6 @@ def _apply_rates(world: WorldState, powers: np.ndarray, chan_power: np.ndarray,
                  float(dbm_to_mw(radio.noise)))
     rate.fill(0.0)
     rate[served] = data_rate(sinr, radio.bandwidth)
-    if record:
-        time, tau = world.time, gains.tau
-        # `or 0.0`: unserved users' windows share one 0.0 object
-        for user, r in zip(world.users, rate.tolist()):
-            user.record_rate(time, r or 0.0, tau)
 
 
 def update_rates(world: WorldState, radio: RadioParams, gains: ControlGains,
@@ -320,7 +318,11 @@ def update_rates(world: WorldState, radio: RadioParams, gains: ControlGains,
     for n, k in zip(np.flatnonzero(world.alive).tolist(),
                     world.channel[world.alive].tolist()):
         chan_power[k] += powers[n]
-    _apply_rates(world, powers, chan_power, radio, gains, record=True)
+    _apply_rates(world, powers, chan_power, radio)
+    time, tau = world.time, gains.tau
+    # `or 0.0`: unserved users' windows share one 0.0 object
+    for user, r in zip(world.users, world.rate.tolist()):
+        user.record_rate(time, r or 0.0, tau)
     return powers, chan_power
 
 
@@ -404,23 +406,19 @@ def channel_switching(world: WorldState, powers: np.ndarray,
 
 
 def control_all(world: WorldState, gains: ControlGains, mode: str,
-                dist: np.ndarray) -> np.ndarray:
+                dist: np.ndarray, pairs=None) -> np.ndarray:
     """Control inputs for all UAVs from one frozen state snapshot.
 
     Each controller term runs once for the whole fleet, on the world's
     arrays; dead UAVs get zero rows.  ``dist`` is the geometry's
-    (cells, users) distances at these positions, h's range test.  Only h
-    reads the (cells, users) serving matrix, so flocking builds none.
+    (cells, users) distances at these positions, h's range test, and h
+    reads the users' serving ids as they are.  ``pairs``, the tick's
+    kernels._cell_pairs at these positions, is built when not given.
     """
-    connected = None
-    if mode == QOS_MODE:
-        serving = world.serving
-        served = np.flatnonzero(serving >= 0)
-        connected = np.zeros((len(world.alive), len(serving)), dtype=bool)
-        connected[serving[served], served] = True
     return control_input(world.uav_pos, world.uav_vel, _loads(world),
-                         world.alive, connected, world.user_pos, dist,
-                         world.rate, world.target, world.premium, gains, mode)
+                         world.alive, world.serving, world.user_pos, dist,
+                         world.rate, world.target, world.premium, gains, mode,
+                         pairs)
 
 
 def advance(world: WorldState, controls: np.ndarray, gains: ControlGains,
@@ -485,28 +483,29 @@ def _check_invariants(world: WorldState, config: ScenarioConfig,
          lambda m: f"unserved user {m} has rate {rate[m]}")])
 
 
-def _record_min_distance(world: WorldState, gains: ControlGains) -> None:
-    ids = np.flatnonzero(world.alive).tolist()
-    # geometry's distances, without the elevations this log never reads
-    dist = _slant_distance(world.uav_pos[ids], world.uav_pos[ids])[0]
-    # row-major order: the (i, j > i) pairs in the order of a nested loop
-    for i, j in zip(*np.nonzero(np.triu(dist < gains.d, k=1))):
-        world.min_distance_violations.append(
-            (world.time, ids[i], ids[j], float(dist[i, j])))
+def _record_min_distance(world: WorldState, gains: ControlGains,
+                         pairs) -> None:
+    """Log each alive pair i < j closer than d < r off the tick's cell
+    pairs, whose row-major order is that of a nested loop."""
+    _, i, j, _, dist = pairs
+    close = np.flatnonzero(world.alive[i] & (i < j) & (dist < gains.d))
+    world.min_distance_violations.extend(
+        (world.time, *pair) for pair in zip(
+            i[close].tolist(), j[close].tolist(), dist[close].tolist()))
 
 
 def step(world: WorldState,
          config: ScenarioConfig) -> tuple[TickMetrics, list[SwitchEvent]]:
     """One full evaluate-and-integrate tick for callers driving a world by
     hand: the same two halves run() uses."""
-    metrics, events, geom = _evaluate(world, config)
-    _integrate(world, config, geom)
+    metrics, events, geom, pairs = _evaluate(world, config)
+    _integrate(world, config, geom, pairs)
     return metrics, events
 
 
 def _evaluate(world: WorldState, config: ScenarioConfig):
     """Phases 1-5 of a tick on frozen positions; fills the world's logs and
-    returns the tick's metrics, switch events and geometry."""
+    returns the tick's metrics, switch events, geometry and cell pairs."""
     for idx, ev in enumerate(config.failure_events):
         if idx in world.fired or world.time < ev.at_time:
             continue
@@ -515,6 +514,7 @@ def _evaluate(world: WorldState, config: ScenarioConfig):
         if killed:
             world.failures.append((world.time, killed))
     geom = tick_geometry(world)
+    pairs = _cell_pairs(world.uav_pos, world.alive, config.gains)
     associate_users(world, config.gains, geom)
     powers, chan_power = update_rates(world, config.radio, config.gains,
                                       geom)
@@ -523,22 +523,21 @@ def _evaluate(world: WorldState, config: ScenarioConfig):
         events = channel_switching(world, powers, chan_power, config.radio,
                                    config.gains)
         if events:
-            _apply_rates(world, powers, chan_power, config.radio,
-                         config.gains, record=False)
+            _apply_rates(world, powers, chan_power, config.radio)
     active = len(set(world.channel[world.alive].tolist()))
     metrics = compute_metrics(world.time, world.premium, world.serving,
                               world.rate, world.target, active)
     _check_invariants(world, config, geom)
-    _record_min_distance(world, config.gains)
-    return metrics, events, geom
+    _record_min_distance(world, config.gains, pairs)
+    return metrics, events, geom, pairs
 
 
-def _integrate(world: WorldState, config: ScenarioConfig,
-               geom: Geometry) -> None:
-    """Phase 6: control inputs from the evaluated state and its geometry,
-    then one step."""
+def _integrate(world: WorldState, config: ScenarioConfig, geom: Geometry,
+               pairs) -> None:
+    """Phase 6: control inputs from the evaluated state, its geometry and
+    its cell pairs, then one step."""
     controls = control_all(world, config.gains, config.controller_mode,
-                           geom.dist)
+                           geom.dist, pairs)
     advance(world, controls, config.gains, config.H)
 
 
@@ -565,7 +564,7 @@ def run(config: ScenarioConfig, run_seed: Optional[int] = None,
     user_trace: list[tuple] = []
     switch_events: list[SwitchEvent] = []
     for k in range(ticks + 1):
-        metrics, events, geom = _evaluate(world, config)
+        metrics, events, geom, pairs = _evaluate(world, config)
         switch_events.extend(events)
         metrics_rows.append(metrics)
         if trace:
@@ -581,7 +580,7 @@ def run(config: ScenarioConfig, run_seed: Optional[int] = None,
                 in enumerate(zip(world.users, world.serving.tolist(),
                                  world.rate.tolist())))
         if k < ticks:
-            _integrate(world, config, geom)
+            _integrate(world, config, geom, pairs)
     world.workspace = None      # a later step() on the world rebuilds it
     return RunResult(config=config, seed=_seed(config, run_seed),
                      metrics=metrics_rows, trace=cell_trace,

@@ -20,20 +20,24 @@ read-only properties on it.
 The terms follow Olfati-Saber's flocking construction, which is defined over
 neighbor sets, so each term is evaluated for the whole fleet at once,
 returns one (cells, 3) row per cell, and does per-pair work only for the
-pairs that interact.  f and g share one list per control pass of the
-ordered pairs (i, j) with j alive and within r of i; h lists the cell-user
-pairs whose user is within r of the cell or connected to it.  A list is the
-flat indices of its (cells, cells) or (cells, users) mask (np.flatnonzero,
-then divmod by the row width), so it runs in row-major order.  Each term
-computes its sigma-gradients (g: velocity differences) and weights for the
-listed pairs only, as (pairs, 3) rows, scatters them into zero-filled
-(rows, cols) weights and (rows, cols, 3) vectors, and sums each row with
-one batched matmul.  That matmul sees the shapes and the nonzero products
-it would see over every pair, and a zero product leaves each partial sum
-as it was, so the rows keep the bits of the every-pair form.  They sum in
-BLAS order rather than neighbor order and agree with a per-neighbor loop
-to rounding, within 1e-12 relative.  The sigma-norm's sum of squares stays
-an einsum over (..., 3) rows: any other order moves the fig5 goldens.
+pairs that interact.  f and g share one list (_cell_pairs) of the ordered
+pairs (i, j) with j alive and within r of i, which the engine builds once
+per tick and its spacing log reads too.  h lists the cell-user pairs whose
+user is within r of the cell, and a pair is connected when the user's
+serving id, the one association record, names the cell: association
+serves a user only from a cell within r, so every connected pair is on
+the list.  A list is the flat indices of its (cells, cells) or (cells,
+users) mask (np.flatnonzero, then divmod by the row width), so it runs in
+row-major order.  Each term computes its sigma-gradients (g: velocity
+differences) and weights for the listed pairs only, as (pairs, 3) rows,
+scatters them into zero-filled (rows, cols) weights and (rows, cols, 3)
+vectors, and sums each row with one batched matmul.  That matmul sees the
+shapes and the nonzero products it would see over every pair, and a zero
+product leaves each partial sum as it was, so the rows keep the bits of
+the every-pair form.  They sum in BLAS order rather than neighbor order
+and agree with a per-neighbor loop to rounding, within 1e-12 relative.
+The sigma-norm's sum of squares stays an einsum over (..., 3) rows: any
+other order moves the fig5 goldens.
 """
 
 from __future__ import annotations
@@ -177,13 +181,14 @@ def g_term(positions: np.ndarray, velocities: np.ndarray, alive: np.ndarray,
     return _pair_sums((n, n), flat, weight, velocities[j] - velocities[i])
 
 
-def h_term(positions: np.ndarray, connected: np.ndarray, user_pos: np.ndarray,
+def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
            dist: np.ndarray, rates: np.ndarray, targets: np.ndarray,
            premium: np.ndarray, p: ControlGains) -> np.ndarray:
     """User-coupling force on every cell, as (cells, 3) rows.
 
-    `connected` is the (cells, users) serving matrix.  Users not connected
-    to a cell, within its range r and short of their target repel it in
+    `serving` holds each user's serving cell id, -1 while unserved, and a
+    served user is within r of its cell.  Users not connected to a cell,
+    within its range r and short of their target repel it in
     proportion to the relative deficit; its connected users pull (or push)
     it along the line of sight through an odd sigmoid of the deficit in
     Mbit/s, with class-specific gain, gated to zero once the rate reaches
@@ -192,7 +197,6 @@ def h_term(positions: np.ndarray, connected: np.ndarray, user_pos: np.ndarray,
     that association read, so a user at exactly r is in range for both.
     """
     pair = dist <= p.r
-    pair |= connected
     flat, cell, user = _pair_indices(pair)
     rel = user_pos[user] - positions[cell]
     grads = _sigma_grads(rel, p.eps, out=rel)[0]
@@ -201,7 +205,7 @@ def h_term(positions: np.ndarray, connected: np.ndarray, user_pos: np.ndarray,
     pull = gain * gate * phi_sigmoid((targets - rates) / 1e6, p)
     # repulsion runs along the negated sigma-gradient of rel
     push = -p.c1 * (np.maximum(targets - rates, 0.0) / targets)
-    weight = np.where(connected[cell, user], pull[user], push[user])
+    weight = np.where(serving[user] == cell, pull[user], push[user])
     return _pair_sums(pair.shape, flat, weight, grads)
 
 
@@ -217,18 +221,19 @@ def flocking_goal_term(positions: np.ndarray, user_pos: np.ndarray,
 
 def control_input(positions: np.ndarray, velocities: np.ndarray,
                   loads: np.ndarray, alive: np.ndarray,
-                  connected: np.ndarray, user_pos: np.ndarray,
+                  serving: np.ndarray, user_pos: np.ndarray,
                   dist: np.ndarray, rates: np.ndarray, targets: np.ndarray,
                   premium: np.ndarray, p: ControlGains,
-                  mode: str = QOS_MODE) -> np.ndarray:
+                  mode: str = QOS_MODE, pairs=None) -> np.ndarray:
     """Control inputs for every cell as (cells, 3) rows: z zeroed, each row
-    clamped to p.u_max, dead cells zero.  ``connected`` and ``dist`` are
-    as in h_term and read in QoS mode only."""
-    pairs = _cell_pairs(positions, alive, p)
+    clamped to p.u_max, dead cells zero.  ``serving`` and ``dist`` are as
+    in h_term and read in QoS mode only; ``pairs`` is as in f_term, built
+    here when not given."""
+    pairs = pairs or _cell_pairs(positions, alive, p)
     u = f_term(positions, loads, alive, p, pairs=pairs) + \
         g_term(positions, velocities, alive, p, pairs=pairs)
     if mode == QOS_MODE:
-        u += h_term(positions, connected, user_pos, dist, rates, targets,
+        u += h_term(positions, serving, user_pos, dist, rates, targets,
                     premium, p)
     elif mode == FLOCKING_MODE:
         u += flocking_goal_term(positions, user_pos, p)

@@ -14,8 +14,8 @@ The users' serving ids are the one association record: a cell's users and
 its load are counted from them, never stored on the cell.
 
 Values the model fixes are derived, not configured: ControlGains computes
-the premium gain and the sigma-norm images the kernels need.  Distances
-are radio.geometry's, the one Euclidean distance code.
+the premium gain and the sigma-norm images the kernels need.  Cell-user
+distances are radio.geometry's, the one cell-user distance code.
 
 The dataclass field types are the scenario schema, and each field's bound
 lives on its type (Positive, NonNegative, Fraction, AtLeastOne, or a

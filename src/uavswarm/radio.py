@@ -73,10 +73,9 @@ def geometry(uav_positions, user_positions, out: Geometry | None = None,
 
     The distance is sqrt((dx*dx + dy*dy) + dz*dz), the squares summed in
     x, y, z order as np.linalg.norm over the last axis does; the elevation
-    is arctan2(dz, sqrt(dx*dx + dy*dy)).  It is the one Euclidean distance
-    code: association, the invariant check, the power field and the
-    spacing log all read it, so a user at exactly r is at exactly r
-    everywhere.
+    is arctan2(dz, sqrt(dx*dx + dy*dy)).  It is the one cell-user distance
+    code: association, the invariant check, the power field and h's range
+    test all read it, so a user at exactly r is at exactly r everywhere.
 
     Given ``out``, a Geometry of (n_uavs, n_users) arrays, and a
     ``scratch`` array of that shape, it writes into them (dz goes to
@@ -94,27 +93,20 @@ def geometry(uav_positions, user_positions, out: Geometry | None = None,
     return out
 
 
-def _slant_distance(uavs, users, dist=None, h2=None, dz=None):
-    """geometry's distance half, written into ``dist``, ``h2`` and ``dz``
-    when given: the slant distances, dx*dx + dy*dy and dz."""
-    h2 = np.subtract.outer(uavs[:, 0], users[:, 0], out=h2)     # dx
-    np.multiply(h2, h2, out=h2)
-    dz = np.subtract.outer(uavs[:, 1], users[:, 1], out=dz)     # dy, then dz
-    np.multiply(dz, dz, out=dz)
-    h2 += dz                                               # dx*dx + dy*dy
-    np.subtract.outer(uavs[:, 2], users[:, 2], out=dz)
-    dist = np.multiply(dz, dz, out=dist)
-    dist += h2
-    np.sqrt(dist, out=dist)
-    return dist, h2, dz
-
-
 def _geometry_rows(rows: slice, uavs, users, dist, elev, dz) -> None:
-    # elev holds dx*dx + dy*dy until the arctan2
-    h = _slant_distance(uavs[rows], users, dist[rows], elev[rows],
-                        dz[rows])[1]
+    uavs, dist, h, dz = uavs[rows], dist[rows], elev[rows], dz[rows]
+    # h holds dx, then dx*dx + dy*dy, then its root, until the arctan2
+    np.subtract.outer(uavs[:, 0], users[:, 0], out=h)
+    np.multiply(h, h, out=h)
+    np.subtract.outer(uavs[:, 1], users[:, 1], out=dz)      # dy, then dz
+    np.multiply(dz, dz, out=dz)
+    h += dz
+    np.subtract.outer(uavs[:, 2], users[:, 2], out=dz)
+    np.multiply(dz, dz, out=dist)
+    dist += h
+    np.sqrt(dist, out=dist)
     np.sqrt(h, out=h)
-    np.arctan2(dz[rows], h, out=h)
+    np.arctan2(dz, h, out=h)
 
 
 def _by_rows(block, shape: tuple[int, int], *args) -> None:

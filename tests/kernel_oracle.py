@@ -143,8 +143,9 @@ def oracle_h_term_dense(positions, connected, user_pos, dist, rates, targets,
     """h_term for every cell over every cell-user pair: gradients of all
     (cells, users, 3) offsets and np.where weights that zero the users
     neither connected nor within r, the range read from ``dist`` as h_term
-    reads it.  The package computes only the connected or in-range pairs,
-    so the two must agree bit for bit."""
+    reads it.  The package computes only the in-range pairs and reads the
+    connected ones off serving ids, so given a ``connected`` matrix built
+    from ids of users within r, the two must agree bit for bit."""
     rel = user_pos[None, :, :] - positions[:, None, :]
     sq = np.einsum("...k,...k->...", rel, rel)
     grads = rel / np.sqrt(1.0 + p.eps * sq)[..., None]

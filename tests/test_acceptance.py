@@ -166,8 +166,8 @@ def test_03_equilibrium_fixed_point(capsys):
     rates = np.array([450e6, 450e6])
     targets = np.array([300e6, 300e6])
     premium = np.array([True, True])
-    connected = np.array([[True, False], [False, True]])
-    u = control_input(positions, velocities, loads, alive, connected,
+    serving = np.array([0, 1])
+    u = control_input(positions, velocities, loads, alive, serving,
                       user_pos, geometry(positions, user_pos).dist, rates,
                       targets, premium, gains)
     for i in range(2):

@@ -1,5 +1,6 @@
 """World construction, association, failures, switching, integration."""
 
+import math
 import pathlib
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from radio_oracle import oracle_sinr
-from uavswarm import kernels
+from uavswarm import engine, kernels
 from uavswarm.engine import (
     _check_invariants,
     _evaluate,
@@ -439,7 +440,7 @@ class TestControlAll:
     def test_gradients_only_for_interacting_pairs(self, monkeypatch):
         # fig5 at tick 0: f and g share the sigma-gradients of the ordered
         # alive pairs within r, and h takes those of the users in range of
-        # or connected to each cell, not of all cells x users
+        # each cell, not of all cells x users
         config = load_scenario(SCENARIOS / "fig5_parade.yaml")
         world = make_world(config)
         geom = _evaluate(world, config)[2]
@@ -457,10 +458,7 @@ class TestControlAll:
         near = world.alive[None, :] & (
             np.sqrt(np.einsum("...k,...k->...", rel, rel)) <= config.gains.r)
         np.fill_diagonal(near, False)
-        connected = np.zeros(geom.dist.shape, dtype=bool)
-        served = np.flatnonzero(world.serving >= 0)
-        connected[world.serving[served], served] = True
-        h_pairs = int(((geom.dist <= config.gains.r) | connected).sum())
+        h_pairs = int((geom.dist <= config.gains.r).sum())
         assert rows == [(int(near.sum()), 3), (h_pairs, 3)]
         assert 0 < h_pairs < geom.dist.size / 5
 
@@ -507,6 +505,27 @@ class TestRun:
         pairs = [(i, j) for _, i, j, _ in result.min_distance_violations]
         assert pairs == [(0, 2), (0, 3), (2, 3)]
         assert result.min_distance_violations[1][3] == 50.0
+
+    @pytest.mark.parametrize("mode", ["qos_driven", "flocking_baseline"])
+    def test_each_evaluated_tick_builds_the_cell_pairs_once(
+            self, monkeypatch, fig3_config, mode):
+        # the spacing log and the control pass share one build, and no
+        # other cells x cells distance is made
+        calls = []
+        build = kernels._cell_pairs
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(kernels, "_cell_pairs", counting)
+        monkeypatch.setattr(engine, "_cell_pairs", counting)
+        config = replace(fig3_config, duration=1.0, controller_mode=mode)
+        run(config)
+        assert len(calls) == config.ticks() + 1
+        calls.clear()
+        step(make_world(config), config)
+        assert len(calls) == 1
 
     def test_bad_mode_rejected(self, fig3_config):
         with pytest.raises(ScenarioError):
@@ -599,6 +618,52 @@ def test_step_logs_spacing_like_run():
     full = run(cfg)
     assert full.min_distance_violations
     assert world.min_distance_violations == full.min_distance_violations
+
+
+def _spacing_oracle(world, d):
+    """The spacing log's entries for the world's positions: every alive
+    pair i < j closer than d, by a nested loop over the geometry's
+    arithmetic."""
+    pos, alive = world.uav_pos.tolist(), world.alive.tolist()
+    out = []
+    for i in range(len(pos)):
+        for j in range(i + 1, len(pos)):
+            if alive[i] and alive[j]:
+                dx, dy, dz = (a - b for a, b in zip(pos[i], pos[j]))
+                dist = math.sqrt((dx * dx + dy * dy) + dz * dz)
+                if dist < d:
+                    out.append((world.time, i, j, dist))
+    return out
+
+
+def test_spacing_log_matches_nested_loop():
+    # random grid worlds with dead cells, a coincident pair and a pair at
+    # exactly d (a 60-80-100 triangle, which neither side logs); three
+    # ticks each, so the later ticks log positions off the grid.  repr
+    # compares the order, the int ids and every bit of the distances.
+    seen = dict(dead=0, coincident=0, at_d=0, logged=0)
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 12))
+        xy = rng.integers(0, 400, (n, 2)).astype(float)
+        xy[1] = xy[0]
+        xy[2] = xy[0] + (60.0, 80.0)
+        cfg = ScenarioConfig(users=[], uav_count=n,
+                             uav_initial_positions=xy.tolist(), duration=1.0)
+        assert cfg.gains.d == 100.0
+        world = make_world(cfg)
+        world.alive[:] = rng.random(n) < 0.75
+        seen["dead"] += int((~world.alive).sum())
+        seen["coincident"] += bool(world.alive[0] & world.alive[1])
+        seen["at_d"] += bool(world.alive[0] & world.alive[2])
+        for _ in range(3):
+            want = _spacing_oracle(world, cfg.gains.d)
+            logged = len(world.min_distance_violations)
+            step(world, cfg)
+            got = world.min_distance_violations[logged:]
+            assert repr(got) == repr(want), seed
+            seen["logged"] += len(got)
+    assert min(seen.values()) > 0, seen
 
 
 def test_fractional_run_seed_rejected_not_truncated(fig3_config):

@@ -73,8 +73,8 @@ def _cells(rng, n):
 
 
 def _users(rng, n, uav_pos):
-    """Users around one cell, as (connected, positions, rates, targets,
-    premium)."""
+    """Users around one cell, as (served, positions, rates, targets,
+    premium); ``served`` marks the users _serving gives a cell."""
     user_pos = np.column_stack([
         uav_pos[0] + rng.integers(-400, 400, n),
         uav_pos[1] + rng.integers(-400, 400, n), np.zeros(n)])
@@ -85,8 +85,22 @@ def _users(rng, n, uav_pos):
     targets = np.where(premium, TARGET_RATE[PREMIUM], TARGET_RATE[REGULAR])
     rates = targets * rng.choice([0.0, 0.5, 1.0, GAINS.beta, 2.0], n) * \
         rng.choice([1.0, rng.uniform(0.5, 1.5)], n)
-    connected = rng.random(n) < 0.5
-    return connected, user_pos, rates, targets, premium
+    served = rng.random(n) < 0.5
+    return served, user_pos, rates, targets, premium
+
+
+def _serving(rng, positions, user_pos, served):
+    """Serving ids as association leaves them: each ``served`` user takes a
+    random cell within r of it by the geometry's distances, and a user with
+    no cell in range, or not ``served``, is unserved (-1)."""
+    in_range = geometry(positions, user_pos).dist <= GAINS.r
+    draw = np.where(in_range, rng.random(in_range.shape), -1.0)
+    return np.where(served & in_range.any(axis=0), draw.argmax(axis=0), -1)
+
+
+def _connected(serving, n_cells):
+    """The (cells, users) matrix of the dense oracle, from serving ids."""
+    return serving[None, :] == np.arange(n_cells)[:, None]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -149,16 +163,16 @@ def test_user_coupling_matches_loop(seed):
     uav_pos = np.array([rng.integers(0, 600), rng.integers(0, 600), HEIGHT],
                        dtype=float)
     n = int(rng.integers(0, 30))
-    connected, user_pos, *rest = _users(rng, n, uav_pos)
-    # more cells over the same users, each with its own connected row
+    served, user_pos, *rest = _users(rng, n, uav_pos)
+    # more cells over the same users, each serving some of those in range
     others, _, _, _ = _cells(rng, int(rng.integers(0, 4)))
     positions = np.vstack([uav_pos, others])
-    connected = np.vstack([connected, rng.random((len(others), n)) < 0.5])
-    h = h_term(positions, connected, user_pos,
+    serving = _serving(rng, positions, user_pos, served)
+    h = h_term(positions, serving, user_pos,
                geometry(positions, user_pos).dist, *rest, GAINS)
     assert h.shape == positions.shape
     for i, cell in enumerate(positions):
-        _assert_close(h[i], oracle_h_term(cell, connected[i], user_pos, *rest,
+        _assert_close(h[i], oracle_h_term(cell, serving == i, user_pos, *rest,
                                           GAINS), n)
 
 
@@ -170,23 +184,24 @@ def test_user_coupling_keeps_allocating_form_bits(seed):
     rng = np.random.default_rng(seed)
     positions, _, _, _ = _cells(rng, int(rng.integers(1, 6)))
     n = int(rng.integers(0, 60))
-    _, user_pos, *rest = _users(rng, n, positions[0])
-    connected = rng.random((len(positions), n)) < 0.4
+    served, user_pos, *rest = _users(rng, n, positions[0])
+    serving = _serving(rng, positions, user_pos, served)
     lone = np.vstack([positions, positions[0] + (1e4, 0.0, 0.0)])
     huddle = positions[0] + rng.integers(-40, 40, positions.shape) * (1, 1, 0)
     near = np.column_stack([huddle[0, :2] + rng.integers(-100, 100, (n, 2)),
                             np.zeros(n)])
-    worlds = [(positions, user_pos, rest, connected),
-              (lone, user_pos, rest,
-               np.vstack([connected, np.zeros(n, dtype=bool)])),
-              (huddle, near, rest, connected),
-              (positions, user_pos[:0], [a[:0] for a in rest],
-               connected[:, :0]),
-              (positions[:1], user_pos, rest, connected[:1])]
-    for cells, users, tail, conn in worlds:
-        args = (cells, conn, users, geometry(cells, users).dist, *tail, GAINS)
-        got = h_term(*args)
-        assert got.tobytes() == oracle_h_term_dense(*args).tobytes()
+    worlds = [(positions, user_pos, rest, serving),
+              (lone, user_pos, rest, serving),
+              (huddle, near, rest, _serving(rng, huddle, near, served)),
+              (positions, user_pos[:0], [a[:0] for a in rest], serving[:0]),
+              (positions[:1], user_pos, rest,
+               _serving(rng, positions[:1], user_pos, served))]
+    for cells, users, tail, ids in worlds:
+        dist = geometry(cells, users).dist
+        got = h_term(cells, ids, users, dist, *tail, GAINS)
+        want = oracle_h_term_dense(cells, _connected(ids, len(cells)), users,
+                                   dist, *tail, GAINS)
+        assert got.tobytes() == want.tobytes()
     assert not (geometry(lone, user_pos).dist[-1] <= GAINS.r).any()
     assert (geometry(huddle, near).dist <= GAINS.r).all()
 
@@ -196,7 +211,7 @@ def test_user_coupling_counts_unconnected_user_at_exact_range():
     user_pos = np.array([uav_pos + USER_AT_RANGE[0]])
     rest = (np.array([0.0]), np.array([TARGET_RATE[REGULAR]]),
             np.array([False]))
-    got = h_term(uav_pos[None], np.array([[False]]), user_pos,
+    got = h_term(uav_pos[None], np.array([-1]), user_pos,
                  geometry(uav_pos, user_pos).dist, *rest, GAINS)[0]
     assert got[0] < 0.0
     _assert_close(got, oracle_h_term(uav_pos, np.array([False]), user_pos,
@@ -214,7 +229,7 @@ def test_user_coupling_range_is_the_geometry_distance():
     assert dist[0, 0] == GAINS.r
     assert np.sqrt(np.einsum("ik,ik->i", rel, rel))[0] == math.nextafter(
         GAINS.r, math.inf)
-    got = h_term(uav_pos, np.array([[False]]), user_pos, dist,
+    got = h_term(uav_pos, np.array([-1]), user_pos, dist,
                  np.array([0.0]), np.array([TARGET_RATE[PREMIUM]]),
                  np.array([True]), GAINS)[0]
     assert (got[:2] > 0.0).all()        # away from the user

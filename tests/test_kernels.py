@@ -180,7 +180,7 @@ class TestHTerm:
         users = np.array([[offset, 0.0, 0.0]])
         rates = np.array([rate])
         targets = np.array([300e6 if premium else 100e6])
-        return h_term(uav, np.array([[connected]]), users,
+        return h_term(uav, np.array([0 if connected else -1]), users,
                       geometry(uav, users).dist, rates, targets,
                       np.array([premium]), KP)[0]
 
@@ -203,7 +203,7 @@ class TestHTerm:
     def test_premium_gain_outweighs_regular(self):
         hp = self._single_user(200e6, premium=True)
         uav, user = np.array([[0.0, 0.0, 100.0]]), np.array([[80.0, 0.0, 0.0]])
-        hr = h_term(uav, np.array([[True]]), user, geometry(uav, user).dist,
+        hr = h_term(uav, np.array([0]), user, geometry(uav, user).dist,
                     np.array([50e6]), np.array([100e6]), np.array([False]),
                     KP)[0]
         assert hp[0] > hr[0] > 0.0
@@ -234,8 +234,8 @@ class TestControlInput:
         rates = np.array([450e6, 450e6])     # at beta * target: gates closed
         targets = np.array([300e6, 300e6])
         premium = np.array([True, True])
-        connected = np.array([[True, False], [False, True]])
-        u = control_input(positions, velocities, loads, alive, connected,
+        serving = np.array([0, 1])
+        u = control_input(positions, velocities, loads, alive, serving,
                           user_pos, geometry(positions, user_pos).dist, rates,
                           targets, premium, gains)
         assert np.array_equal(u, np.zeros((2, 3)))
@@ -244,7 +244,7 @@ class TestControlInput:
         positions = np.array([[0.0, 0.0, 100.0], [40.0, 10.0, 100.0]])
         velocities = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
         u = control_input(positions, velocities, np.array([0, 0]),
-                          np.array([True, True]), np.zeros((2, 0), dtype=bool),
+                          np.array([True, True]), np.zeros(0, dtype=int),
                           np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(0),
                           np.zeros(0), np.zeros(0, dtype=bool), KP)
         assert np.array_equal(u[:, 2], np.zeros(2))
@@ -254,7 +254,7 @@ class TestControlInput:
         positions = np.array([[0.0, 0.0, 100.0], [40.0, 0.0, 100.0]])
         velocities = np.zeros((2, 3))
         u = control_input(positions, velocities, np.array([0, 0]),
-                          np.array([True, True]), np.zeros((2, 0), dtype=bool),
+                          np.array([True, True]), np.zeros(0, dtype=int),
                           np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(0),
                           np.zeros(0), np.zeros(0, dtype=bool),
                           ControlGains(u_max=2.0))
@@ -265,7 +265,7 @@ class TestControlInput:
         velocities = np.zeros((1, 3))
         user_pos = np.array([[500.0, 0.0, 0.0]])
         args = (positions, velocities, np.array([1]), np.array([True]),
-                np.array([[True]]), user_pos, geometry(positions, user_pos).dist)
+                np.array([0]), user_pos, geometry(positions, user_pos).dist)
         tail = (np.array([300e6]), np.array([True]), KP)
         starved = control_input(*args, np.array([0.0]), *tail,
                                 mode=FLOCKING_MODE)
@@ -278,7 +278,7 @@ class TestControlInput:
         with pytest.raises(ValueError):
             control_input(np.zeros((1, 3)), np.zeros((1, 3)),
                           np.array([0]), np.array([True]),
-                          np.zeros((1, 0), dtype=bool), np.zeros((0, 3)),
+                          np.zeros(0, dtype=int), np.zeros((0, 3)),
                           np.zeros((1, 0)), np.zeros(0), np.zeros(0),
                           np.zeros(0, dtype=bool), KP, mode="hover")
 
