@@ -17,10 +17,14 @@ still go one user or one cell at a time.
 
 Positions do not change between the failure phase and the step, so the
 cells x users geometry (radio.geometry: slant distance and elevation) is
-built once per tick, right after (1).  Association reads its distances,
-update_rates hands it to radio.received_power_field, and the invariant
-check and h's range test read its distances too: every range test sees
-the very values association saw.  The tick makes each of those two radio
+built once per tick, right after (1).  Right after it the tick lists its
+cell-user pairs within r once (_in_range, a row-major list of flat
+indices, cells and users): association takes each user's eligible cells
+from it and h_term its pairs, and association, the invariant check and h
+all read the geometry's distances, so every range test sees the very
+values association saw.  update_rates hands the geometry to
+radio.received_power_field, which writes the power field over the
+elevations, their one reader.  The tick makes each of those two radio
 calls once, from its own thread; on a field of at least
 radio._SPLIT_LINKS links radio computes blocks of cell rows on a thread
 pool inside the call, with the same bits on any CPU count.  Each cell's
@@ -31,11 +35,12 @@ users' serving ids, the one association record.
 The world's cell and user counts are fixed (dead cells keep their rows),
 so every (cells, users) array of a tick lives in one Workspace that the
 world builds on first use and the tick writes in place with out=: the
-geometry, association's eligibility mask and masked distances, and the
-power field.  What tick_geometry returns stays valid until the next
-tick_geometry on that world, and the power field until the next
-update_rates; nothing reads either after its tick.  run() drops the
-workspace when it returns, and a later step() builds it again.
+geometry, whose elevations become the power field, the in-range mask and
+a scratch array.  The distances tick_geometry returns stay valid until
+the next tick_geometry on that world, its elevations until update_rates
+(the power field then holds until the next tick_geometry); nothing reads
+either after its tick.  run() drops the workspace when it returns, and a
+later step() builds it again.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import _cell_pairs, control_input
+from .kernels import _cell_pairs, _pair_indices, control_input
 from .metrics import TickMetrics, compute_metrics
 from .model import (
     L0,
@@ -68,19 +73,18 @@ from .radio import (Geometry, data_rate, dbm_to_mw, geometry,
 
 class Workspace:
     """The (cells, users) arrays of one tick, written in place tick after
-    tick: the geometry's distances and elevations, the power field,
-    association's eligibility mask and one float scratch array.  The
-    scratch holds dz in the geometry, then association's masked distances
-    (users, cells), then ln d in the power field.  It holds no reference
-    to its world."""
+    tick: the geometry's distances, its elevations (then the power field
+    written over them), one float scratch array and the in-range mask the
+    tick's cell-user list is read off.  The scratch holds dz in the
+    geometry, then ln d in the power field.  It holds no reference to its
+    world."""
 
-    __slots__ = ("geom", "scratch", "powers", "eligible")
+    __slots__ = ("geom", "scratch", "eligible")
 
     def __init__(self, n_cells: int, n_users: int) -> None:
         shape = (n_cells, n_users)
         self.geom = Geometry(np.empty(shape), np.empty(shape))
         self.scratch = np.empty(shape)
-        self.powers = np.empty(shape)
         self.eligible = np.empty(shape, dtype=bool)
 
 
@@ -218,23 +222,33 @@ def _workspace(world: WorldState) -> Workspace:
 
 def tick_geometry(world: WorldState) -> Geometry:
     """The cells x users geometry of the world's current positions, as
-    views into the world's workspace: they hold until the next
-    tick_geometry on that world.  Code that keeps two geometries calls
+    views into the world's workspace: the distances hold until the next
+    tick_geometry on that world, the elevations until update_rates writes
+    the power field over them.  Code that keeps two geometries calls
     radio.geometry."""
     ws = _workspace(world)
     return geometry(world.uav_pos, world.user_pos, out=ws.geom,
                     scratch=ws.scratch)
 
 
+def _in_range(world: WorldState, dist: np.ndarray, r: float):
+    """The cell-user pairs within r of the (cells, users) distances
+    ``dist``, as flat indices, cells and users in row-major order
+    (kernels._pair_indices), off a mask in the world's workspace."""
+    return _pair_indices(np.less_equal(dist, r,
+                                       out=_workspace(world).eligible))
+
+
 def associate_users(world: WorldState, gains: ControlGains,
-                    geom: Geometry) -> None:
+                    geom: Geometry, links=None) -> None:
     """Greedy nearest-feasible association with per-UAV capacity.
 
     A UAV is eligible for a user when alive, within range r, and (for
     regular users) on the default channel.  Users are processed in order of
     distance to their nearest eligible UAV; each takes the nearest eligible
     UAV with spare capacity, spilling to the next nearest when full.
-    Distances come from the tick's geometry.
+    Distances come from the tick's geometry, and the eligible pairs from
+    ``links``, the tick's in-range list (_in_range), built when not given.
 
     When no UAV is the nearest eligible one of more than n_max users, no
     user ever finds its nearest UAV full, so every user takes it; the
@@ -244,25 +258,28 @@ def associate_users(world: WorldState, gains: ControlGains,
     world.serving.fill(-1)
     if not n_cells or not n_users:
         return
-    ws = _workspace(world)
-    dist, eligible = geom.dist, ws.eligible
-    np.less_equal(dist, gains.r, out=eligible)
-    eligible &= world.alive[:, None]
-    for n in np.flatnonzero(world.channel != L0).tolist():
-        eligible[n] &= world.premium
-    # one row per user, so that the argmin runs along rows, copying nothing
-    masked = ws.scratch.reshape(n_users, n_cells)
-    masked.fill(np.inf)
-    np.copyto(masked, dist.T, where=eligible.T)
-    ids = np.arange(n_users)
-    closest = masked.argmin(axis=1)         # lowest id among equal distances
-    nearest = masked[ids, closest]
+    flat, cell, user = links or _in_range(world, geom.dist, gains.r)
+    keep = world.alive[cell] & (world.premium[user]
+                                | (world.channel[cell] == L0))
+    cell, user = cell[keep], user[keep]
+    dist = geom.dist.take(flat[keep])
+    nearest = np.full(n_users, np.inf)
+    np.minimum.at(nearest, user, dist)
+    # the lowest id among equal distances, as argmin picks it
+    tied = dist == nearest[user]
+    closest = np.full(n_users, n_cells)
+    np.minimum.at(closest, user[tied], cell[tied])
     reachable = np.isfinite(nearest)
     if np.bincount(closest[reachable], minlength=n_cells).max() <= gains.n_max:
         world.serving[reachable] = closest[reachable]
         return
-    order = np.lexsort((ids, nearest))
+    order = np.lexsort((np.arange(n_users), nearest))
     order = order[:np.count_nonzero(reachable)].tolist()
+    # each user's pairs, in ascending cell order as the list runs
+    by_user = np.argsort(user, kind="stable")
+    counts = np.bincount(user, minlength=n_users)
+    ends = np.cumsum(counts)
+    starts = ends - counts
     closest = closest.tolist()
     load = [0] * n_cells
     taken, cells = [], []
@@ -270,10 +287,9 @@ def associate_users(world: WorldState, gains: ControlGains,
         n = closest[m]
         if load[n] >= gains.n_max:
             # spill: rank only this user's eligible UAVs, nearest first
-            candidates = np.flatnonzero(eligible[:, m])
-            candidates = candidates[np.argsort(dist[candidates, m],
-                                               kind="stable")]
-            n = next((c for c in candidates.tolist()
+            mine = by_user[starts[m]:ends[m]]
+            mine = mine[np.argsort(dist[mine], kind="stable")]
+            n = next((c for c in cell[mine].tolist()
                       if load[c] < gains.n_max), None)
             if n is None:
                 continue
@@ -306,13 +322,12 @@ def update_rates(world: WorldState, radio: RadioParams, gains: ControlGains,
     """Compute every link's achieved rate and push it into the rate windows.
 
     Returns the (n_uavs, n_users) received-power matrix in mW over the
-    tick's geometry with dead UAVs zeroed, which is the world's workspace
-    and holds until the next update_rates on that world, and the
-    (num_channels, n_users) per-channel power sums.
+    tick's geometry with dead UAVs zeroed, written over the geometry's
+    elevations, their one reader, and the (num_channels, n_users)
+    per-channel power sums.
     """
-    ws = _workspace(world)
-    powers = received_power_field(geom, radio, out=ws.powers,
-                                  scratch=ws.scratch)
+    powers = received_power_field(geom, radio, out=geom.elev,
+                                  scratch=_workspace(world).scratch)
     powers[~world.alive] = 0.0
     chan_power = np.zeros((radio.num_channels, len(world.serving)))
     for n, k in zip(np.flatnonzero(world.alive).tolist(),
@@ -352,27 +367,24 @@ def channel_switching(world: WorldState, powers: np.ndarray,
     n_channels = radio.num_channels
     channel, serving = world.channel, world.serving
     usage = np.bincount(channel[world.alive], minlength=n_channels).tolist()
-    # a switch writes only its own cell's entries, which later cells never read
-    alive, last_switch = world.alive.tolist(), world.last_switch.tolist()
-    rate, target = world.rate.tolist(), world.target.tolist()
-    premium, users = world.premium.tolist(), world.users
-    for n, is_alive in enumerate(alive):
-        if not is_alive or world.time - last_switch[n] < gains.tau:
-            continue
-        served = np.flatnonzero(serving == n).tolist()        # ascending
-        trig = None
-        best_deficit = 0.0
-        for m in served:
-            if not premium[m]:
-                continue
-            c = rate[m]
-            if c < target[m] and c <= users[m].mean_rate:
-                deficit = target[m] - c
-                if deficit > best_deficit:
-                    best_deficit = deficit
-                    trig = m
-        if trig is None:
-            continue
+    # a switch rewrites only its own cell's users, so each cell's trigger
+    # user is found before the pass: the served premium user below target
+    # and at or below its mean with the largest deficit, the lowest id of
+    # equal ones, on an alive cell out of cooldown
+    ready = world.alive & ~(world.time - world.last_switch < gains.tau)
+    below = np.flatnonzero((serving >= 0) & world.premium
+                           & (world.rate < world.target))
+    below = below[ready[serving[below]]]
+    triggers: dict[int, tuple[float, int]] = {}     # cell: (deficit, user)
+    for m, n, c, t in zip(below.tolist(), serving[below].tolist(),
+                          world.rate[below].tolist(),
+                          world.target[below].tolist()):
+        if c <= world.users[m].mean_rate and \
+                t - c > triggers.get(n, (0.0,))[0]:
+            triggers[n] = (t - c, m)
+    premium = world.premium.tolist()
+    for n in sorted(triggers):
+        trig = triggers[n][1]
         current = int(channel[n])
         candidates = [k for k in range(1, n_channels) if k != current]
         if not candidates:
@@ -387,6 +399,7 @@ def channel_switching(world: WorldState, powers: np.ndarray,
         if not math.fsum(at_trig[channel == best_k]) < math.fsum(
                 at_trig[others]):
             continue
+        served = np.flatnonzero(serving == n).tolist()        # ascending
         released = [m for m in served if current == L0 and not premium[m]]
         retained = [m for m in served if m not in released]
         signal = powers[n, retained]
@@ -406,19 +419,20 @@ def channel_switching(world: WorldState, powers: np.ndarray,
 
 
 def control_all(world: WorldState, gains: ControlGains, mode: str,
-                dist: np.ndarray, pairs=None) -> np.ndarray:
+                dist: np.ndarray, pairs=None, links=None) -> np.ndarray:
     """Control inputs for all UAVs from one frozen state snapshot.
 
     Each controller term runs once for the whole fleet, on the world's
     arrays; dead UAVs get zero rows.  ``dist`` is the geometry's
     (cells, users) distances at these positions, h's range test, and h
     reads the users' serving ids as they are.  ``pairs``, the tick's
-    kernels._cell_pairs at these positions, is built when not given.
+    kernels._cell_pairs at these positions, and ``links``, its in-range
+    list (_in_range of ``dist``), are built when not given.
     """
     return control_input(world.uav_pos, world.uav_vel, _loads(world),
                          world.alive, world.serving, world.user_pos, dist,
                          world.rate, world.target, world.premium, gains, mode,
-                         pairs)
+                         pairs, links)
 
 
 def advance(world: WorldState, controls: np.ndarray, gains: ControlGains,
@@ -443,11 +457,11 @@ def advance(world: WorldState, controls: np.ndarray, gains: ControlGains,
 def _raise_first(checks) -> None:
     """Raise for the lowest index failing any of ``checks``, (mask, message
     for an index) pairs, with the message of the first check it fails."""
+    if not any(mask.any() for mask, _ in checks):
+        return
     masks = np.array([mask for mask, _ in checks])
-    bad = masks.any(axis=0)
-    if bad.any():
-        i = int(bad.argmax())
-        raise RuntimeError(checks[int(masks[:, i].argmax())][1](i))
+    i = int(masks.any(axis=0).argmax())
+    raise RuntimeError(checks[int(masks[:, i].argmax())][1](i))
 
 
 def _check_invariants(world: WorldState, config: ScenarioConfig,
@@ -498,14 +512,15 @@ def step(world: WorldState,
          config: ScenarioConfig) -> tuple[TickMetrics, list[SwitchEvent]]:
     """One full evaluate-and-integrate tick for callers driving a world by
     hand: the same two halves run() uses."""
-    metrics, events, geom, pairs = _evaluate(world, config)
-    _integrate(world, config, geom, pairs)
+    metrics, events, geom, pairs, links = _evaluate(world, config)
+    _integrate(world, config, geom, pairs, links)
     return metrics, events
 
 
 def _evaluate(world: WorldState, config: ScenarioConfig):
     """Phases 1-5 of a tick on frozen positions; fills the world's logs and
-    returns the tick's metrics, switch events, geometry and cell pairs."""
+    returns the tick's metrics, switch events, geometry, cell pairs and
+    in-range cell-user pairs."""
     for idx, ev in enumerate(config.failure_events):
         if idx in world.fired or world.time < ev.at_time:
             continue
@@ -515,7 +530,8 @@ def _evaluate(world: WorldState, config: ScenarioConfig):
             world.failures.append((world.time, killed))
     geom = tick_geometry(world)
     pairs = _cell_pairs(world.uav_pos, world.alive, config.gains)
-    associate_users(world, config.gains, geom)
+    links = _in_range(world, geom.dist, config.gains.r)
+    associate_users(world, config.gains, geom, links)
     powers, chan_power = update_rates(world, config.radio, config.gains,
                                       geom)
     events: list[SwitchEvent] = []
@@ -529,15 +545,15 @@ def _evaluate(world: WorldState, config: ScenarioConfig):
                               world.rate, world.target, active)
     _check_invariants(world, config, geom)
     _record_min_distance(world, config.gains, pairs)
-    return metrics, events, geom, pairs
+    return metrics, events, geom, pairs, links
 
 
 def _integrate(world: WorldState, config: ScenarioConfig, geom: Geometry,
-               pairs) -> None:
-    """Phase 6: control inputs from the evaluated state, its geometry and
-    its cell pairs, then one step."""
+               pairs, links) -> None:
+    """Phase 6: control inputs from the evaluated state, its distances, its
+    cell pairs and its in-range list, then one step."""
     controls = control_all(world, config.gains, config.controller_mode,
-                           geom.dist, pairs)
+                           geom.dist, pairs, links)
     advance(world, controls, config.gains, config.H)
 
 
@@ -564,7 +580,7 @@ def run(config: ScenarioConfig, run_seed: Optional[int] = None,
     user_trace: list[tuple] = []
     switch_events: list[SwitchEvent] = []
     for k in range(ticks + 1):
-        metrics, events, geom, pairs = _evaluate(world, config)
+        metrics, events, geom, pairs, links = _evaluate(world, config)
         switch_events.extend(events)
         metrics_rows.append(metrics)
         if trace:
@@ -580,7 +596,7 @@ def run(config: ScenarioConfig, run_seed: Optional[int] = None,
                 in enumerate(zip(world.users, world.serving.tolist(),
                                  world.rate.tolist())))
         if k < ticks:
-            _integrate(world, config, geom, pairs)
+            _integrate(world, config, geom, pairs, links)
     world.workspace = None      # a later step() on the world rebuilds it
     return RunResult(config=config, seed=_seed(config, run_seed),
                      metrics=metrics_rows, trace=cell_trace,

@@ -22,13 +22,14 @@ neighbor sets, so each term is evaluated for the whole fleet at once,
 returns one (cells, 3) row per cell, and does per-pair work only for the
 pairs that interact.  f and g share one list (_cell_pairs) of the ordered
 pairs (i, j) with j alive and within r of i, which the engine builds once
-per tick and its spacing log reads too.  h lists the cell-user pairs whose
-user is within r of the cell, and a pair is connected when the user's
-serving id, the one association record, names the cell: association
-serves a user only from a cell within r, so every connected pair is on
-the list.  A list is the flat indices of its (cells, cells) or (cells,
-users) mask (np.flatnonzero, then divmod by the row width), so it runs in
-row-major order.  Each term computes its sigma-gradients (g: velocity
+per tick and its spacing log reads too.  h reads the list of cell-user
+pairs whose user is within r of the cell, which the engine also builds
+once per tick and association reads too, and a pair is connected when the
+user's serving id, the one association record, names the cell:
+association serves a user only from a cell within r, so every connected
+pair is on the list.  A list is the flat indices of its (cells, cells) or
+(cells, users) mask (np.flatnonzero, then divmod by the row width), so it
+runs in row-major order.  Each term computes its sigma-gradients (g: velocity
 differences) and weights for the listed pairs only, as (pairs, 3) rows,
 scatters them into zero-filled (rows, cols) weights and (rows, cols, 3)
 vectors, and sums each row with one batched matmul.  That matmul sees the
@@ -183,7 +184,7 @@ def g_term(positions: np.ndarray, velocities: np.ndarray, alive: np.ndarray,
 
 def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
            dist: np.ndarray, rates: np.ndarray, targets: np.ndarray,
-           premium: np.ndarray, p: ControlGains) -> np.ndarray:
+           premium: np.ndarray, p: ControlGains, links=None) -> np.ndarray:
     """User-coupling force on every cell, as (cells, 3) rows.
 
     `serving` holds each user's serving cell id, -1 while unserved, and a
@@ -195,9 +196,10 @@ def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
     beta * target.  Both per-user weights are the same for every cell.
     Range is read from `dist`, the tick geometry's (cells, users) distances
     that association read, so a user at exactly r is in range for both.
+    ``links``, when given, is _pair_indices(dist <= p.r), the tick's
+    in-range list that association read too, and is left unchanged.
     """
-    pair = dist <= p.r
-    flat, cell, user = _pair_indices(pair)
+    flat, cell, user = links or _pair_indices(dist <= p.r)
     rel = user_pos[user] - positions[cell]
     grads = _sigma_grads(rel, p.eps, out=rel)[0]
     gain = np.where(premium, p.c2_prem, p.c2_reg)
@@ -206,7 +208,7 @@ def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
     # repulsion runs along the negated sigma-gradient of rel
     push = -p.c1 * (np.maximum(targets - rates, 0.0) / targets)
     weight = np.where(serving[user] == cell, pull[user], push[user])
-    return _pair_sums(pair.shape, flat, weight, grads)
+    return _pair_sums(dist.shape, flat, weight, grads)
 
 
 def flocking_goal_term(positions: np.ndarray, user_pos: np.ndarray,
@@ -224,17 +226,17 @@ def control_input(positions: np.ndarray, velocities: np.ndarray,
                   serving: np.ndarray, user_pos: np.ndarray,
                   dist: np.ndarray, rates: np.ndarray, targets: np.ndarray,
                   premium: np.ndarray, p: ControlGains,
-                  mode: str = QOS_MODE, pairs=None) -> np.ndarray:
+                  mode: str = QOS_MODE, pairs=None, links=None) -> np.ndarray:
     """Control inputs for every cell as (cells, 3) rows: z zeroed, each row
-    clamped to p.u_max, dead cells zero.  ``serving`` and ``dist`` are as
-    in h_term and read in QoS mode only; ``pairs`` is as in f_term, built
-    here when not given."""
+    clamped to p.u_max, dead cells zero.  ``serving``, ``dist`` and
+    ``links`` are as in h_term and read in QoS mode only; ``pairs`` is as
+    in f_term, built here when not given."""
     pairs = pairs or _cell_pairs(positions, alive, p)
     u = f_term(positions, loads, alive, p, pairs=pairs) + \
         g_term(positions, velocities, alive, p, pairs=pairs)
     if mode == QOS_MODE:
         u += h_term(positions, serving, user_pos, dist, rates, targets,
-                    premium, p)
+                    premium, p, links)
     elif mode == FLOCKING_MODE:
         u += flocking_goal_term(positions, user_pos, p)
     else:

