@@ -335,9 +335,8 @@ def update_rates(world: WorldState, radio: RadioParams, gains: ControlGains,
         chan_power[k] += powers[n]
     _apply_rates(world, powers, chan_power, radio)
     time, tau = world.time, gains.tau
-    # `or 0.0`: unserved users' windows share one 0.0 object
     for user, r in zip(world.users, world.rate.tolist()):
-        user.record_rate(time, r or 0.0, tau)
+        user.record_rate(time, r, tau)
     return powers, chan_power
 
 

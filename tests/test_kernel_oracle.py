@@ -311,6 +311,7 @@ def test_rate_window_mean_matches_pair_form_bits(dt, tau):
     for k, (time, rate) in enumerate(zip(times, rates)):
         user.record_rate(time, rate, tau)
         assert user.mean_rate == want[k], k
+        assert len(user.rate_times) == len(user.rate_window), k
         lengths.add(len(user.rate_window))
     assert {round(tau / dt), round(tau / dt) + 1} <= lengths
 

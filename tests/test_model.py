@@ -1,12 +1,15 @@
 """Scenario model: parameter defaults, validation, file round trips."""
 
+import gc
 import math
 import pathlib
 import random
 import re
+import tracemalloc
 from dataclasses import is_dataclass, replace
 from typing import Annotated, get_args, get_origin, get_type_hints
 
+import numpy as np
 import pytest
 import yaml
 
@@ -555,6 +558,54 @@ def test_mean_rate_is_the_window_mean_after_every_record(dt, tau):
         assert user.mean_rate == sum(window) / len(window), k
 
 
+def test_two_records_at_one_time_both_stay():
+    user = _user()
+    user.record_rate(1.0, 5.0, 0.5)
+    user.record_rate(1.0, 7.0, 0.5)
+    assert (list(user.rate_times), list(user.rate_window)) == \
+        ([1.0, 1.0], [5.0, 7.0])
+    assert user.mean_rate == 6.0
+
+
+def test_a_window_far_shorter_than_a_tick_keeps_only_the_newest_entry():
+    user = _user()
+    for k in range(40):
+        user.record_rate(k * 0.1, float(k + 1), 1e-3)
+        assert (list(user.rate_times), list(user.rate_window)) == \
+            ([k * 0.1], [float(k + 1)])
+        assert user.mean_rate == float(k + 1)
+
+
+def test_rate_windows_hold_8_byte_doubles_not_float_objects():
+    users, ticks, dt, tau = 3000, 60, 0.1, 5.0
+    rng = np.random.default_rng(20)
+    # every rate distinct, about 36% zeros, and the extremes an entry must
+    # keep: subnormals and 1e300
+    rates = rng.uniform(1e6, 1e8, (ticks, users))
+    rates[rng.random((ticks, users)) < 0.36] = 0.0
+    rates[30, :100] = np.arange(1, 101) * 5e-324
+    rates[-1, 100:200] = 1e300 * rng.uniform(1.0, 1.5, 100)
+    world = world_of([], [(PREMIUM, float(m), 0.0) for m in range(users)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(ticks):
+            time = k * dt                   # one time object per tick
+            for user, r in zip(world.users, rates[k].tolist()):
+                user.record_rate(time, r, tau)
+        del time, user, r
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / users <= 1.5 * 1024, held / users
+    for m, user in enumerate(world.users):
+        width = len(user.rate_window)
+        assert width == len(user.rate_times) == round(tau / dt)
+        assert user.rate_window.tobytes() == rates[-width:, m].tobytes(), m
+
+
 def test_views_are_read_only_and_follow_the_arrays():
     world = world_of([(0.0, 0.0)], [(PREMIUM, 10.0, 0.0)])
     uav, user = world.uavs[0], world.users[0]
@@ -573,6 +624,7 @@ def test_views_are_read_only_and_follow_the_arrays():
 
 def test_mean_rate_reads_zero_when_fresh_and_cannot_be_stored():
     user = _user()
-    assert user.mean_rate == 0.0
+    assert len(user.rate_window) == len(user.rate_times) == 0
+    assert math.copysign(1.0, user.mean_rate) == 1.0 and user.mean_rate == 0.0
     with pytest.raises(AttributeError):
         user.mean_rate = 1.0
