@@ -40,10 +40,11 @@ world = make_world(cfg)
 print()
 print("two UAVs released 40 m apart, spacing term only:")
 for tick in range(1200):
-    geom = tick_geometry(world)
-    associate_users(world, gains, geom)
+    geom, links = tick_geometry(world, gains.r)
+    associate_users(world, gains, geom, links)
     update_rates(world, cfg.radio, gains, geom)
-    controls = control_all(world, gains, "qos_driven", geom.dist)
+    controls = control_all(world, gains, "qos_driven", geom.dist,
+                           links=links)
     advance(world, controls, gains, cfg.H)
     if tick % 200 == 199:
         sep = float(np.linalg.norm(world.uav_pos[0] - world.uav_pos[1]))
@@ -61,10 +62,11 @@ world = make_world(cfg)
 print()
 print("single cell chasing one premium user 250 m away:")
 for tick in range(600):
-    geom = tick_geometry(world)
-    associate_users(world, gains, geom)
+    geom, links = tick_geometry(world, gains.r)
+    associate_users(world, gains, geom, links)
     update_rates(world, cfg.radio, gains, geom)
-    controls = control_all(world, gains, "qos_driven", geom.dist)
+    controls = control_all(world, gains, "qos_driven", geom.dist,
+                           links=links)
     advance(world, controls, gains, cfg.H)
     if tick % 100 == 99:
         gap = float(np.linalg.norm(world.uav_pos[0, :2] - world.user_pos[0, :2]))

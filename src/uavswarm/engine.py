@@ -17,12 +17,13 @@ still go one user or one cell at a time.
 
 Positions do not change between the failure phase and the step, so the
 cells x users geometry (radio.geometry: slant distance and elevation) is
-built once per tick, right after (1).  Right after it the tick lists its
-cell-user pairs within r once (_in_range, a row-major list of flat
-indices, cells and users): association takes each user's eligible cells
-from it and h_term its pairs, and association, the invariant check and h
-all read the geometry's distances, so every range test sees the very
-values association saw.  update_rates hands the geometry to
+built once per tick, right after (1), and with it the tick's list of the
+cell-user pairs within r (tick_geometry, a row-major list of flat
+indices, cells and users), which radio builds block by block as it writes
+the distances: association takes each user's eligible cells from it and
+h_term its pairs, and association, the invariant check and h all read the
+geometry's distances, so every range test sees the very values
+association saw.  update_rates hands the geometry to
 radio.received_power_field, which writes the power field over the
 elevations, their one reader.  The tick makes each of those two radio
 calls once, from its own thread; on a field of at least
@@ -33,14 +34,15 @@ after the geometry, for the spacing log and for f and g; h reads the
 users' serving ids, the one association record.
 
 The world's cell and user counts are fixed (dead cells keep their rows),
-so every (cells, users) array of a tick lives in one Workspace that the
-world builds on first use and the tick writes in place with out=: the
-geometry, whose elevations become the power field, the in-range mask and
-a scratch array.  The distances tick_geometry returns stay valid until
-the next tick_geometry on that world, its elevations until update_rates
-(the power field then holds until the next tick_geometry); nothing reads
-either after its tick.  run() drops the workspace when it returns, and a
-later step() builds it again.
+so a tick's (cells, users) arrays are two float arrays that the world
+builds on first use (world.workspace, a radio.Geometry) and the tick
+writes in place with out=: the distances, and the elevations, which
+become the power field.  Radio's other steps take temporaries of at most
+radio._CHUNK elements in all, however many blocks run at once.  The distances tick_geometry returns stay valid
+until the next tick_geometry on that world, its elevations until
+update_rates (the power field then holds until the next tick_geometry);
+nothing reads either after its tick.  run() drops the workspace when it
+returns, and a later step() builds it again.
 """
 
 from __future__ import annotations
@@ -67,25 +69,8 @@ from .model import (
     read_value,
     round_half_up,
 )
-from .radio import (Geometry, data_rate, dbm_to_mw, geometry,
+from .radio import (Geometry, data_rate, dbm_to_mw, geometry_in_range,
                     received_power_field)
-
-
-class Workspace:
-    """The (cells, users) arrays of one tick, written in place tick after
-    tick: the geometry's distances, its elevations (then the power field
-    written over them), one float scratch array and the in-range mask the
-    tick's cell-user list is read off.  The scratch holds dz in the
-    geometry, then ln d in the power field.  It holds no reference to its
-    world."""
-
-    __slots__ = ("geom", "scratch", "eligible")
-
-    def __init__(self, n_cells: int, n_users: int) -> None:
-        shape = (n_cells, n_users)
-        self.geom = Geometry(np.empty(shape), np.empty(shape))
-        self.scratch = np.empty(shape)
-        self.eligible = np.empty(shape, dtype=bool)
 
 
 @dataclass(eq=False)
@@ -109,8 +94,8 @@ class WorldState:
     failures: list[tuple[float, list[int]]] = field(default_factory=list)
     # (time, uav_id, uav_id, distance) per alive pair closer than gains.d
     min_distance_violations: list[tuple] = field(default_factory=list)
-    # the tick's (cells, users) buffers, built on first use
-    workspace: Optional[Workspace] = field(default=None, repr=False)
+    # the tick's (cells, users) geometry buffers, built on first use
+    workspace: Optional[Geometry] = field(default=None, repr=False)
     uavs: list[UavState] = field(init=False, repr=False)
     users: list[UserState] = field(init=False, repr=False)
 
@@ -214,29 +199,23 @@ def inject_failures(world: WorldState, fraction: float) -> list[int]:
     return killed
 
 
-def _workspace(world: WorldState) -> Workspace:
+def _workspace(world: WorldState) -> Geometry:
     if world.workspace is None:
-        world.workspace = Workspace(len(world.alive), len(world.serving))
+        shape = (len(world.alive), len(world.serving))
+        world.workspace = Geometry(np.empty(shape), np.empty(shape))
     return world.workspace
 
 
-def tick_geometry(world: WorldState) -> Geometry:
-    """The cells x users geometry of the world's current positions, as
-    views into the world's workspace: the distances hold until the next
+def tick_geometry(world: WorldState, r: float):
+    """The cells x users geometry of the world's current positions, as the
+    world's workspace arrays, and the tick's in-range list: the cell-user
+    pairs within ``r`` as flat indices, cells and users in row-major order
+    (radio.geometry_in_range).  The distances hold until the next
     tick_geometry on that world, the elevations until update_rates writes
     the power field over them.  Code that keeps two geometries calls
     radio.geometry."""
-    ws = _workspace(world)
-    return geometry(world.uav_pos, world.user_pos, out=ws.geom,
-                    scratch=ws.scratch)
-
-
-def _in_range(world: WorldState, dist: np.ndarray, r: float):
-    """The cell-user pairs within r of the (cells, users) distances
-    ``dist``, as flat indices, cells and users in row-major order
-    (kernels._pair_indices), off a mask in the world's workspace."""
-    return _pair_indices(np.less_equal(dist, r,
-                                       out=_workspace(world).eligible))
+    return geometry_in_range(world.uav_pos, world.user_pos, r,
+                             out=_workspace(world))
 
 
 def associate_users(world: WorldState, gains: ControlGains,
@@ -248,7 +227,8 @@ def associate_users(world: WorldState, gains: ControlGains,
     distance to their nearest eligible UAV; each takes the nearest eligible
     UAV with spare capacity, spilling to the next nearest when full.
     Distances come from the tick's geometry, and the eligible pairs from
-    ``links``, the tick's in-range list (_in_range), built when not given.
+    ``links``, the tick's in-range list (tick_geometry), built from the
+    distances when not given.
 
     When no UAV is the nearest eligible one of more than n_max users, no
     user ever finds its nearest UAV full, so every user takes it; the
@@ -258,7 +238,7 @@ def associate_users(world: WorldState, gains: ControlGains,
     world.serving.fill(-1)
     if not n_cells or not n_users:
         return
-    flat, cell, user = links or _in_range(world, geom.dist, gains.r)
+    flat, cell, user = links or _pair_indices(geom.dist <= gains.r)
     keep = world.alive[cell] & (world.premium[user]
                                 | (world.channel[cell] == L0))
     cell, user = cell[keep], user[keep]
@@ -323,11 +303,10 @@ def update_rates(world: WorldState, radio: RadioParams, gains: ControlGains,
 
     Returns the (n_uavs, n_users) received-power matrix in mW over the
     tick's geometry with dead UAVs zeroed, written over the geometry's
-    elevations, their one reader, and the (num_channels, n_users)
-    per-channel power sums.
+    elevations, their one reader, so that it allocates no array of that
+    shape, and the (num_channels, n_users) per-channel power sums.
     """
-    powers = received_power_field(geom, radio, out=geom.elev,
-                                  scratch=_workspace(world).scratch)
+    powers = received_power_field(geom, radio, out=geom.elev)
     powers[~world.alive] = 0.0
     chan_power = np.zeros((radio.num_channels, len(world.serving)))
     for n, k in zip(np.flatnonzero(world.alive).tolist(),
@@ -426,7 +405,7 @@ def control_all(world: WorldState, gains: ControlGains, mode: str,
     (cells, users) distances at these positions, h's range test, and h
     reads the users' serving ids as they are.  ``pairs``, the tick's
     kernels._cell_pairs at these positions, and ``links``, its in-range
-    list (_in_range of ``dist``), are built when not given.
+    list (tick_geometry), are built when not given.
     """
     return control_input(world.uav_pos, world.uav_vel, _loads(world),
                          world.alive, world.serving, world.user_pos, dist,
@@ -527,9 +506,8 @@ def _evaluate(world: WorldState, config: ScenarioConfig):
         world.fired.add(idx)
         if killed:
             world.failures.append((world.time, killed))
-    geom = tick_geometry(world)
+    geom, links = tick_geometry(world, config.gains.r)
     pairs = _cell_pairs(world.uav_pos, world.alive, config.gains)
-    links = _in_range(world, geom.dist, config.gains.r)
     associate_users(world, config.gains, geom, links)
     powers, chan_power = update_rates(world, config.radio, config.gains,
                                       geom)

@@ -27,9 +27,9 @@ pairs whose user is within r of the cell, which the engine also builds
 once per tick and association reads too, and a pair is connected when the
 user's serving id, the one association record, names the cell:
 association serves a user only from a cell within r, so every connected
-pair is on the list.  A list is the flat indices of its (cells, cells) or
-(cells, users) mask (np.flatnonzero, then divmod by the row width), so it
-runs in row-major order.  Each term computes its sigma-gradients (g: velocity
+pair is on the list.  A list is the flat indices of its pairs in the (cells,
+cells) or (cells, users) grid, in row-major order as np.flatnonzero of a
+mask gives them, with rows and columns by divmod by the row width.  Each term computes its sigma-gradients (g: velocity
 differences) and weights for the listed pairs only, as (pairs, 3) rows,
 scatters them into zero-filled (rows, cols) weights and (rows, cols, 3)
 vectors, and sums each row with one batched matmul.  That matmul sees the
@@ -139,13 +139,28 @@ def _cell_pairs(positions: np.ndarray, alive: np.ndarray, p: ControlGains):
     """The pairs (i, j) of a cell i and an alive cell j other than i within
     r of it, as flat indices into (cells, cells), rows i and columns j,
     with each pair's sigma-gradient toward j as (pairs, 3) rows and its
-    distance."""
-    rel = positions[None, :, :] - positions[:, None, :]
-    near = alive[None, :] & (np.sqrt(np.einsum("...k,...k->...", rel, rel))
-                             <= p.r)
-    np.fill_diagonal(near, False)
+    distance.
+
+    The candidates are the pairs whose horizontal squared distance is
+    within r and a margin no rounding crosses; only their offsets are
+    built, and the range test reads the norm _sigma_grads returns, so a
+    pair at exactly r is in range as in the (cells, cells, 3) form.
+    """
+    x, y = positions[:, 0], positions[:, 1]
+    sq = np.subtract.outer(x, x)
+    sq *= sq
+    dy = np.subtract.outer(y, y)
+    dy *= dy
+    sq += dy
+    near = sq <= (p.r * (1.0 + 1e-9)) ** 2
+    near &= alive
+    near.reshape(-1)[::len(x) + 1] = False      # the diagonal
     flat, i, j = _pair_indices(near)
-    return (flat, i, j, *_sigma_grads(rel.reshape(-1, 3)[flat], p.eps))
+    grads, dist = _sigma_grads(positions[j] - positions[i], p.eps)
+    keep = dist <= p.r
+    if keep.all():
+        return flat, i, j, grads, dist
+    return flat[keep], i[keep], j[keep], grads[keep], dist[keep]
 
 
 def f_term(positions: np.ndarray, loads: np.ndarray, alive: np.ndarray,

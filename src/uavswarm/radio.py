@@ -6,9 +6,11 @@ WCL 3(6), 2014): slant distance d and elevation angle -> LoS probability
 p_los -> mean path loss -> received power -> SINR -> Shannon rate.
 
 `geometry` builds d and the elevation for every cell/user pair at once; the
-engine builds it once per tick and association, the power field and the
-invariant check all read it.  received_power_field evaluates the model's
-received power in closed form, with no dB round trip,
+engine builds it once per tick, with geometry_in_range, which also lists
+the pairs within range as it writes the distances, and association, the
+power field and the invariant check all read it.  received_power_field
+evaluates the model's received power in closed form, with no dB round
+trip,
 
     P = K * d**-delta * 10**(-(eta_nlos + p_los * (eta_los - eta_nlos)) / 10),
     K = 10**(p_t / 10) * (c / (4 pi f_c))**delta,
@@ -29,6 +31,19 @@ bits do not depend on the CPU count.  The threads run only this module's
 private block helpers, never a public function, and a forked child drops
 the pool whose threads it does not have.
 
+The only (cells, users) arrays are the geometry's two and the field, which
+the engine writes over the elevations.  Every pass runs over a whole
+block, except the two steps that need a third array: dz for the
+elevation's arctan2 and delta * ln d for the field, which run a tile of
+the block at a time in a temporary that each thread keeps from call to
+call.  A block's tiles take at most its share of the field's rows times
+_CHUNK elements, so the blocks of a split field use at most _CHUNK
+elements of temporaries together, on any CPU count.  A field of at most
+_CHUNK elements is one tile, and its geometry runs every step over the
+whole field, with a field-sized temporary that keeps dz from dz*dz to
+the arctan2, as every fig5 and sweep field does.  Tiles leave each element's ufuncs and their order as
+they are, so neither the bits nor the in-range list depend on them.
+
 Interference is network wide: every alive UAV on the same channel as a
 user's serving UAV contributes its received power at that user, whether or
 not it currently serves anyone.
@@ -38,6 +53,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,7 +70,12 @@ from .model import PLOS_FORMS, PLOS_STANDARD, RadioParams
 # fig5's 9,000 links and the sweep's 12,600 stay serial.
 _SPLIT_LINKS = 100_000
 
+# The most elements of temporaries that a field's blocks hold at once
+# (512 KB of floats).  Every fig5 and sweep field is one tile.
+_CHUNK = 2 ** 16
+
 _pool = None        # the ThreadPoolExecutor of the other blocks, when built
+_temporaries = threading.local()    # each thread's tile temporary
 
 C_LIGHT = 3e8       # propagation speed, m/s
 
@@ -66,10 +87,10 @@ class Geometry(NamedTuple):
     elev: np.ndarray
 
 
-def geometry(uav_positions, user_positions, out: Geometry | None = None,
-             scratch: np.ndarray | None = None) -> Geometry:
-    """The cells x users geometry, built with in-place ufuncs so that at
-    most three (n_uavs, n_users) arrays are live at once.
+def geometry(uav_positions, user_positions,
+             out: Geometry | None = None) -> Geometry:
+    """The cells x users geometry, built with in-place ufuncs so that the
+    only (n_uavs, n_users) arrays are the two it returns.
 
     The distance is sqrt((dx*dx + dy*dy) + dz*dz), the squares summed in
     x, y, z order as np.linalg.norm over the last axis does; the elevation
@@ -77,24 +98,80 @@ def geometry(uav_positions, user_positions, out: Geometry | None = None,
     code: association, the invariant check, the power field and h's range
     test all read it, so a user at exactly r is at exactly r everywhere.
 
-    Given ``out``, a Geometry of (n_uavs, n_users) arrays, and a
-    ``scratch`` array of that shape, it writes into them (dz goes to
-    ``scratch``) and allocates nothing of that size; the values are the
-    same bits either way.
+    Given ``out``, a Geometry of (n_uavs, n_users) arrays, it writes into
+    them and allocates nothing of that size; the values are the same bits
+    either way.
     """
+    return _geometry(uav_positions, user_positions, out, None)[0]
+
+
+def geometry_in_range(uav_positions, user_positions, r: float,
+                      out: Geometry | None = None):
+    """geometry(), and the cell-user pairs within r of its distances as
+    flat indices, cells and users in row-major order: the list
+    kernels._pair_indices(dist <= r) gives, built block by block as the
+    distances are written, with no (n_uavs, n_users) mask."""
+    return _geometry(uav_positions, user_positions, out, r)
+
+
+def _geometry(uav_positions, user_positions, out, r):
     uavs = np.asarray(uav_positions, dtype=float).reshape(-1, 3)
     users = np.asarray(user_positions, dtype=float).reshape(-1, 3)
     shape = (len(uavs), len(users))
     if out is None:
         out = Geometry(np.empty(shape), np.empty(shape))
-    if scratch is None:
-        scratch = np.empty(shape)
-    _by_rows(_geometry_rows, shape, uavs, users, *out, scratch)
-    return out
+    found: dict[int, np.ndarray] = {}   # flat start of a tile: its pairs
+    _by_rows(_geometry_rows, shape, uavs, users, *out, r, found)
+    if r is None:
+        return out, None
+    flat = [found[k] for k in sorted(found)]
+    flat = flat[0] if len(flat) == 1 else np.concatenate(flat)
+    return out, (flat, *divmod(flat, shape[1]))
 
 
-def _geometry_rows(rows: slice, uavs, users, dist, elev, dz) -> None:
-    uavs, dist, h, dz = uavs[rows], dist[rows], elev[rows], dz[rows]
+def _tiles(rows: slice, shape: tuple[int, int]):
+    """(rows, cols) slices, relative to the block of a (rows, cols) field's
+    ``rows``, that cover the block in row-major order, each of at most the
+    block's share of _CHUNK elements: the whole block when it fits, else
+    whole rows, or pieces of one row when a row is longer.  The first tile
+    is the largest."""
+    n_rows, n_cols = rows.stop - rows.start, shape[1]
+    limit = max(1, _CHUNK * n_rows // max(shape[0], 1))
+    if n_rows * n_cols <= limit:
+        return [(slice(0, n_rows), slice(0, n_cols))]
+    if n_cols <= limit:
+        step = limit // n_cols
+        return [(slice(a, min(a + step, n_rows)), slice(0, n_cols))
+                for a in range(0, n_rows, step)]
+    return [(slice(a, a + 1), slice(c, min(c + limit, n_cols)))
+            for a in range(n_rows) for c in range(0, n_cols, limit)]
+
+
+def _temporary(size: int) -> np.ndarray:
+    """A flat float array of at least ``size`` elements, the calling
+    thread's own, kept from call to call and grown when a call needs more,
+    so that a tick after the first allocates no temporary."""
+    buf = getattr(_temporaries, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _temporaries.buf = np.empty(size)
+    return buf
+
+
+def _like(buffer: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The start of a flat ``buffer`` as an array of ``a``'s shape."""
+    return buffer[:a.size].reshape(a.shape)
+
+
+def _geometry_rows(rows: slice, uavs, users, dist, elev, r, found) -> None:
+    tiles = _tiles(rows, dist.shape)
+    uavs, dist, h = uavs[rows], dist[rows], elev[rows]
+    width = dist.shape[1]
+    buf = _temporary(dist[tiles[0]].size)
+    # dz is read by dz*dz and by the arctan2: a block of one tile keeps it
+    # in the temporary in between, a larger block takes it in dist, then
+    # again a tile at a time in the temporary
+    one_tile = len(tiles) == 1
+    dz = _like(buf, dist) if one_tile else dist
     # h holds dx, then dx*dx + dy*dy, then its root, until the arctan2
     np.subtract.outer(uavs[:, 0], users[:, 0], out=h)
     np.multiply(h, h, out=h)
@@ -106,7 +183,31 @@ def _geometry_rows(rows: slice, uavs, users, dist, elev, dz) -> None:
     dist += h
     np.sqrt(dist, out=dist)
     np.sqrt(h, out=h)
-    np.arctan2(dz, h, out=h)
+    if one_tile:
+        np.arctan2(dz, h, out=h)
+        _list_in_range(dist, r, dz, rows.start * width, found)
+        return
+    for tile in tiles:
+        d, h_t = dist[tile], h[tile]
+        dz = np.subtract.outer(uavs[tile[0], 2], users[tile[1], 2],
+                               out=_like(buf, d))
+        np.arctan2(dz, h_t, out=h_t)
+        _list_in_range(d, r, dz, (rows.start + tile[0].start) * width
+                       + tile[1].start, found)
+
+
+def _list_in_range(dist, r, spent, start, found) -> None:
+    """found[start] = the flat indices of ``dist`` <= r, plus ``start``,
+    ``dist``'s flat index in the field; the mask takes the first bytes of
+    ``spent``, a contiguous float temporary no longer read.  Nothing
+    without an ``r``."""
+    if r is None:
+        return
+    near = np.flatnonzero(np.less_equal(
+        dist, r, out=_like(spent.reshape(-1).view(bool), dist)))
+    if start:
+        near += start
+    found[start] = near
 
 
 def _by_rows(block, shape: tuple[int, int], *args) -> None:
@@ -201,15 +302,14 @@ def dbm_to_mw(dbm):
 
 
 def received_power_field(geom: Geometry, params: RadioParams,
-                         out: np.ndarray | None = None,
-                         scratch: np.ndarray | None = None) -> np.ndarray:
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Received power in mW over a geometry, shape (n_uavs, n_users).
 
     The closed form of the module docstring, as exp(ln K - delta ln d -
-    ln(10)/10 * excess loss), evaluated in place: one output array and one
-    temporary for ln d, or ``out`` and ``scratch`` when given.  ``out``
-    may be the geometry's own elevations, which each element reads before
-    it writes, so the field then takes their place with the same bits.
+    ln(10)/10 * excess loss), evaluated in place in one output array,
+    ``out`` when given, with ln d taken a tile at a time.  ``out`` may be
+    the geometry's own elevations, which each element reads before it
+    writes, so the field then takes their place with the same bits.
     """
     dist, elev = geom
     # a reduction, not a (n_uavs, n_users) mask; NaN passes both ways
@@ -221,22 +321,25 @@ def received_power_field(geom: Geometry, params: RadioParams,
         C_LIGHT / (4.0 * math.pi * params.f_c))
     if out is None:
         out = np.empty(dist.shape)
-    if scratch is None:
-        scratch = np.empty(dist.shape)
     _by_rows(_power_rows, dist.shape, dist, elev, params, standard,
              -per_db * (params.eta_los - params.eta_nlos),
-             ln_k - per_db * params.eta_nlos, out, scratch)
+             ln_k - per_db * params.eta_nlos, out)
     return out
 
 
 def _power_rows(rows: slice, dist, elev, params, standard, per_p_los,
-                offset, out, scratch) -> None:
+                offset, out) -> None:
+    tiles = _tiles(rows, dist.shape)
+    dist = dist[rows]
     p = _los(elev[rows], params, standard, out[rows])
     p *= per_p_los
     p += offset
-    log_d = np.log(dist[rows], out=scratch[rows])
-    log_d *= params.delta
-    p -= log_d
+    buf = _temporary(dist[tiles[0]].size)
+    for tile in tiles:
+        d, p_t = dist[tile], p[tile]
+        log_d = np.log(d, out=_like(buf, d))
+        log_d *= params.delta
+        p_t -= log_d
     np.exp(p, out=p)
 
 

@@ -114,6 +114,21 @@ def _dense_cell_pairs(positions, alive, p):
     return grads, dist, near
 
 
+def oracle_cell_pairs(positions, alive, p):
+    """kernels._cell_pairs built from every (cells, cells, 3) offset: the
+    pairs whose einsum norm is within r, with their sigma-gradients and
+    norms taken on the pair rows."""
+    rel = positions[None, :, :] - positions[:, None, :]
+    near = alive[None, :] & (np.sqrt(np.einsum("...k,...k->...", rel, rel))
+                             <= p.r)
+    np.fill_diagonal(near, False)
+    flat = np.flatnonzero(near)
+    pair_rel = rel.reshape(-1, 3)[flat]
+    sq = np.einsum("...k,...k->...", pair_rel, pair_rel)
+    return (flat, *divmod(flat, len(positions)),
+            pair_rel / np.sqrt(1.0 + p.eps * sq)[..., None], np.sqrt(sq))
+
+
 def oracle_f_term_dense(positions, loads, alive, p):
     """f_term for every cell over every ordered cell pair: gradients of all
     (cells, cells, 3) offsets and np.where weights that zero the pairs out

@@ -174,7 +174,7 @@ class TestAssociation:
         world, gains = _assoc_world(
             [(0.0, 0.0), (200.0, 0.0)], [0, 0],
             [UserSpec(klass="premium", position=(150.0, 0.0))])
-        associate_users(world, gains, tick_geometry(world))
+        associate_users(world, gains, *tick_geometry(world, gains.r))
         assert world.serving[0] == 1
 
     def test_regular_users_need_default_channel(self):
@@ -184,7 +184,7 @@ class TestAssociation:
             [(0.0, 0.0), (180.0, 0.0)], [0, 2],
             [UserSpec(klass="regular", position=(170.0, 0.0)),
              UserSpec(klass="premium", position=(170.0, 10.0))])
-        associate_users(world, gains, tick_geometry(world))
+        associate_users(world, gains, *tick_geometry(world, gains.r))
         assert world.serving[0] == 0
         assert world.serving[1] == 1
 
@@ -192,7 +192,7 @@ class TestAssociation:
         world, gains = _assoc_world(
             [(0.0, 0.0)], [0],
             [UserSpec(klass="premium", position=(1000.0, 0.0))])
-        associate_users(world, gains, tick_geometry(world))
+        associate_users(world, gains, *tick_geometry(world, gains.r))
         assert world.serving[0] == -1
 
     def test_capacity_spill_to_next_nearest(self):
@@ -202,7 +202,7 @@ class TestAssociation:
             [UserSpec(klass="premium", position=(10.0, 0.0)),
              UserSpec(klass="premium", position=(20.0, 0.0))],
             gains)
-        associate_users(world, gains, tick_geometry(world))
+        associate_users(world, gains, *tick_geometry(world, gains.r))
         assert world.serving[0] == 0
         assert world.serving[1] == 1
 
@@ -211,7 +211,7 @@ class TestAssociation:
             [(0.0, 0.0)], [0],
             [UserSpec(klass="premium", position=(10.0, 0.0))])
         world.alive[0] = False
-        associate_users(world, gains, tick_geometry(world))
+        associate_users(world, gains, *tick_geometry(world, gains.r))
         assert world.serving[0] == -1
 
 
@@ -224,13 +224,14 @@ class TestInvariants:
             uav_count=2, uav_initial_positions=[(0.0, 0.0), (900.0, 0.0)],
             H=180.0)
         world = make_world(cfg)
-        associate_users(world, cfg.gains, tick_geometry(world))
+        associate_users(world, cfg.gains,
+                        *tick_geometry(world, cfg.gains.r))
         assert world.serving[0] == 0    # slant range exactly r
         return world, cfg
 
     def test_consistent_state_passes(self):
         world, cfg = self._served_world()
-        _check_invariants(world, cfg, tick_geometry(world))
+        _check_invariants(world, cfg, tick_geometry(world, cfg.gains.r)[0])
 
     @pytest.mark.parametrize("breach, message", [
         (lambda w: w.alive.__setitem__(0, False), "served by dead UAV"),
@@ -255,7 +256,7 @@ class TestInvariants:
         world, cfg = self._served_world()
         breach(world)
         with pytest.raises(RuntimeError, match=message):
-            _check_invariants(world, cfg, tick_geometry(world))
+            _check_invariants(world, cfg, tick_geometry(world, cfg.gains.r)[0])
 
 
 def _switch_world(num_channels=8, extra_uav=None, regular_too=True,
@@ -275,8 +276,8 @@ def _switch_world(num_channels=8, extra_uav=None, regular_too=True,
     world = make_world(cfg)
     world.channel[:] = channels
     world.time = time
-    geom = tick_geometry(world)
-    associate_users(world, cfg.gains, geom)
+    geom, links = tick_geometry(world, cfg.gains.r)
+    associate_users(world, cfg.gains, geom, links)
     powers, chan_power = update_rates(world, cfg.radio, cfg.gains,
                                       geom)
     return world, cfg, powers, chan_power
@@ -356,8 +357,8 @@ class TestChannelSwitching:
         world = make_world(cfg)
         world.channel[:] = [0, 0, 1, 2]
         world.time = 10.0
-        geom = tick_geometry(world)
-        associate_users(world, cfg.gains, geom)
+        geom, links = tick_geometry(world, cfg.gains.r)
+        associate_users(world, cfg.gains, geom, links)
         powers, chan_power = update_rates(world, cfg.radio, cfg.gains, geom)
         assert world.serving.tolist() == [0, 0]
         assert world.rate[0] == world.rate[1] < world.target[0]
@@ -374,8 +375,8 @@ class TestChannelSwitching:
             uav_count=2, uav_initial_positions=uav_xy)
         world = make_world(cfg)
         world.time = 10.0
-        geom = tick_geometry(world)
-        associate_users(world, cfg.gains, geom)
+        geom, links = tick_geometry(world, cfg.gains.r)
+        associate_users(world, cfg.gains, geom, links)
         powers, chan_power = update_rates(world, cfg.radio, cfg.gains,
                                           geom)
         assert world.rate[0] < 100e6
@@ -433,8 +434,8 @@ class TestControlAll:
         world = make_world(cfg)
         world.alive[2] = False
         world.uav_vel[2] = (3.0, 1.0, 0.0)
-        geom = tick_geometry(world)
-        associate_users(world, cfg.gains, geom)
+        geom, links = tick_geometry(world, cfg.gains.r)
+        associate_users(world, cfg.gains, geom, links)
         return world, cfg, geom.dist
 
     def test_dead_cell_row_is_exactly_zero(self):

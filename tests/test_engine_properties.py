@@ -80,7 +80,7 @@ def test_stepped_world_keeps_invariants_and_logs_like_run(config):
         rows.append(step(world, config)[0])     # raises on a broken invariant
         _assert_association_valid(world, frozen, config.gains)
     full = run(config)
-    _check_invariants(full.world, config, tick_geometry(full.world))
+    _check_invariants(full.world, config, tick_geometry(full.world, config.gains.r)[0])
     assert rows == full.metrics
     assert world.failures == full.failures
     assert world.min_distance_violations == full.min_distance_violations
@@ -119,8 +119,8 @@ def switching_worlds(draw):
 
 def _rated(world, radio, gains):
     """The power field and per-channel sums of one recorded tick."""
-    geom = tick_geometry(world)
-    associate_users(world, gains, geom)
+    geom, links = tick_geometry(world, gains.r)
+    associate_users(world, gains, geom, links)
     return update_rates(world, radio, gains, geom)
 
 

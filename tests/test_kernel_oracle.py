@@ -12,10 +12,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kernel_oracle import (
     oracle_advance,
     oracle_associate,
+    oracle_cell_pairs,
     oracle_f_term,
     oracle_f_term_dense,
     oracle_flocking_goal_term,
@@ -26,7 +29,13 @@ from kernel_oracle import (
     oracle_mean_rates,
 )
 from uavswarm.engine import advance, associate_users, tick_geometry
-from uavswarm.kernels import f_term, flocking_goal_term, g_term, h_term
+from uavswarm.kernels import (
+    _cell_pairs,
+    f_term,
+    flocking_goal_term,
+    g_term,
+    h_term,
+)
 from uavswarm.model import (
     PREMIUM,
     REGULAR,
@@ -126,6 +135,39 @@ def test_coincident_cells_count_in_consensus_only():
                           np.zeros(3))
     assert np.array_equal(g_term(positions, velocities, alive, GAINS)[0],
                           velocities[1])
+
+
+# cells on a 60 m grid at mixed heights, where pairs at exactly r = 300 m
+# occur level (180-240-300) and across heights (dz = 180, 240 m
+# horizontally), or anywhere in a 2 km square
+CELL = st.one_of(
+    st.tuples(*[st.integers(0, 10).map(lambda k: 60.0 * k)] * 2,
+              st.sampled_from([100.0, 160.0, 280.0, 340.0])),
+    st.tuples(*[st.floats(-1000.0, 1000.0)] * 2, st.floats(50.0, 400.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(CELL, st.booleans()), min_size=1, max_size=14))
+@example([((0.0, 0.0, 100.0), True), ((240.0, 0.0, 280.0), True),
+          ((180.0, 240.0, 100.0), True), ((180.0, 240.0, 100.0), False)])
+def test_cell_pairs_match_the_dense_build(cells):
+    positions = np.array([xyz for xyz, _ in cells])
+    alive = np.array([a for _, a in cells])
+    got = _cell_pairs(positions, alive, GAINS)
+    for g, w in zip(got, oracle_cell_pairs(positions, alive, GAINS),
+                    strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def test_cell_pairs_at_exactly_r_are_in_range():
+    # level and across heights, from either end
+    positions = np.array([(0.0, 0.0, 100.0), (240.0, 0.0, 280.0),
+                          (180.0, 240.0, 100.0)])
+    _, i, j, _, dist = _cell_pairs(positions, np.ones(3, bool), GAINS)
+    assert sorted(zip(i.tolist(), j.tolist())) == [
+        (0, 1), (0, 2), (1, 0), (2, 0)]
+    assert (dist == GAINS.r).all()
 
 
 def test_spacing_and_consensus_keep_dense_form_bits():
@@ -282,7 +324,7 @@ def test_association_matches_greedy_loop():
     for seed in range(400):
         world, gains = _assoc_world(np.random.default_rng(seed))
         want_serving = oracle_associate(world, gains)
-        associate_users(world, gains, tick_geometry(world))
+        associate_users(world, gains, *tick_geometry(world, gains.r))
         assert world.serving.tolist() == want_serving, seed
         spills += _spilled(world, want_serving, gains)
     # the worlds must reach the spill path, not only the nearest-cell one

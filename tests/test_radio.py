@@ -143,7 +143,7 @@ def test_geometry_puts_a_right_triangle_at_exactly_r():
                UserSpec(klass="regular", position=(-500.0, 700.0))],
         uav_count=2, uav_initial_positions=[(0.0, 0.0), (400.0, -300.0)],
         H=180.0)
-    dist = tick_geometry(make_world(cfg)).dist
+    dist = tick_geometry(make_world(cfg), cfg.gains.r)[0].dist
     assert dist[0, 0] == cfg.gains.r
 
 
@@ -157,7 +157,8 @@ def _radio_world():
 
 def _rate(world):
     """The engine's achieved rate for user 0, through update_rates."""
-    update_rates(world, AS_WRITTEN, ControlGains(), tick_geometry(world))
+    gains = ControlGains()
+    update_rates(world, AS_WRITTEN, gains, tick_geometry(world, gains.r)[0])
     return world.rate[0]
 
 

@@ -88,7 +88,8 @@ def test_sinr_matches_oracle():
         world = world_of([p[:2] for p in pts], [("premium", *user_xy[:2])],
                          channels=[1, 1, 1, 2], H=100.0)
         world.serving[0] = 0
-        update_rates(world, params, ControlGains(), tick_geometry(world))
+        gains = ControlGains()
+        update_rates(world, params, gains, tick_geometry(world, gains.r)[0])
         want = oracle_sinr(pts[0], pts[1:3], user_xy, form="standard")
         assert world.rate[0] == pytest.approx(
             _oracle_rate(want, params), rel=REL)
@@ -123,8 +124,8 @@ def test_engine_rates_and_switch_sinr_match_oracle():
     served = switched = 0
     for _ in range(150):
         world, radio = _random_world(rnd)
-        geom = tick_geometry(world)
-        associate_users(world, gains, geom)
+        geom, links = tick_geometry(world, gains.r)
+        associate_users(world, gains, geom, links)
         powers, chan_power = update_rates(world, radio, gains, geom)
         channels = world.channel.tolist()
         for m, (n, rate) in enumerate(zip(world.serving.tolist(),

@@ -1,14 +1,17 @@
 """The tick's workspace and association's fast path.
 
-A world writes its (cells, users) arrays into one workspace tick after
+A world writes its two (cells, users) arrays into one workspace tick after
 tick, the power field over the geometry's elevations.  These tests hold
 the in-place writes to the allocating calls bit for bit, on reused buffers
-whose old contents must never show, and hold association, which reads the
-tick's in-range list and skips its greedy pass when no cell is full, to
-the one-user-at-a-time greedy oracle, on worlds small enough to spill and
-on one of 100 cells and 3,000 users.
+whose old contents must never show and with radio's temporaries in one
+tile or many, hold the workspace to those two float arrays, and hold
+association, which reads the tick's in-range list and skips its greedy
+pass when no cell is full, to the one-user-at-a-time greedy oracle, on
+worlds small enough to spill and on one of 100 cells and 3,000 users.
 """
 
+import gc
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import oracle_associate
+from uavswarm import radio
 from uavswarm.engine import (
-    Workspace,
     _evaluate,
     associate_users,
     make_world,
@@ -36,10 +39,9 @@ from uavswarm.model import (
     ControlGains,
     RadioParams,
 )
-from uavswarm.radio import geometry, received_power_field
-from worlds import world_of
+from uavswarm.radio import Geometry, geometry, received_power_field
+from worlds import HEIGHT, grid_field, world_of
 
-HEIGHT = 180.0
 # a 60 m grid: equal distances, coincident cells and users at exactly
 # r = 300 m (a 180-240-300 triangle) all occur
 GRID = st.integers(0, 10).map(lambda k: 60.0 * k)
@@ -73,7 +75,7 @@ def _associate(world, gains):
     """Associate ``world`` and return its serving ids, after checking them
     against the oracle."""
     want = oracle_associate(world, gains)
-    associate_users(world, gains, tick_geometry(world))
+    associate_users(world, gains, *tick_geometry(world, gains.r))
     assert world.serving.tolist() == want
     return world.serving.tolist()
 
@@ -118,25 +120,10 @@ def test_nearest_cell_one_over_runs_greedy_pass(monkeypatch, n_max):
     assert passes == [1]
 
 
-def _grid_field(seed):
-    """100 cells and 3,000 users on a 60 m grid over 11 x 2.2 km, 15 cells
-    dead and about a fifth off the default channel: equal distances,
-    coincident users and users at exactly r all occur."""
-    rng = np.random.default_rng(seed)
-    cells = 60.0 * rng.integers((0, 0), (184, 37), (100, 2))
-    users = 60.0 * rng.integers((0, 0), (184, 37), (3000, 2))
-    klass = np.where(rng.random(3000) < 0.2, PREMIUM, REGULAR)
-    world = world_of(cells.tolist(),
-                     list(zip(klass.tolist(), *users.T.tolist())),
-                     channels=rng.choice([0, 0, 0, 0, 1, 2], 100), H=HEIGHT)
-    world.alive[rng.choice(100, size=15, replace=False)] = False
-    return world
-
-
 @pytest.mark.parametrize("n_max, greedy", [(80, False), (3, True)])
 def test_field_sized_association_matches_greedy_oracle(monkeypatch, n_max,
                                                         greedy):
-    world = _grid_field(n_max)
+    world = grid_field(n_max)
     gains = ControlGains(n_max=n_max)
     passes = _count_greedy_passes(monkeypatch)
     serving = _associate(world, gains)
@@ -154,28 +141,53 @@ def _positions(rng, n_cells, n_users):
     return cells, users
 
 
-@pytest.mark.parametrize("plos_form", PLOS_FORMS)
-@pytest.mark.parametrize("seed", range(5))
-def test_buffered_geometry_and_field_match_allocating_calls(plos_form, seed):
+def _buffered_calls_match_allocating_calls(monkeypatch, plos_form, seed,
+                                           chunk):
+    """Geometry and field into stale buffers, with radio._CHUNK set to
+    ``chunk`` when given, against the allocating calls with radio's own
+    tiles."""
     rng = np.random.default_rng(seed)
     n_cells, n_users = int(rng.integers(1, 30)), int(rng.integers(1, 400))
     params = RadioParams(plos_form=plos_form)
-    ws = Workspace(n_cells, n_users)
-    # stale contents in every buffer, then moved positions on each call
-    for buf in (*ws.geom, ws.scratch):
-        buf[:] = rng.normal(size=buf.shape)
+    wants = []
     for _ in range(3):
         cells, users = _positions(rng, n_cells, n_users)
         want = geometry(cells, users)
-        got = geometry(cells, users, out=ws.geom, scratch=ws.scratch)
-        assert got.dist is ws.geom.dist and got.elev is ws.geom.elev
-        _same(got.dist, want.dist)
-        _same(got.elev, want.elev)
+        wants.append((cells, users, *want,
+                      received_power_field(want, params)))
+    if chunk is not None:
+        monkeypatch.setattr(radio, "_CHUNK", chunk)
+    buffers = Geometry(np.empty((n_cells, n_users)),
+                       np.empty((n_cells, n_users)))
+    # stale contents in every buffer, then moved positions on each call
+    for buf in buffers:
+        buf[:] = rng.normal(size=buf.shape)
+    for cells, users, dist, elev, field in wants:
+        got = geometry(cells, users, out=buffers)
+        assert got.dist is buffers.dist and got.elev is buffers.elev
+        _same(got.dist, dist)
+        _same(got.elev, elev)
         # the field written over the elevations, as update_rates writes it
-        field = received_power_field(got, params, out=got.elev,
-                                     scratch=ws.scratch)
-        assert field is ws.geom.elev
-        _same(field, received_power_field(want, params))
+        assert received_power_field(got, params, out=got.elev) is got.elev
+        _same(got.elev, field)
+
+
+@pytest.mark.parametrize("plos_form", PLOS_FORMS)
+@pytest.mark.parametrize("seed", range(5))
+def test_buffered_geometry_and_field_match_allocating_calls(
+        monkeypatch, plos_form, seed):
+    _buffered_calls_match_allocating_calls(monkeypatch, plos_form, seed,
+                                           None)
+
+
+# tiles of several rows (37 < users), or pieces of one row (256 < users)
+@pytest.mark.parametrize("chunk", [37, 256])
+@pytest.mark.parametrize("plos_form", PLOS_FORMS)
+@pytest.mark.parametrize("seed", range(5))
+def test_buffered_calls_in_many_tiles_match_allocating_calls(
+        monkeypatch, plos_form, seed, chunk):
+    _buffered_calls_match_allocating_calls(monkeypatch, plos_form, seed,
+                                           chunk)
 
 
 def test_reused_workspace_matches_fresh_world_after_failures_and_moves():
@@ -185,7 +197,7 @@ def test_reused_workspace_matches_fresh_world_after_failures_and_moves():
               for k, (x, y, _) in enumerate(users.tolist())]
     gains = ControlGains(n_max=30)
     world = world_of(cells[:, :2].tolist(), placed, gains=gains)
-    radio = RadioParams(num_channels=3)
+    params = RadioParams(num_channels=3)
     for tick in range(4):
         # a wave kills cells, others move and leave the default channel
         if tick:
@@ -197,11 +209,11 @@ def test_reused_workspace_matches_fresh_world_after_failures_and_moves():
             getattr(fresh, name)[:] = getattr(world, name)
         results = []
         for w in (world, fresh):
-            geom = tick_geometry(w)
+            geom, links = tick_geometry(w, gains.r)
             elev = geom.elev.copy()     # update_rates writes over them
-            associate_users(w, gains, geom)
-            powers, chan_power = update_rates(w, radio, gains, geom)
-            assert powers is w.workspace.geom.elev
+            associate_users(w, gains, geom, links)
+            powers, chan_power = update_rates(w, params, gains, geom)
+            assert powers is w.workspace.elev
             results.append((geom.dist, elev, w.serving.copy(),
                             w.rate.copy(), powers, chan_power))
         assert fresh.workspace is not world.workspace
@@ -212,21 +224,65 @@ def test_reused_workspace_matches_fresh_world_after_failures_and_moves():
 
 # --- allocation ---------------------------------------------------------------
 
-def test_tick_allocates_at_most_one_field_after_the_first():
-    # the field_flock shape: 100 cells x 3,000 users, flocking mode
+def _field_flock_world():
+    """A world of the field_flock shape, 100 cells x 3,000 users in
+    flocking mode, after its first tick, and its config."""
     config = generate_scenario(
         3000, 0.2, (0.0, 0.0, 11000.0, 2200.0), (0.0, 0.0, 2200.0, 2200.0),
         100, duration=1.0, seed=0, controller_mode=FLOCKING_MODE)
     world = make_world(config)
     step(world, config)
+    return world, config
+
+
+def _large_arrays(world, nbytes):
+    """The arrays of at least ``nbytes`` bytes that the world's state
+    reaches, each once."""
+    found, seen, todo = [], set(), [world]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray) and obj.nbytes >= nbytes:
+            found.append(obj)
+        if isinstance(obj, (dict, list, tuple, set, np.ndarray)) or \
+                type(obj).__module__.startswith("uavswarm"):
+            todo.extend(gc.get_referents(obj))
+    return found
+
+
+def test_tick_keeps_two_float_field_arrays():
+    world, _ = _field_flock_world()
+    shape = (100, 3000)
+    # a bool (cells, users) mask would be the smallest field-sized array
+    large = _large_arrays(world, shape[0] * shape[1])
+    assert isinstance(world.workspace, Geometry)
+    assert sorted(map(id, large)) == sorted(map(id, world.workspace))
+    assert [(a.shape, a.dtype) for a in large] == [(shape, np.float64)] * 2
+    assert not np.shares_memory(*world.workspace)
+
+
+def test_tick_allocates_at_most_one_field_after_the_first(monkeypatch, cpus):
     field_bytes = 100 * 3000 * np.dtype(float).itemsize
-    tracemalloc.start()
-    try:
-        _evaluate(world, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * field_bytes
+    for n_cpus in (1, 4, 16):
+        cpus(n_cpus)
+        world, config = _field_flock_world()
+        # new pool threads and no kept temporaries, so that the measured
+        # tick takes radio's tile temporaries anew
+        cpus(n_cpus)
+        monkeypatch.setattr(radio, "_temporaries", threading.local())
+        tracemalloc.start()
+        try:
+            _evaluate(world, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # radio's tile temporaries take at most _CHUNK floats (0.22 of a
+        # field) however many blocks run at once, and the tick's other
+        # arrays under 0.15 of a field: 0.32-0.37 of a field measured in
+        # all (numpy 2.4, 1 to 16 CPUs set), under a bound of 0.47
+        assert peak <= radio._CHUNK * 8 + 0.25 * field_bytes, n_cpus
 
 
 def test_run_releases_workspace_and_step_rebuilds_it(fig3_config):
