@@ -89,6 +89,7 @@ class WorldState:
     target: np.ndarray              # (users,) bits/s
     serving: np.ndarray             # (users,) cell id, -1 while unserved
     rate: np.ndarray                # (users,) bits/s, 0.0 while unserved
+    user_centroid: np.ndarray       # (3,) user_pos.mean(axis=0), 0 if none
     failure_rng: np.random.Generator
     fired: set[int] = field(default_factory=set)   # failure_events indices
     failures: list[tuple[float, list[int]]] = field(default_factory=list)
@@ -169,16 +170,19 @@ def make_world(config: ScenarioConfig, run_seed: Optional[int] = None) -> WorldS
         ys = rng.uniform(y0, y1, size=config.uav_count)
         starts = np.column_stack([xs, ys])
     n_cells = len(starts)
+    user_pos = np.array([(x, y, 0.0) for _, x, y in placed],
+                        dtype=float).reshape(-1, 3)
     return WorldState(
         time=0.0, tick=0,
         uav_pos=np.column_stack([starts, np.full(n_cells, float(config.H))]),
         uav_vel=np.zeros((n_cells, 3)), alive=np.ones(n_cells, dtype=bool),
         channel=np.full(n_cells, L0), last_switch=np.zeros(n_cells),
-        user_pos=np.array([(x, y, 0.0) for _, x, y in placed],
-                          dtype=float).reshape(-1, 3),
+        user_pos=user_pos,
         premium=np.array([k == PREMIUM for k, _, _ in placed], dtype=bool),
         target=np.array([TARGET_RATE[k] for k, _, _ in placed], dtype=float),
         serving=np.full(len(placed), -1), rate=np.zeros(len(placed)),
+        # users never move, so the flocking goal's centroid is taken once
+        user_centroid=user_pos.mean(axis=0) if len(placed) else np.zeros(3),
         failure_rng=np.random.default_rng(np.random.SeedSequence([seed, 2])))
 
 
@@ -309,9 +313,15 @@ def update_rates(world: WorldState, radio: RadioParams, gains: ControlGains,
     powers = received_power_field(geom, radio, out=geom.elev)
     powers[~world.alive] = 0.0
     chan_power = np.zeros((radio.num_channels, len(world.serving)))
-    for n, k in zip(np.flatnonzero(world.alive).tolist(),
-                    world.channel[world.alive].tolist()):
-        chan_power[k] += powers[n]
+    cells = np.flatnonzero(world.alive)
+    channels = world.channel[cells]
+    if len(cells) and (channels == channels[0]).all():
+        # dead rows are 0, so one channel's sums are the column sums, added
+        # row after row as the loop below adds them
+        np.add.reduce(powers, axis=0, out=chan_power[channels[0]])
+    else:
+        for n, k in zip(cells.tolist(), channels.tolist()):
+            chan_power[k] += powers[n]
     _apply_rates(world, powers, chan_power, radio)
     time, tau = world.time, gains.tau
     for user, r in zip(world.users, world.rate.tolist()):
@@ -410,7 +420,7 @@ def control_all(world: WorldState, gains: ControlGains, mode: str,
     return control_input(world.uav_pos, world.uav_vel, _loads(world),
                          world.alive, world.serving, world.user_pos, dist,
                          world.rate, world.target, world.premium, gains, mode,
-                         pairs, links)
+                         pairs, links, world.user_centroid)
 
 
 def advance(world: WorldState, controls: np.ndarray, gains: ControlGains,
@@ -479,7 +489,7 @@ def _record_min_distance(world: WorldState, gains: ControlGains,
                          pairs) -> None:
     """Log each alive pair i < j closer than d < r off the tick's cell
     pairs, whose row-major order is that of a nested loop."""
-    _, i, j, _, dist = pairs
+    _, i, j, _, dist, _, _ = pairs
     close = np.flatnonzero(world.alive[i] & (i < j) & (dist < gains.d))
     world.min_distance_violations.extend(
         (world.time, *pair) for pair in zip(

@@ -4,7 +4,8 @@ The controller output for UAV i is u_i = f_i + g_i + h_i:
 
 * f: pairwise cohesion/separation between UAVs, shaped by a smooth pair
   potential with its zero at the desired spacing, plus a crowding penalty
-  that ramps up as a neighbor's serving load approaches capacity;
+  of a neighbor's serving load past capacity, which association never
+  allows, so in a run the penalty is +0.0;
 * g: velocity consensus with neighbors, weighted by a bump of distance;
 * h: user coupling.  Non-connected in-range users with unmet targets repel
   (pushing the UAV off station toward coverage gaps is handled by sign:
@@ -22,7 +23,9 @@ neighbor sets, so each term is evaluated for the whole fleet at once,
 returns one (cells, 3) row per cell, and does per-pair work only for the
 pairs that interact.  f and g share one list (_cell_pairs) of the ordered
 pairs (i, j) with j alive and within r of i, which the engine builds once
-per tick and its spacing log reads too.  h reads the list of cell-user
+per tick and its spacing log reads too; the list carries each pair's
+sigma-norm and its window bump(sigma-norm / r_sig, 0.2), which f's pair
+potential and g's weight both read.  h reads the list of cell-user
 pairs whose user is within r of the cell, which the engine also builds
 once per tick and association reads too, and a pair is connected when the
 user's serving id, the one association record, names the cell:
@@ -38,7 +41,9 @@ product leaves each partial sum as it was, so the rows keep the bits of
 the every-pair form.  They sum in BLAS order rather than neighbor order
 and agree with a per-neighbor loop to rounding, within 1e-12 relative.
 The sigma-norm's sum of squares stays an einsum over (..., 3) rows: any
-other order moves the fig5 goldens.
+other order moves the fig5 goldens.  bump takes its cosine taper over the
+whole input and picks taper or 0 with one select, with the bits of
+scattering each piece under a mask.
 """
 
 from __future__ import annotations
@@ -51,14 +56,18 @@ from .model import ControlGains, FLOCKING_MODE, QOS_MODE
 def bump(z, gamma: float):
     """Smooth cutoff: 1 on [0, gamma), cosine taper to 0 on [gamma, 1).
 
-    Negative arguments clamp to 1; arguments at or past 1 give 0.
+    Negative arguments clamp to 1; arguments at or past 1, and NaN, give 0.
+    The taper is taken once over the whole input, clamped into [gamma, 1]
+    so that it stays finite and is exactly 1 below gamma, and one select
+    zeroes the arguments not below 1.
     """
     z = np.asarray(z, dtype=float)
-    out = np.zeros_like(z)
-    out[z < gamma] = 1.0
-    mid = (z >= gamma) & (z < 1.0)
     if gamma < 1.0:
-        out[mid] = 0.5 * (1.0 + np.cos(np.pi * (z[mid] - gamma) / (1.0 - gamma)))
+        t = np.minimum(np.maximum(z, gamma), 1.0)
+        taper = 0.5 * (1.0 + np.cos(np.pi * (t - gamma) / (1.0 - gamma)))
+        out = np.where(z < 1.0, taper, 0.0)
+    else:
+        out = np.where(z < gamma, 1.0, 0.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -95,10 +104,16 @@ def pair_potential(z_sig, p: ControlGains):
     at the sigma-image of the communication range r.
     """
     z_sig = np.asarray(z_sig, dtype=float)
-    val = bump(z_sig / p.r_sig, 0.2) * phi_sigmoid(z_sig - p.d_sig, p)
+    val = _pair_potential(z_sig, bump(z_sig / p.r_sig, 0.2), p)
     if np.ndim(val) == 0:
         return float(val)
     return val
+
+
+def _pair_potential(z_sig, window, p: ControlGains):
+    """pair_potential of ``z_sig`` given its ``window``,
+    bump(z_sig / p.r_sig, 0.2)."""
+    return window * phi_sigmoid(z_sig - p.d_sig, p)
 
 
 def _sigma_grads(rel: np.ndarray, eps: float,
@@ -138,8 +153,9 @@ def _pair_sums(shape: tuple[int, int], flat: np.ndarray, weight: np.ndarray,
 def _cell_pairs(positions: np.ndarray, alive: np.ndarray, p: ControlGains):
     """The pairs (i, j) of a cell i and an alive cell j other than i within
     r of it, as flat indices into (cells, cells), rows i and columns j,
-    with each pair's sigma-gradient toward j as (pairs, 3) rows and its
-    distance.
+    with each pair's sigma-gradient toward j as (pairs, 3) rows, its
+    distance, its sigma-norm and its window bump(sigma-norm / r_sig, 0.2),
+    which f reads in the pair potential and g as its consensus weight.
 
     The candidates are the pairs whose horizontal squared distance is
     within r and a margin no rounding crosses; only their offsets are
@@ -158,9 +174,11 @@ def _cell_pairs(positions: np.ndarray, alive: np.ndarray, p: ControlGains):
     flat, i, j = _pair_indices(near)
     grads, dist = _sigma_grads(positions[j] - positions[i], p.eps)
     keep = dist <= p.r
-    if keep.all():
-        return flat, i, j, grads, dist
-    return flat[keep], i[keep], j[keep], grads[keep], dist[keep]
+    if not keep.all():
+        flat, i, j, grads, dist = (flat[keep], i[keep], j[keep], grads[keep],
+                                   dist[keep])
+    sig = sigma_norm_scalar(dist, p.eps)
+    return flat, i, j, grads, dist, sig, bump(sig / p.r_sig, 0.2)
 
 
 def f_term(positions: np.ndarray, loads: np.ndarray, alive: np.ndarray,
@@ -168,17 +186,24 @@ def f_term(positions: np.ndarray, loads: np.ndarray, alive: np.ndarray,
     """Inter-UAV spacing force on every cell, as (cells, 3) rows.
 
     For each alive neighbor within range r: pair potential of the
-    sigma-distance plus a crowding penalty a * (1 - bump(...)) that turns on
-    as the neighbor's load approaches n_max, both along the sigma-gradient
-    toward the neighbor.  Coincident neighbors (distance 0) exert nothing.
-    ``pairs``, when given, is _cell_pairs(positions, alive, p), shared with
-    g_term and left unchanged.
+    sigma-distance plus a crowding penalty a * (1 - bump(...)) of the
+    neighbor's load past n_max, both along the sigma-gradient toward the
+    neighbor.  The penalty is +0.0 for a load at or below n_max, which
+    association never exceeds, so in a run it never acts; it is computed
+    only when some load is past n_max.  Coincident neighbors (distance 0)
+    exert nothing.  ``pairs``, when given, is _cell_pairs(positions, alive,
+    p), shared with g_term and left unchanged.
     """
-    flat, _, j, grads, dist = pairs or _cell_pairs(positions, alive, p)
-    overload = np.maximum(loads - p.n_max, 0)
-    crowd = p.a * (1.0 - bump(
-        sigma_norm_scalar(overload, p.eps) / p.n_max_sig, 0.0))
-    weight = pair_potential(sigma_norm_scalar(dist, p.eps), p) + crowd[j]
+    flat, _, j, grads, dist, sig, window = pairs or _cell_pairs(
+        positions, alive, p)
+    potential = _pair_potential(sig, window, p)
+    if (loads > p.n_max).any():
+        overload = np.maximum(loads - p.n_max, 0)
+        crowd = p.a * (1.0 - bump(
+            sigma_norm_scalar(overload, p.eps) / p.n_max_sig, 0.0))
+        weight = potential + crowd[j]
+    else:
+        weight = potential + 0.0    # a zero penalty's bits: -0.0 is +0.0
     n = len(positions)
     return _pair_sums((n, n), flat, np.where(dist > 0.0, weight, 0.0), grads)
 
@@ -188,13 +213,13 @@ def g_term(positions: np.ndarray, velocities: np.ndarray, alive: np.ndarray,
     """Velocity consensus force on every cell over its alive neighbors
     within r, as (cells, 3) rows.
 
-    Coincident neighbors count, with full weight.  ``pairs`` is as in
-    f_term.
+    The weight of a neighbor is the window of its sigma-distance,
+    bump(sigma-norm / r_sig, 0.2).  Coincident neighbors count, with full
+    weight.  ``pairs`` is as in f_term.
     """
-    flat, i, j, _, dist = pairs or _cell_pairs(positions, alive, p)
-    weight = bump(sigma_norm_scalar(dist, p.eps) / p.r_sig, 0.2)
+    flat, i, j, _, _, _, window = pairs or _cell_pairs(positions, alive, p)
     n = len(positions)
-    return _pair_sums((n, n), flat, weight, velocities[j] - velocities[i])
+    return _pair_sums((n, n), flat, window, velocities[j] - velocities[i])
 
 
 def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
@@ -227,12 +252,15 @@ def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
 
 
 def flocking_goal_term(positions: np.ndarray, user_pos: np.ndarray,
-                       p: ControlGains) -> np.ndarray:
+                       p: ControlGains, centroid=None) -> np.ndarray:
     """Baseline navigation force on every cell: pull toward the user
-    centroid, as (cells, 3) rows."""
+    centroid, as (cells, 3) rows.  ``centroid``, when given, is
+    user_pos.mean(axis=0), which a world whose users never move takes
+    once."""
     if len(user_pos) == 0:
         return np.zeros_like(positions)
-    centroid = user_pos.mean(axis=0)
+    if centroid is None:
+        centroid = user_pos.mean(axis=0)
     return p.c1 * _sigma_grads(centroid - positions, p.eps)[0]
 
 
@@ -241,11 +269,13 @@ def control_input(positions: np.ndarray, velocities: np.ndarray,
                   serving: np.ndarray, user_pos: np.ndarray,
                   dist: np.ndarray, rates: np.ndarray, targets: np.ndarray,
                   premium: np.ndarray, p: ControlGains,
-                  mode: str = QOS_MODE, pairs=None, links=None) -> np.ndarray:
+                  mode: str = QOS_MODE, pairs=None, links=None,
+                  centroid=None) -> np.ndarray:
     """Control inputs for every cell as (cells, 3) rows: z zeroed, each row
     clamped to p.u_max, dead cells zero.  ``serving``, ``dist`` and
-    ``links`` are as in h_term and read in QoS mode only; ``pairs`` is as
-    in f_term, built here when not given."""
+    ``links`` are as in h_term and read in QoS mode only, ``centroid`` is
+    as in flocking_goal_term and read in flocking mode only; ``pairs`` is
+    as in f_term, built here when not given."""
     pairs = pairs or _cell_pairs(positions, alive, p)
     u = f_term(positions, loads, alive, p, pairs=pairs) + \
         g_term(positions, velocities, alive, p, pairs=pairs)
@@ -253,7 +283,7 @@ def control_input(positions: np.ndarray, velocities: np.ndarray,
         u += h_term(positions, serving, user_pos, dist, rates, targets,
                     premium, p, links)
     elif mode == FLOCKING_MODE:
-        u += flocking_goal_term(positions, user_pos, p)
+        u += flocking_goal_term(positions, user_pos, p, centroid)
     else:
         raise ValueError(f"unknown controller mode {mode!r}")
     u[:, 2] = 0.0

@@ -7,10 +7,11 @@ These are the scalar reference versions that the package's masked array
 reductions replace.  They walk one cell, neighbor or user at a time,
 summing in index order, and rank association candidates with Python's
 sorted(); the tests compare the array code against them.  Only the scalar
-kernel primitives (bump, sigma-norm, sigmoid) are shared with the package,
-since the rewrite did not touch them.  The vector sigma-norm and its
-gradient, one vector at a time, live here: the package only takes batched
-sigma-gradients.
+kernel primitives (sigma-norm, sigmoid) are shared with the package, since
+the rewrite did not touch them.  The bump keeps its mask form here
+(oracle_bump), as the pair potential keeps its product; the package takes
+the bump as one select.  The vector sigma-norm and its gradient, one vector
+at a time, live here: the package only takes batched sigma-gradients.
 
 The dense forms of f, g and h keep the package's arithmetic over every
 cell pair and cell-user pair and zero the pairs that do not interact with
@@ -23,14 +24,37 @@ from operator import itemgetter
 
 import numpy as np
 
-from uavswarm.kernels import (
-    bump,
-    pair_potential,
-    phi_sigmoid,
-    sigma_norm_scalar,
-)
+from uavswarm.kernels import phi_sigmoid, sigma_norm_scalar
 from uavswarm.metrics import TickMetrics
 from uavswarm.model import L0
+
+
+def oracle_bump(z, gamma: float):
+    """kernels.bump in its mask form: zeros, 1 scattered below gamma and the
+    cosine taper scattered on [gamma, 1)."""
+    z = np.asarray(z, dtype=float)
+    out = np.zeros_like(z)
+    out[z < gamma] = 1.0
+    mid = (z >= gamma) & (z < 1.0)
+    if gamma < 1.0:
+        out[mid] = 0.5 * (1.0 + np.cos(np.pi * (z[mid] - gamma)
+                                       / (1.0 - gamma)))
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def oracle_pair_potential(z_sig, p):
+    """kernels.pair_potential with the mask-form bump."""
+    return oracle_bump(z_sig / p.r_sig, 0.2) * phi_sigmoid(z_sig - p.d_sig, p)
+
+
+def oracle_crowd(loads, p):
+    """f's crowding penalty of each load, a * (1 - bump(...)) of the load
+    past n_max."""
+    overload = np.maximum(np.asarray(loads) - p.n_max, 0)
+    return p.a * (1.0 - oracle_bump(
+        sigma_norm_scalar(overload, p.eps) / p.n_max_sig, 0.0))
 
 
 def sigma_norm(vec, eps: float) -> float:
@@ -60,10 +84,8 @@ def oracle_f_term(i, positions, loads, alive, p):
         if dist > p.r or dist <= 0.0:
             continue
         z_sig = sigma_norm_scalar(dist, p.eps)
-        overload = max(loads[j] - p.n_max, 0)
-        crowd = p.a * (1.0 - bump(
-            sigma_norm_scalar(float(overload), p.eps) / p.n_max_sig, 0.0))
-        out += (pair_potential(z_sig, p) + crowd) * sigma_grad(rel, p.eps)
+        out += (oracle_pair_potential(z_sig, p) + oracle_crowd(loads[j], p)) \
+            * sigma_grad(rel, p.eps)
     return out
 
 
@@ -78,7 +100,7 @@ def oracle_g_term(i, positions, velocities, alive, p):
         dist = float(np.linalg.norm(rel))
         if dist > p.r:
             continue
-        weight = bump(sigma_norm_scalar(dist, p.eps) / p.r_sig, 0.2)
+        weight = oracle_bump(sigma_norm_scalar(dist, p.eps) / p.r_sig, 0.2)
         out += weight * (velocities[j] - vi)
     return out
 
@@ -89,7 +111,7 @@ def oracle_h_term(uav_pos, connected, user_pos, rates, targets, premium, p):
         rel = user_pos[m] - uav_pos
         if connected[m]:
             gain = p.c2_prem if premium[m] else p.c2_reg
-            gate = bump(rates[m] / (p.beta * targets[m]), 0.0)
+            gate = oracle_bump(rates[m] / (p.beta * targets[m]), 0.0)
             deficit_mbps = (targets[m] - rates[m]) / 1e6
             out += gain * gate * phi_sigmoid(deficit_mbps, p) * \
                 sigma_grad(rel, p.eps)
@@ -116,8 +138,9 @@ def _dense_cell_pairs(positions, alive, p):
 
 def oracle_cell_pairs(positions, alive, p):
     """kernels._cell_pairs built from every (cells, cells, 3) offset: the
-    pairs whose einsum norm is within r, with their sigma-gradients and
-    norms taken on the pair rows."""
+    pairs whose einsum norm is within r, with their sigma-gradients, norms,
+    sigma-norms and windows bump(sigma-norm / r_sig, 0.2) taken on the pair
+    rows."""
     rel = positions[None, :, :] - positions[:, None, :]
     near = alive[None, :] & (np.sqrt(np.einsum("...k,...k->...", rel, rel))
                              <= p.r)
@@ -125,8 +148,11 @@ def oracle_cell_pairs(positions, alive, p):
     flat = np.flatnonzero(near)
     pair_rel = rel.reshape(-1, 3)[flat]
     sq = np.einsum("...k,...k->...", pair_rel, pair_rel)
+    dist = np.sqrt(sq)
+    sig = sigma_norm_scalar(dist, p.eps)
     return (flat, *divmod(flat, len(positions)),
-            pair_rel / np.sqrt(1.0 + p.eps * sq)[..., None], np.sqrt(sq))
+            pair_rel / np.sqrt(1.0 + p.eps * sq)[..., None], dist, sig,
+            oracle_bump(sig / p.r_sig, 0.2))
 
 
 def oracle_f_term_dense(positions, loads, alive, p):
@@ -135,10 +161,8 @@ def oracle_f_term_dense(positions, loads, alive, p):
     of range, dead, coincident or on the diagonal.  The package computes
     only the pairs within range, so the two must agree bit for bit."""
     grads, dist, near = _dense_cell_pairs(positions, alive, p)
-    overload = np.maximum(loads - p.n_max, 0)
-    crowd = p.a * (1.0 - bump(
-        sigma_norm_scalar(overload, p.eps) / p.n_max_sig, 0.0))
-    weight = pair_potential(sigma_norm_scalar(dist, p.eps), p) + crowd
+    weight = oracle_pair_potential(sigma_norm_scalar(dist, p.eps), p) + \
+        oracle_crowd(loads, p)
     weight = np.where(near & (dist > 0.0), weight, 0.0)
     return np.matmul(weight[:, None, :], grads)[:, 0, :]
 
@@ -147,8 +171,8 @@ def oracle_g_term_dense(positions, velocities, alive, p):
     """g_term for every cell over every ordered cell pair, as in
     oracle_f_term_dense."""
     _, dist, near = _dense_cell_pairs(positions, alive, p)
-    weight = np.where(near, bump(sigma_norm_scalar(dist, p.eps) / p.r_sig,
-                                 0.2), 0.0)
+    weight = np.where(near, oracle_bump(
+        sigma_norm_scalar(dist, p.eps) / p.r_sig, 0.2), 0.0)
     return np.matmul(weight[:, None, :],
                      velocities[None, :, :] - velocities[:, None, :])[:, 0, :]
 
@@ -165,7 +189,7 @@ def oracle_h_term_dense(positions, connected, user_pos, dist, rates, targets,
     sq = np.einsum("...k,...k->...", rel, rel)
     grads = rel / np.sqrt(1.0 + p.eps * sq)[..., None]
     gain = np.where(premium, p.c2_prem, p.c2_reg)
-    gate = bump(rates / (p.beta * targets), 0.0)
+    gate = oracle_bump(rates / (p.beta * targets), 0.0)
     pull = gain * gate * phi_sigmoid((targets - rates) / 1e6, p)
     push = -p.c1 * (np.maximum(targets - rates, 0.0) / targets)
     weight = np.where(connected, pull, np.where(dist <= p.r, push, 0.0))

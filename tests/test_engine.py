@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kernel_oracle import oracle_f_term_dense
 from radio_oracle import oracle_sinr
 from uavswarm import engine, kernels
 from uavswarm.engine import (
@@ -488,6 +489,31 @@ class TestControlAll:
         h_pairs = int((geom.dist <= config.gains.r).sum())
         assert rows == [(int(near.sum()), 3), (h_pairs, 3)]
         assert 0 < h_pairs < geom.dist.size / 5
+
+    def test_crowding_term_never_acts_in_a_run(self, monkeypatch):
+        # association caps every load at n_max, so f's crowding penalty of
+        # the load past n_max is +0.0 at every control pass: f with the
+        # world's loads has the bytes of f with no load, and of the dense
+        # form, which runs the crowding arithmetic whatever the loads
+        config = replace(load_scenario(SCENARIOS / "fig5_parade.yaml"),
+                         duration=16.0)         # through the failure wave
+        seen = []
+        f_term = kernels.f_term
+
+        def checking(positions, loads, alive, p, pairs=None):
+            got = f_term(positions, loads, alive, p, pairs=pairs)
+            idle = f_term(positions, np.zeros_like(loads), alive, p,
+                          pairs=pairs)
+            assert got.tobytes() == idle.tobytes()
+            assert got.tobytes() == oracle_f_term_dense(
+                positions, loads, alive, p).tobytes()
+            seen.append(int(loads.max()))
+            return got
+
+        monkeypatch.setattr(kernels, "f_term", checking)
+        run(config)
+        assert len(seen) == config.ticks()
+        assert max(seen) == config.gains.n_max
 
 
 class TestRun:

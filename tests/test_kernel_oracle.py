@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from kernel_oracle import (
     oracle_advance,
     oracle_associate,
+    oracle_bump,
     oracle_cell_pairs,
     oracle_f_term,
     oracle_f_term_dense,
@@ -31,6 +32,7 @@ from kernel_oracle import (
 from uavswarm.engine import advance, associate_users, tick_geometry
 from uavswarm.kernels import (
     _cell_pairs,
+    bump,
     f_term,
     flocking_goal_term,
     g_term,
@@ -164,10 +166,48 @@ def test_cell_pairs_at_exactly_r_are_in_range():
     # level and across heights, from either end
     positions = np.array([(0.0, 0.0, 100.0), (240.0, 0.0, 280.0),
                           (180.0, 240.0, 100.0)])
-    _, i, j, _, dist = _cell_pairs(positions, np.ones(3, bool), GAINS)
+    _, i, j, _, dist, sig, window = _cell_pairs(positions, np.ones(3, bool),
+                                                GAINS)
     assert sorted(zip(i.tolist(), j.tolist())) == [
         (0, 1), (0, 2), (1, 0), (2, 0)]
     assert (dist == GAINS.r).all()
+    # the support of the pair potential and the consensus ends at r
+    assert (sig == GAINS.r_sig).all() and (window == 0.0).all()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.2, 1.0, 1.5])
+def test_bump_keeps_the_mask_form_bits(gamma):
+    tiny = np.nextafter(0.0, 1.0)
+    edges = [0.0, -0.0, gamma, math.nextafter(gamma, -math.inf),
+             math.nextafter(gamma, math.inf), 1.0, math.nextafter(1.0, 0.0),
+             -0.5, -1e300, math.inf, -math.inf, math.nan, tiny, -tiny,
+             2.2250738585072014e-308 / 3, 0.5, 1.2, 7.3]
+    z = np.array(edges + np.linspace(-0.5, 1.7, 97).tolist())
+    got, want = bump(z, gamma), oracle_bump(z, gamma)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    square = z[:110].reshape(10, 11)
+    assert bump(square, gamma).tobytes() == oracle_bump(square, gamma).tobytes()
+    for x in edges:
+        for arg in (x, np.float64(x), np.array(x)):
+            b = bump(arg, gamma)
+            assert type(b) is float
+            assert np.float64(b).tobytes() == np.float64(
+                oracle_bump(arg, gamma)).tobytes(), (x, arg)
+
+
+def test_cell_pairs_built_inside_or_passed_in_give_the_same_bytes():
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        positions, alive, loads, velocities = _cells(
+            rng, int(rng.integers(1, 12)))
+        pairs = _cell_pairs(positions, alive, GAINS)
+        for loads_now in (loads, np.minimum(loads, GAINS.n_max)):
+            assert f_term(positions, loads_now, alive, GAINS,
+                          pairs=pairs).tobytes() == f_term(
+                positions, loads_now, alive, GAINS).tobytes(), seed
+        assert g_term(positions, velocities, alive, GAINS,
+                      pairs=pairs).tobytes() == g_term(
+            positions, velocities, alive, GAINS).tobytes(), seed
 
 
 def test_spacing_and_consensus_keep_dense_form_bits():
@@ -187,6 +227,11 @@ def test_spacing_and_consensus_keep_dense_form_bits():
         g = g_term(positions, velocities, alive, GAINS)
         assert f.tobytes() == oracle_f_term_dense(
             positions, loads, alive, GAINS).tobytes(), seed
+        # loads within capacity skip the crowding arithmetic, whose
+        # penalty is then +0.0
+        capped = np.minimum(loads, GAINS.n_max)
+        assert f_term(positions, capped, alive, GAINS).tobytes() == \
+            oracle_f_term_dense(positions, capped, alive, GAINS).tobytes()
         assert g.tobytes() == oracle_g_term_dense(
             positions, velocities, alive, GAINS).tobytes(), seed
         assert not f[-1].any() and not g[-1].any()

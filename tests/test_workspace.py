@@ -222,6 +222,36 @@ def test_reused_workspace_matches_fresh_world_after_failures_and_moves():
         assert not results[0][4][~world.alive].any()
 
 
+def _loop_channel_power(world, powers, num_channels):
+    """Each channel's power sums as a row loop over the alive cells in id
+    order, adding each row into a zeroed one."""
+    want = np.zeros((num_channels, powers.shape[1]))
+    for n in np.flatnonzero(world.alive).tolist():
+        want[world.channel[n]] += powers[n]
+    return want
+
+
+@pytest.mark.parametrize("channels", ["mixed", "all on one", "alive on one",
+                                      "none alive"])
+def test_channel_power_sums_match_the_row_loop(channels):
+    # with every alive cell on one channel the sums are one reduce over the
+    # field, dead rows (zeroed) included; otherwise a row loop
+    world = grid_field(3)
+    if channels == "all on one":
+        world.channel[:] = 2
+    elif channels == "alive on one":
+        world.channel[world.alive] = 1      # dead cells keep other channels
+        assert len(set(world.channel.tolist())) == 3
+    elif channels == "none alive":
+        world.alive[:] = False
+    gains, params = ControlGains(), RadioParams(num_channels=3)
+    geom, links = tick_geometry(world, gains.r)
+    associate_users(world, gains, geom, links)
+    powers, chan_power = update_rates(world, params, gains, geom)
+    assert (~world.alive).any() and powers[world.alive].all()
+    _same(chan_power, _loop_channel_power(world, powers, 3))
+
+
 # --- allocation ---------------------------------------------------------------
 
 def _field_flock_world():
