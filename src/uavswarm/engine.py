@@ -16,16 +16,25 @@ read-only views of their rows.  Only the rate windows and the switching pass
 still go one user or one cell at a time.
 
 Positions do not change between the failure phase and the step, so the
-cells x users geometry (radio.geometry: slant distance and elevation) is
-built once per tick, right after (1), and with it the tick's list of the
-cell-user pairs within r (tick_geometry, a row-major list of flat
-indices, cells and users), which radio builds block by block as it writes
-the distances: association takes each user's eligible cells from it and
-h_term its pairs, and association, the invariant check and h all read the
+geometry (radio.geometry: slant distance and elevation) is built once per
+tick, right after (1), over every cell and the users some cell can reach:
+the near set, the users within r + _SKIN of some cell, dead or alive,
+where the cells were when the set was taken, or every user when it would
+leave out fewer than _NARROW_LINKS links.  The world's first tick takes
+the set, and so does each tick after some cell has moved more than _SKIN
+since; such a tick covers every user.  Users never move, so by the
+triangle inequality every pair within r is among the set's columns.  With
+the geometry comes the tick's list of the cell-user pairs within r
+(tick_geometry, a row-major list of flat indices into (cells, users),
+cells and users), which radio builds block by block as it writes the
+distances: association takes each user's eligible cells from it and
+h_term its pairs, and association and the invariant check read the
 geometry's distances, so every range test sees the very values
 association saw.  update_rates hands the geometry to
 radio.received_power_field, which writes the power field over the
-elevations, their one reader.  The tick makes each of those two radio
+elevations, their one reader; the field and the channel sums cover the
+geometry's columns, and rates, switching and the invariant check take a
+user's column from the workspace.  The tick makes each of those two radio
 calls once, from its own thread; on a field of at least
 radio._SPLIT_LINKS links radio computes blocks of cell rows on a thread
 pool inside the call, with the same bits on any CPU count.  Each cell's
@@ -34,15 +43,17 @@ after the geometry, for the spacing log and for f and g; h reads the
 users' serving ids, the one association record.
 
 The world's cell and user counts are fixed (dead cells keep their rows),
-so a tick's (cells, users) arrays are two float arrays that the world
-builds on first use (world.workspace, a radio.Geometry) and the tick
+so a tick's arrays are two float (cells, users) buffers that the world
+builds on first use (world.workspace, with the near set) and the tick
 writes in place with out=: the distances, and the elevations, which
-become the power field.  Radio's other steps take temporaries of at most
-radio._CHUNK elements in all, however many blocks run at once.  The distances tick_geometry returns stay valid
-until the next tick_geometry on that world, its elevations until
-update_rates (the power field then holds until the next tick_geometry);
-nothing reads either after its tick.  run() drops the workspace when it
-returns, and a later step() builds it again.
+become the power field; a tick over the near set writes (cells, near)
+views of their first elements.  Radio's other steps take temporaries of
+at most radio._CHUNK elements in all, however many blocks run at once.
+The distances tick_geometry returns stay valid until the next
+tick_geometry on that world, its elevations until update_rates (the power
+field then holds until the next tick_geometry); nothing reads either
+after its tick.  run() drops the workspace and its near set when it
+returns, and a later step() builds both again.
 """
 
 from __future__ import annotations
@@ -73,6 +84,44 @@ from .radio import (Geometry, data_rate, dbm_to_mw, geometry_in_range,
                     received_power_field)
 
 
+# A tick computes the radio field over the users within r + _SKIN of some
+# cell, dead or alive, at the last rebuild, and rebuilds once a cell has
+# moved more than _SKIN since: by the triangle inequality every pair within
+# r is still among them (users never move).  Cells move at most v_max * dt
+# = 2.0 m a tick (1.59 m on average on field_flock).  A wider skin covers
+# more users, a narrower one rebuilds more often, and a rebuild tick covers
+# every user: field_flock's near set holds 68.3% / 73.8% / 82.4% of its
+# users at 25 / 50 / 100 m, and the sweep's 6- and 11-cell runs 18% / 33%
+# at 25 m.  A field_flock run (in-process, median of 6) took 317 ms at
+# 25 m, 318-325 ms at 5-15 m, 334-355 ms at 40-100 m, and 361 ms with a
+# rebuild every tick.
+_SKIN = 25.0
+
+# A near set that leaves out fewer links than this is taken as every user:
+# a tick over it would save less radio work than its column lookups cost.
+# Same-process pairs (16 each, 2-vCPU x86-64 KVM guest) read -1.7% and
+# -3.8% for sweep's 6- and 11-cell runs (2,952 and 4,400 links left out)
+# and +2.2% for fig5 (300) when they all narrowed, and +4.6% / +3.7% for
+# the 16- and 21-cell runs, whose set holds every user.
+_NARROW_LINKS = 2_000
+
+
+@dataclass(eq=False)
+class Workspace:
+    """The tick's (cells, users) geometry buffers and the near set
+    (tick_geometry): ``anchor``, the cells' positions when it was taken,
+    ``near``, its users' ascending ids, None while it is every user,
+    ``near_pos``, their positions, and ``column``, each user's index in
+    ``near`` (len(near) outside it).  A tick between rebuilds writes its
+    (cells, len(near)) arrays into the first cells x len(near) elements of
+    the buffers, as contiguous views."""
+    buffers: Geometry
+    anchor: Optional[np.ndarray] = None
+    near: Optional[np.ndarray] = None
+    near_pos: Optional[np.ndarray] = None
+    column: Optional[np.ndarray] = None
+
+
 @dataclass(eq=False)
 class WorldState:
     """The world's state as arrays indexed by cell and user id.  Phases
@@ -95,8 +144,8 @@ class WorldState:
     failures: list[tuple[float, list[int]]] = field(default_factory=list)
     # (time, uav_id, uav_id, distance) per alive pair closer than gains.d
     min_distance_violations: list[tuple] = field(default_factory=list)
-    # the tick's (cells, users) geometry buffers, built on first use
-    workspace: Optional[Geometry] = field(default=None, repr=False)
+    # the tick's geometry buffers and near set, built on first use
+    workspace: Optional[Workspace] = field(default=None, repr=False)
     uavs: list[UavState] = field(init=False, repr=False)
     users: list[UserState] = field(init=False, repr=False)
 
@@ -203,23 +252,92 @@ def inject_failures(world: WorldState, fraction: float) -> list[int]:
     return killed
 
 
-def _workspace(world: WorldState) -> Geometry:
+def _workspace(world: WorldState) -> Workspace:
     if world.workspace is None:
         shape = (len(world.alive), len(world.serving))
-        world.workspace = Geometry(np.empty(shape), np.empty(shape))
+        world.workspace = Workspace(Geometry(np.empty(shape),
+                                             np.empty(shape)))
     return world.workspace
 
 
+def _stayed_near(uav_pos: np.ndarray, anchor: np.ndarray) -> bool:
+    """Whether no cell has moved more than _SKIN from ``anchor``; False
+    for a position that is not finite, so that it rebuilds."""
+    moved = uav_pos - anchor
+    moved *= moved
+    # NaN propagates through the maximum, and fails the comparison
+    return bool(np.maximum.reduce(np.add.reduce(moved, axis=1), initial=0.0)
+                <= _SKIN ** 2)
+
+
 def tick_geometry(world: WorldState, r: float):
-    """The cells x users geometry of the world's current positions, as the
-    world's workspace arrays, and the tick's in-range list: the cell-user
-    pairs within ``r`` as flat indices, cells and users in row-major order
-    (radio.geometry_in_range).  The distances hold until the next
+    """The geometry of the world's current positions, as views of the
+    world's workspace buffers, and the tick's in-range list: the cell-user
+    pairs within ``r`` as flat indices into (cells, users), cells and
+    users in row-major order (radio.geometry_in_range).
+
+    The geometry covers every cell and the users of the world's near set,
+    in ascending id order (Workspace); the engine's readers take a user's
+    column from the workspace.  A tick that rebuilds the set, the world's
+    first and each one after some cell has moved more than _SKIN since the
+    last build, covers every user and takes the next set from its pairs
+    within r + _SKIN, or every user when the set would leave out fewer
+    than _NARROW_LINKS links.  The distances hold until the next
     tick_geometry on that world, the elevations until update_rates writes
     the power field over them.  Code that keeps two geometries calls
     radio.geometry."""
-    return geometry_in_range(world.uav_pos, world.user_pos, r,
-                             out=_workspace(world))
+    ws = _workspace(world)
+    n_cells, n_users = ws.buffers.dist.shape
+    if ws.anchor is None or not _stayed_near(world.uav_pos, ws.anchor):
+        # a margin no rounding crosses, as _cell_pairs' prefilter takes
+        geom, (flat, cell, user) = geometry_in_range(
+            world.uav_pos, world.user_pos, (r + _SKIN) * (1.0 + 1e-9),
+            out=ws.buffers)
+        reached = np.zeros(n_users, dtype=bool)
+        reached[user] = True
+        near = np.flatnonzero(reached)
+        ws.anchor = world.uav_pos.copy()
+        ws.near = None
+        if n_cells * (n_users - len(near)) >= _NARROW_LINKS:
+            ws.near, ws.near_pos = near, world.user_pos[near]
+            ws.column = np.full(n_users, len(near))
+            ws.column[near] = np.arange(len(near))
+        keep = geom.dist.take(flat) <= r
+        return geom, (flat[keep], cell[keep], user[keep])
+    if ws.near is None:
+        return geometry_in_range(world.uav_pos, world.user_pos, r,
+                                 out=ws.buffers)
+    shape = (n_cells, len(ws.near))
+    geom, (_, cell, col) = geometry_in_range(
+        world.uav_pos, ws.near_pos, r,
+        out=Geometry(*(buf.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
+                       for buf in ws.buffers)))
+    return geom, _as_users(world, cell, col)
+
+
+def _columns(world: WorldState, field: np.ndarray, users):
+    """The columns of ``users`` in ``field``, a tick array over every user
+    or over the world's near set (tick_geometry); a user outside the set
+    gets the field's width, which no index reaches."""
+    if field.shape[1] == len(world.serving):
+        return users
+    return world.workspace.column[users]
+
+
+def _as_users(world: WorldState, cell: np.ndarray, col: np.ndarray):
+    """The in-range list of pairs of cells and near-set columns, as flat
+    indices into (cells, users), cells and users; the set is ascending, so
+    the list stays row-major."""
+    user = world.workspace.near[col]
+    return cell * len(world.serving) + user, cell, user
+
+
+def _in_range(world: WorldState, dist: np.ndarray, r: float):
+    """The in-range list of a tick's distances, as tick_geometry gives it."""
+    flat, cell, col = _pair_indices(dist <= r)
+    if dist.shape[1] == len(world.serving):
+        return flat, cell, col
+    return _as_users(world, cell, col)
 
 
 def associate_users(world: WorldState, gains: ControlGains,
@@ -242,11 +360,14 @@ def associate_users(world: WorldState, gains: ControlGains,
     world.serving.fill(-1)
     if not n_cells or not n_users:
         return
-    flat, cell, user = links or _pair_indices(geom.dist <= gains.r)
+    flat, cell, user = links or _in_range(world, geom.dist, gains.r)
     keep = world.alive[cell] & (world.premium[user]
                                 | (world.channel[cell] == L0))
-    cell, user = cell[keep], user[keep]
-    dist = geom.dist.take(flat[keep])
+    flat, cell, user = flat[keep], cell[keep], user[keep]
+    width = geom.dist.shape[1]
+    if width < n_users:                     # a tick over the near set
+        flat = cell * width + world.workspace.column[user]
+    dist = geom.dist.take(flat)
     nearest = np.full(n_users, np.inf)
     np.minimum.at(nearest, user, dist)
     # the lowest id among equal distances, as argmin picks it
@@ -294,8 +415,8 @@ def _apply_rates(world: WorldState, powers: np.ndarray, chan_power: np.ndarray,
     rate = world.rate
     served = np.flatnonzero(world.serving >= 0)
     cells = world.serving[served]
-    sinr = _sinr(powers[cells, served],
-                 chan_power[world.channel[cells], served],
+    cols = _columns(world, powers, served)
+    sinr = _sinr(powers[cells, cols], chan_power[world.channel[cells], cols],
                  float(dbm_to_mw(radio.noise)))
     rate.fill(0.0)
     rate[served] = data_rate(sinr, radio.bandwidth)
@@ -305,14 +426,16 @@ def update_rates(world: WorldState, radio: RadioParams, gains: ControlGains,
                  geom: Geometry) -> tuple[np.ndarray, np.ndarray]:
     """Compute every link's achieved rate and push it into the rate windows.
 
-    Returns the (n_uavs, n_users) received-power matrix in mW over the
-    tick's geometry with dead UAVs zeroed, written over the geometry's
-    elevations, their one reader, so that it allocates no array of that
-    shape, and the (num_channels, n_users) per-channel power sums.
+    Returns the received-power matrix in mW over the tick's geometry, its
+    cells and its users' columns (tick_geometry), with dead UAVs zeroed,
+    written over the geometry's elevations, their one reader, so that it
+    allocates no array of that shape, and the (num_channels, columns)
+    per-channel power sums.  The served users are those of the tick's
+    association, each in the geometry's columns.
     """
     powers = received_power_field(geom, radio, out=geom.elev)
     powers[~world.alive] = 0.0
-    chan_power = np.zeros((radio.num_channels, len(world.serving)))
+    chan_power = np.zeros((radio.num_channels, powers.shape[1]))
     cells = np.flatnonzero(world.alive)
     channels = world.channel[cells]
     if len(cells) and (channels == channels[0]).all():
@@ -348,7 +471,8 @@ def channel_switching(world: WorldState, powers: np.ndarray,
     that user, each side summed exactly (math.fsum) over the other alive
     cells' powers on its channel, so a tie never switches; leaving the
     default channel releases any regular users.  Later UAVs in the same pass
-    see the updated channel occupancy.
+    see the updated channel occupancy.  ``powers`` and ``chan_power`` are
+    update_rates' arrays, over the tick's columns.
     """
     events: list[SwitchEvent] = []
     noise_mw = float(dbm_to_mw(radio.noise))
@@ -377,11 +501,12 @@ def channel_switching(world: WorldState, powers: np.ndarray,
         candidates = [k for k in range(1, n_channels) if k != current]
         if not candidates:
             continue
+        col = _columns(world, powers, trig)
         free = [k for k in candidates if usage[k] == 0]
         best_k = free[0] if free else min(
-            candidates, key=chan_power[:, trig].__getitem__)
+            candidates, key=chan_power[:, col].__getitem__)
         # dead cells' powers are 0, so a channel's cells need no alive mask
-        at_trig = powers[:, trig]
+        at_trig = powers[:, col]
         others = channel == current
         others[n] = False
         if not math.fsum(at_trig[channel == best_k]) < math.fsum(
@@ -390,11 +515,12 @@ def channel_switching(world: WorldState, powers: np.ndarray,
         served = np.flatnonzero(serving == n).tolist()        # ascending
         released = [m for m in served if current == L0 and not premium[m]]
         retained = [m for m in served if m not in released]
-        signal = powers[n, retained]
-        sinr_before = _sinr(signal, chan_power[current, retained], noise_mw)
+        cols = _columns(world, powers, retained)
+        signal = powers[n, cols]
+        sinr_before = _sinr(signal, chan_power[current, cols], noise_mw)
         chan_power[current] -= powers[n]
         chan_power[best_k] += powers[n]
-        sinr_after = _sinr(signal, chan_power[best_k, retained], noise_mw)
+        sinr_after = _sinr(signal, chan_power[best_k, cols], noise_mw)
         usage[current] -= 1
         usage[best_k] += 1
         channel[n] = best_k
@@ -411,16 +537,17 @@ def control_all(world: WorldState, gains: ControlGains, mode: str,
     """Control inputs for all UAVs from one frozen state snapshot.
 
     Each controller term runs once for the whole fleet, on the world's
-    arrays; dead UAVs get zero rows.  ``dist`` is the geometry's
-    (cells, users) distances at these positions, h's range test, and h
-    reads the users' serving ids as they are.  ``pairs``, the tick's
-    kernels._cell_pairs at these positions, and ``links``, its in-range
-    list (tick_geometry), are built when not given.
+    arrays; dead UAVs get zero rows.  ``dist`` is the tick geometry's
+    distances at these positions (tick_geometry), and h reads the users'
+    serving ids as they are.  ``pairs``, the tick's kernels._cell_pairs at
+    these positions, and ``links``, its in-range list, h's range test, are
+    built when not given.
     """
     return control_input(world.uav_pos, world.uav_vel, _loads(world),
                          world.alive, world.serving, world.user_pos, dist,
                          world.rate, world.target, world.premium, gains, mode,
-                         pairs, links, world.user_centroid)
+                         pairs, links or _in_range(world, dist, gains.r),
+                         world.user_centroid)
 
 
 def advance(world: WorldState, controls: np.ndarray, gains: ControlGains,
@@ -472,10 +599,18 @@ def _check_invariants(world: WorldState, config: ScenarioConfig,
     cells = serving[served]
     # the distances association read, so a user it found in range at
     # exactly r passes here too
+    dist, r = geom.dist, config.gains.r
+    if dist.shape[1] == len(serving):
+        far = dist[cells, served] > r
+    else:
+        # a tick over the near set: a user outside it is beyond r
+        cols = world.workspace.column[served]
+        far = cols == dist.shape[1]
+        near = ~far
+        far[near] = dist[cells[near], cols[near]] > r
     _raise_first([
         (~alive[cells], lambda i: f"user {served[i]} served by dead UAV {cells[i]}"),
-        (geom.dist[cells, served] > config.gains.r,
-         lambda i: f"user {served[i]} served out of range"),
+        (far, lambda i: f"user {served[i]} served out of range"),
         (~world.premium[served] & (channel[cells] != L0),
          lambda i: f"regular user {served[i]} served off the default channel")])
     _raise_first([

@@ -234,10 +234,11 @@ def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
     it along the line of sight through an odd sigmoid of the deficit in
     Mbit/s, with class-specific gain, gated to zero once the rate reaches
     beta * target.  Both per-user weights are the same for every cell.
-    Range is read from `dist`, the tick geometry's (cells, users) distances
-    that association read, so a user at exactly r is in range for both.
-    ``links``, when given, is _pair_indices(dist <= p.r), the tick's
-    in-range list that association read too, and is left unchanged.
+    Range is read from ``links``, the tick's in-range list that
+    association read too, as flat indices into (cells, users), cells and
+    users, so a user at exactly r is in range for both; it is left
+    unchanged.  Without it, it is _pair_indices(dist <= p.r) of `dist`, the
+    tick geometry's (cells, users) distances.
     """
     flat, cell, user = links or _pair_indices(dist <= p.r)
     rel = user_pos[user] - positions[cell]
@@ -248,7 +249,7 @@ def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
     # repulsion runs along the negated sigma-gradient of rel
     push = -p.c1 * (np.maximum(targets - rates, 0.0) / targets)
     weight = np.where(serving[user] == cell, pull[user], push[user])
-    return _pair_sums(dist.shape, flat, weight, grads)
+    return _pair_sums((len(positions), len(user_pos)), flat, weight, grads)
 
 
 def flocking_goal_term(positions: np.ndarray, user_pos: np.ndarray,

@@ -5,10 +5,12 @@ Kandeepan and Lardner, "Optimal LAP Altitude for Maximum Coverage" (IEEE
 WCL 3(6), 2014): slant distance d and elevation angle -> LoS probability
 p_los -> mean path loss -> received power -> SINR -> Shannon rate.
 
-`geometry` builds d and the elevation for every cell/user pair at once; the
-engine builds it once per tick, with geometry_in_range, which also lists
-the pairs within range as it writes the distances, and association, the
-power field and the invariant check all read it.  received_power_field
+`geometry` builds d and the elevation for every pair of the cells and
+users it is given at once.  The engine builds it once per tick, with
+geometry_in_range, which also lists the pairs within range as it writes
+the distances, over every cell and the users some cell can reach (its
+near set), and association, the power field and the invariant check all
+read it.  received_power_field
 evaluates the model's received power in closed form, with no dB round
 trip,
 
@@ -41,8 +43,9 @@ _CHUNK elements, so the blocks of a split field use at most _CHUNK
 elements of temporaries together, on any CPU count.  A field of at most
 _CHUNK elements is one tile, and its geometry runs every step over the
 whole field, with a field-sized temporary that keeps dz from dz*dz to
-the arctan2, as every fig5 and sweep field does.  Tiles leave each element's ufuncs and their order as
-they are, so neither the bits nor the in-range list depend on them.
+the arctan2, as every fig5 and sweep field does.  Tiles leave each
+element's ufuncs and their order as they are, so neither the bits nor the
+in-range list depend on them, nor on the columns a field covers.
 
 Interference is network wide: every alive UAV on the same channel as a
 user's serving UAV contributes its received power at that user, whether or
@@ -133,18 +136,21 @@ def _tiles(rows: slice, shape: tuple[int, int]):
     """(rows, cols) slices, relative to the block of a (rows, cols) field's
     ``rows``, that cover the block in row-major order, each of at most the
     block's share of _CHUNK elements: the whole block when it fits, else
-    whole rows, or pieces of one row when a row is longer.  The first tile
-    is the largest."""
+    whole rows, or pieces of one row when a row is longer.  Also the
+    elements a temporary for them takes: the block's when it is one tile,
+    else its share of _CHUNK, whatever the width, so that the engine's
+    narrower fields over the near set fit the temporary of its wider
+    ones."""
     n_rows, n_cols = rows.stop - rows.start, shape[1]
     limit = max(1, _CHUNK * n_rows // max(shape[0], 1))
     if n_rows * n_cols <= limit:
-        return [(slice(0, n_rows), slice(0, n_cols))]
+        return [(slice(0, n_rows), slice(0, n_cols))], n_rows * n_cols
     if n_cols <= limit:
         step = limit // n_cols
         return [(slice(a, min(a + step, n_rows)), slice(0, n_cols))
-                for a in range(0, n_rows, step)]
+                for a in range(0, n_rows, step)], limit
     return [(slice(a, a + 1), slice(c, min(c + limit, n_cols)))
-            for a in range(n_rows) for c in range(0, n_cols, limit)]
+            for a in range(n_rows) for c in range(0, n_cols, limit)], limit
 
 
 def _temporary(size: int) -> np.ndarray:
@@ -163,10 +169,10 @@ def _like(buffer: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _geometry_rows(rows: slice, uavs, users, dist, elev, r, found) -> None:
-    tiles = _tiles(rows, dist.shape)
+    tiles, room = _tiles(rows, dist.shape)
     uavs, dist, h = uavs[rows], dist[rows], elev[rows]
     width = dist.shape[1]
-    buf = _temporary(dist[tiles[0]].size)
+    buf = _temporary(room)
     # dz is read by dz*dz and by the arctan2: a block of one tile keeps it
     # in the temporary in between, a larger block takes it in dist, then
     # again a tile at a time in the temporary
@@ -329,12 +335,12 @@ def received_power_field(geom: Geometry, params: RadioParams,
 
 def _power_rows(rows: slice, dist, elev, params, standard, per_p_los,
                 offset, out) -> None:
-    tiles = _tiles(rows, dist.shape)
+    tiles, room = _tiles(rows, dist.shape)
     dist = dist[rows]
     p = _los(elev[rows], params, standard, out[rows])
     p *= per_p_los
     p += offset
-    buf = _temporary(dist[tiles[0]].size)
+    buf = _temporary(room)
     for tile in tiles:
         d, p_t = dist[tile], p[tile]
         log_d = np.log(d, out=_like(buf, d))

@@ -8,6 +8,7 @@ perfbench/tracer.py is imported, never edited: a rename here that breaks
 import pathlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from uavswarm import engine, radio
@@ -24,6 +25,35 @@ def tracer(monkeypatch):
     return tracer
 
 
+def _links_per_tick(result):
+    """The links each tick's power field covers, cells x columns, replayed
+    from the traced cell positions: every user on the first tick and on
+    each tick on which some cell is more than engine._SKIN from where it
+    was at the last such tick, else the users within (r + _SKIN) * (1 +
+    1e-9) of some cell there, dead cells included, or every user when
+    those leave out fewer than engine._NARROW_LINKS links."""
+    world, r = result.world, result.config.gains.r
+    cells, users = len(world.alive), len(world.serving)
+    positions: dict[float, list] = {}
+    for time, _, *xyz in (row[:5] for row in result.trace):
+        positions.setdefault(time, []).append(xyz)
+    links, anchor = [], None
+    for pos in map(np.array, positions.values()):
+        if anchor is None or (np.linalg.norm(pos - anchor, axis=1)
+                              > engine._SKIN).any():
+            anchor = pos
+            dist = np.linalg.norm(pos[:, None, :] - world.user_pos[None],
+                                  axis=2)
+            near = np.count_nonzero(
+                (dist <= (r + engine._SKIN) * (1.0 + 1e-9)).any(axis=0))
+            if cells * (users - near) < engine._NARROW_LINKS:
+                near = users
+            links.append(cells * users)
+        else:
+            links.append(cells * near)
+    return links
+
+
 def test_every_span_names_an_existing_function(tracer):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in tracer.SPANS
@@ -37,7 +67,7 @@ def test_traced_ticks_count_one_rate_record_per_user(tracer, fig3_config):
     traced = tracer.Tracer()
     traced.install()
     try:
-        result = engine.run(config)
+        result = engine.run(config, trace=True)
     finally:
         traced.uninstall()
     users = len(result.world.users)
@@ -46,11 +76,10 @@ def test_traced_ticks_count_one_rate_record_per_user(tracer, fig3_config):
     assert traced.calls["metrics.compute"] == ticks
     # association and the power field run once per evaluated tick, behind
     # their public names, so inlining either cannot silently zero its span
-    # or radio.links
+    # or radio.links, which counts the cells and columns each field covers
     assert traced.calls["engine.associate"] == ticks
     assert traced.calls["radio.power_field"] == ticks
-    assert traced.counts["radio.links"] == (
-        ticks * len(result.world.uavs) * users)
+    assert traced.counts["radio.links"] == sum(_links_per_tick(result))
     # the control phase runs between ticks, each term once for the fleet,
     # and every integration goes through engine.advance, so folding it into
     # the shared tick cannot silently drop the span
@@ -64,8 +93,8 @@ def test_traced_ticks_count_one_rate_record_per_user(tracer, fig3_config):
 
 def test_traced_flocking_run_counts_each_term_once_per_pass(tracer):
     # f and g share one build of the cell pairs, but each still runs behind
-    # its public name once per control pass, and the power field still
-    # covers every cell and user on every tick
+    # its public name once per control pass, and the power field covers
+    # every cell and the near set's users on every tick
     config = generate_scenario(
         120, 0.25, (0.0, 0.0, 900.0, 300.0), (0.0, 0.0, 300.0, 300.0), 9,
         duration=0.5, seed=4, controller_mode=FLOCKING_MODE)
@@ -73,37 +102,44 @@ def test_traced_flocking_run_counts_each_term_once_per_pass(tracer):
     traced = tracer.Tracer()
     traced.install()
     try:
-        result = engine.run(config)
+        result = engine.run(config, trace=True)
     finally:
         traced.uninstall()
-    cells, users = len(result.world.alive), len(result.world.serving)
+    cells = len(result.world.alive)
     for span in ("kernels.f", "kernels.g", "kernels.goal", "engine.control"):
         assert traced.calls[span] == ticks - 1, span
     assert traced.calls["kernels.h"] == 0
     assert traced.counts["kernels.fg_pairs"] == 2 * (ticks - 1) * (cells - 1)
     assert traced.calls["radio.power_field"] == ticks
-    assert traced.counts["radio.links"] == ticks * cells * users
+    links = _links_per_tick(result)
+    assert len(links) == ticks and traced.counts["radio.links"] == sum(links)
 
 
-def test_traced_split_field_counts_one_call_per_tick(tracer):
+def test_traced_split_field_counts_one_call_per_tick(tracer, cpus):
     # above radio._SPLIT_LINKS the field is computed in cell-row blocks on
     # a thread pool; the workers call only private helpers, so the traced
     # span still counts one field per tick, on the main thread, and
-    # radio.links still covers every cell and user
+    # radio.links still counts the cells and columns each field covers.
+    # The first tick covers all 104,000 links and splits; the near set's
+    # later ticks fall below the line
     config = generate_scenario(
         2600, 0.25, (0.0, 0.0, 4000.0, 1500.0), (0.0, 0.0, 1200.0, 1500.0),
         40, duration=0.2, seed=6, controller_mode=FLOCKING_MODE)
     ticks = config.ticks() + 1
+    cpus(2)
     traced = tracer.Tracer()
     traced.install()
     try:
-        result = engine.run(config)
+        result = engine.run(config, trace=True)
     finally:
         traced.uninstall()
     cells, users = len(result.world.alive), len(result.world.serving)
-    assert cells * users >= radio._SPLIT_LINKS
+    links = _links_per_tick(result)
+    assert links[0] == cells * users >= radio._SPLIT_LINKS
+    assert radio._pool is not None          # built by a split
+    assert min(links) < radio._SPLIT_LINKS
     assert traced.calls["radio.power_field"] == ticks
-    assert traced.counts["radio.links"] == ticks * cells * users
+    assert traced.counts["radio.links"] == sum(links)
     assert traced.calls["engine.associate"] == ticks
 
 

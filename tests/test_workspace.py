@@ -1,10 +1,12 @@
 """The tick's workspace and association's fast path.
 
 A world writes its two (cells, users) arrays into one workspace tick after
-tick, the power field over the geometry's elevations.  These tests hold
+tick, the power field over the geometry's elevations; a tick over the near
+set writes (cells, near) views of their first elements.  These tests hold
 the in-place writes to the allocating calls bit for bit, on reused buffers
 whose old contents must never show and with radio's temporaries in one
-tile or many, hold the workspace to those two float arrays, and hold
+tile or many, a world's narrowed ticks to a fresh world's near columns,
+hold the workspace to those two float arrays, and hold
 association, which reads the tick's in-range list and skips its greedy
 pass when no cell is full, to the one-user-at-a-time greedy oracle, on
 worlds small enough to spill and on one of 100 cells and 3,000 users.
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import oracle_associate
-from uavswarm import radio
+from uavswarm import engine, radio
 from uavswarm.engine import (
     _evaluate,
     associate_users,
@@ -190,7 +192,25 @@ def test_buffered_calls_in_many_tiles_match_allocating_calls(
                                            chunk)
 
 
-def test_reused_workspace_matches_fresh_world_after_failures_and_moves():
+def _starts_buffer(view, buffer):
+    """Whether ``view`` is a contiguous view of the start of ``buffer``."""
+    return (view.flags.c_contiguous and np.shares_memory(view, buffer)
+            and view.__array_interface__["data"][0]
+            == buffer.__array_interface__["data"][0])
+
+
+def test_reused_workspace_matches_fresh_world_after_failures_and_moves(
+        monkeypatch):
+    # each tick's moves: up to 150 m rebuilds the near set, up to 8 m (11.3
+    # m at most in the plane, twice within the skin of 25 m) narrows it,
+    # however few links the set leaves out
+    monkeypatch.setattr(engine, "_NARROW_LINKS", 0)
+    for moves in [(150.0, 150.0, 150.0), (8.0, 150.0, 8.0),
+                  (8.0, 8.0, 150.0)]:
+        _reused_workspace_matches_fresh_world(moves)
+
+
+def _reused_workspace_matches_fresh_world(moves):
     rng = np.random.default_rng(7)
     cells, users = _positions(rng, 12, 300)
     placed = [(PREMIUM if k % 3 else REGULAR, x, y)
@@ -198,11 +218,12 @@ def test_reused_workspace_matches_fresh_world_after_failures_and_moves():
     gains = ControlGains(n_max=30)
     world = world_of(cells[:, :2].tolist(), placed, gains=gains)
     params = RadioParams(num_channels=3)
-    for tick in range(4):
+    narrowed = 0
+    for move in (None, *moves):
         # a wave kills cells, others move and leave the default channel
-        if tick:
+        if move:
             world.alive[rng.choice(12, size=2, replace=False)] = False
-            world.uav_pos[:, :2] += rng.uniform(-150.0, 150.0, (12, 2))
+            world.uav_pos[:, :2] += rng.uniform(-move, move, (12, 2))
             world.channel[:] = rng.integers(0, 3, 12)
         fresh = world_of(world.uav_pos[:, :2].tolist(), placed, gains=gains)
         for name in ("alive", "channel"):
@@ -213,13 +234,29 @@ def test_reused_workspace_matches_fresh_world_after_failures_and_moves():
             elev = geom.elev.copy()     # update_rates writes over them
             associate_users(w, gains, geom, links)
             powers, chan_power = update_rates(w, params, gains, geom)
-            assert powers is w.workspace.elev
-            results.append((geom.dist, elev, w.serving.copy(),
-                            w.rate.copy(), powers, chan_power))
+            assert powers is geom.elev
+            assert _starts_buffer(powers, w.workspace.buffers.elev)
+            assert _starts_buffer(geom.dist, w.workspace.buffers.dist)
+            results.append((links, w.serving.copy(), w.rate.copy(),
+                            geom.dist, elev, powers, chan_power))
         assert fresh.workspace is not world.workspace
-        for got, want in zip(*results):
+        # a world's first tick covers every user, a narrowed one the near
+        # columns: the fresh world's, bit for bit
+        (links, *users), (want_links, *want_users) = (r[:3] for r in results)
+        for got, want in zip(links, want_links, strict=True):
             _same(got, want)
-        assert not results[0][4][~world.alive].any()
+        for got, want in zip(users, want_users, strict=True):
+            _same(got, want)
+        near = world.workspace.near
+        if results[0][3].shape[1] < len(placed):
+            narrowed += 1
+            assert move == 8.0
+        else:
+            near = slice(None)
+        for got, want in zip(results[0][3:], results[1][3:], strict=True):
+            _same(got, np.ascontiguousarray(want[:, near]))
+        assert not results[0][5][~world.alive].any()
+    assert narrowed == moves.count(8.0)
 
 
 def _loop_channel_power(world, powers, num_channels):
@@ -283,14 +320,21 @@ def _large_arrays(world, nbytes):
 
 
 def test_tick_keeps_two_float_field_arrays():
-    world, _ = _field_flock_world()
+    # after the first tick, which covers every user, and after a tick over
+    # the near set, whose arrays are views of the buffers
+    world, config = _field_flock_world()
     shape = (100, 3000)
-    # a bool (cells, users) mask would be the smallest field-sized array
-    large = _large_arrays(world, shape[0] * shape[1])
-    assert isinstance(world.workspace, Geometry)
-    assert sorted(map(id, large)) == sorted(map(id, world.workspace))
-    assert [(a.shape, a.dtype) for a in large] == [(shape, np.float64)] * 2
-    assert not np.shares_memory(*world.workspace)
+    assert len(world.workspace.near) < shape[1]
+    for tick in range(2):
+        if tick:
+            step(world, config)
+        # a bool (cells, users) mask would be the smallest field-sized array
+        large = _large_arrays(world, shape[0] * shape[1])
+        assert isinstance(world.workspace.buffers, Geometry)
+        assert sorted(map(id, large)) == sorted(map(id,
+                                                    world.workspace.buffers))
+        assert [(a.shape, a.dtype) for a in large] == [(shape, np.float64)] * 2
+        assert not np.shares_memory(*world.workspace.buffers)
 
 
 def test_tick_allocates_at_most_one_field_after_the_first(monkeypatch, cpus):
