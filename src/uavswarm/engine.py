@@ -299,7 +299,9 @@ def tick_geometry(world: WorldState, r: float):
         ws.anchor = world.uav_pos.copy()
         ws.near = None
         if n_cells * (n_users - len(near)) >= _NARROW_LINKS:
-            ws.near, ws.near_pos = near, world.user_pos[near]
+            # stored as the transpose of contiguous x, y and z rows, the
+            # layout radio reads, so that no tick copies them
+            ws.near, ws.near_pos = near, world.user_pos[near].T.copy().T
             ws.column = np.full(n_users, len(near))
             ws.column[near] = np.arange(len(near))
         keep = geom.dist.take(flat) <= r

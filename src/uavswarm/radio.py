@@ -34,18 +34,20 @@ private block helpers, never a public function, and a forked child drops
 the pool whose threads it does not have.
 
 The only (cells, users) arrays are the geometry's two and the field, which
-the engine writes over the elevations.  Every pass runs over a whole
-block, except the two steps that need a third array: dz for the
-elevation's arctan2 and delta * ln d for the field, which run a tile of
-the block at a time in a temporary that each thread keeps from call to
-call.  A block's tiles take at most its share of the field's rows times
-_CHUNK elements, so the blocks of a split field use at most _CHUNK
-elements of temporaries together, on any CPU count.  A field of at most
-_CHUNK elements is one tile, and its geometry runs every step over the
-whole field, with a field-sized temporary that keeps dz from dz*dz to
-the arctan2, as every fig5 and sweep field does.  Tiles leave each
-element's ufuncs and their order as they are, so neither the bits nor the
-in-range list depend on them, nor on the columns a field covers.
+the engine writes over the elevations.  Users at one height, as every
+engine world's are, make dz one number per cell row, a column that the
+distance's sum and the elevation's arctan2 broadcast, so the geometry's
+passes run over whole blocks.  The steps that need a third array, delta *
+ln d for the field, the in-range list's mask and dz for users at several
+heights, run a tile of the block at a time in a temporary that each
+thread keeps from call to call.  A block's tiles take at most its share
+of the field's rows times _CHUNK elements, so the blocks of a split field
+use at most _CHUNK elements of temporaries together, on any CPU count.
+The users' x, y and z are read as contiguous rows, a copy per call unless
+given as the transpose of such rows, as the engine keeps its near set.
+Neither tiles, the dz column nor the layout changes an element's ufuncs
+or their order, so neither the bits nor the in-range list depend on them,
+nor on the columns a field covers.
 
 Interference is network wide: every alive UAV on the same channel as a
 user's serving UAV contributes its received power at that user, whether or
@@ -97,7 +99,8 @@ def geometry(uav_positions, user_positions,
 
     The distance is sqrt((dx*dx + dy*dy) + dz*dz), the squares summed in
     x, y, z order as np.linalg.norm over the last axis does; the elevation
-    is arctan2(dz, sqrt(dx*dx + dy*dy)).  It is the one cell-user distance
+    is arctan2(dz, sqrt(dx*dx + dy*dy)), with dz taken once per cell when
+    every user has one height.  It is the one cell-user distance
     code: association, the invariant check, the power field and h's range
     test all read it, so a user at exactly r is at exactly r everywhere.
 
@@ -119,12 +122,19 @@ def geometry_in_range(uav_positions, user_positions, r: float,
 
 def _geometry(uav_positions, user_positions, out, r):
     uavs = np.asarray(uav_positions, dtype=float).reshape(-1, 3)
-    users = np.asarray(user_positions, dtype=float).reshape(-1, 3)
-    shape = (len(uavs), len(users))
+    # the users' x, y and z as contiguous rows, which the outer
+    # differences read with unit stride
+    users = np.ascontiguousarray(
+        np.asarray(user_positions, dtype=float).reshape(-1, 3).T)
+    shape = (len(uavs), users.shape[1])
     if out is None:
         out = Geometry(np.empty(shape), np.empty(shape))
+    # every user at one height: dz is then one number per cell row
+    uz = users[2]
+    level = len(uz) and (uz == uz[0]).all()
+    dz = (uavs[:, 2] - uz[0])[:, None] if level else None
     found: dict[int, np.ndarray] = {}   # flat start of a tile: its pairs
-    _by_rows(_geometry_rows, shape, uavs, users, *out, r, found)
+    _by_rows(_geometry_rows, shape, uavs, users, dz, *out, r, found)
     if r is None:
         return out, None
     flat = [found[k] for k in sorted(found)]
@@ -168,38 +178,40 @@ def _like(buffer: np.ndarray, a: np.ndarray) -> np.ndarray:
     return buffer[:a.size].reshape(a.shape)
 
 
-def _geometry_rows(rows: slice, uavs, users, dist, elev, r, found) -> None:
+def _geometry_rows(rows: slice, uavs, users, dz, dist, elev, r,
+                   found) -> None:
     tiles, room = _tiles(rows, dist.shape)
     uavs, dist, h = uavs[rows], dist[rows], elev[rows]
-    width = dist.shape[1]
-    buf = _temporary(room)
-    # dz is read by dz*dz and by the arctan2: a block of one tile keeps it
-    # in the temporary in between, a larger block takes it in dist, then
-    # again a tile at a time in the temporary
-    one_tile = len(tiles) == 1
-    dz = _like(buf, dist) if one_tile else dist
     # h holds dx, then dx*dx + dy*dy, then its root, until the arctan2
-    np.subtract.outer(uavs[:, 0], users[:, 0], out=h)
+    np.subtract.outer(uavs[:, 0], users[0], out=h)
     np.multiply(h, h, out=h)
-    np.subtract.outer(uavs[:, 1], users[:, 1], out=dz)      # dy, then dz
-    np.multiply(dz, dz, out=dz)
-    h += dz
-    np.subtract.outer(uavs[:, 2], users[:, 2], out=dz)
-    np.multiply(dz, dz, out=dist)
-    dist += h
-    np.sqrt(dist, out=dist)
-    np.sqrt(h, out=h)
-    if one_tile:
+    np.subtract.outer(uavs[:, 1], users[1], out=dist)         # dy
+    np.multiply(dist, dist, out=dist)
+    h += dist
+    if dz is not None:
+        # users at one height: dz is a (rows, 1) column, broadcast along
+        # each row by the sum and the arctan2
+        dz = dz[rows]
+        np.add(dz * dz, h, out=dist)
+        np.sqrt(dist, out=dist)
+        np.sqrt(h, out=h)
         np.arctan2(dz, h, out=h)
-        _list_in_range(dist, r, dz, rows.start * width, found)
-        return
+        if r is None:
+            return
+    buf = _temporary(room)
     for tile in tiles:
         d, h_t = dist[tile], h[tile]
-        dz = np.subtract.outer(uavs[tile[0], 2], users[tile[1], 2],
-                               out=_like(buf, d))
-        np.arctan2(dz, h_t, out=h_t)
-        _list_in_range(d, r, dz, (rows.start + tile[0].start) * width
-                       + tile[1].start, found)
+        if dz is None:
+            # users at several heights: dz a tile at a time
+            z = np.subtract.outer(uavs[tile[0], 2], users[2, tile[1]],
+                                  out=_like(buf, d))
+            np.multiply(z, z, out=d)
+            d += h_t
+            np.sqrt(d, out=d)
+            np.sqrt(h_t, out=h_t)
+            np.arctan2(z, h_t, out=h_t)
+        _list_in_range(d, r, buf, (rows.start + tile[0].start)
+                       * dist.shape[1] + tile[1].start, found)
 
 
 def _list_in_range(dist, r, spent, start, found) -> None:
@@ -210,7 +222,7 @@ def _list_in_range(dist, r, spent, start, found) -> None:
     if r is None:
         return
     near = np.flatnonzero(np.less_equal(
-        dist, r, out=_like(spent.reshape(-1).view(bool), dist)))
+        dist, r, out=_like(spent.view(bool), dist)))
     if start:
         near += start
     found[start] = near

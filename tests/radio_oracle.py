@@ -1,13 +1,19 @@
 """Independent reimplementation of the link-budget math for cross-checks.
 
-Deliberately uses only the math and random stdlib so it shares no code with
-the package.  All formulas are written from scratch: sigmoid LoS
-probability in degrees, free-space loss with configurable exponent,
-probabilistic excess loss, dBm/mW conversion, Shannon rate.
+It shares no code with the package.  All formulas are written from
+scratch: sigmoid LoS probability in degrees, free-space loss with
+configurable exponent, probabilistic excess loss, dBm/mW conversion,
+Shannon rate.  The single-link chain uses only the math and random stdlib.
+oracle_geometry and oracle_power_field take numpy's ufuncs over whole
+(cells, users) arrays, each element through the same operations in the
+same order as the package's closed form, so that they give its bits on
+any layout, split or tiling of the package's passes.
 """
 
 import math
 import random
+
+import numpy as np
 
 C_LIGHT = 3e8
 
@@ -80,3 +86,43 @@ def oracle_sinr(serving, others, user, noise_dbm=-80.0, **link_kw):
                        for o in others)
     noise_mw = 10.0 ** (noise_dbm / 10.0)
     return signal / (noise_mw + interference)
+
+
+def oracle_geometry(uavs, users):
+    """Slant distances and elevations, each (cells, users), from whole
+    arrays: dist = sqrt(dz*dz + (dx*dx + dy*dy)) and elev = arctan2(dz,
+    sqrt(dx*dx + dy*dy)), with d = cell - user on each axis."""
+    uavs = np.array(uavs, dtype=float).reshape(-1, 3)
+    users = np.array(users, dtype=float).reshape(-1, 3)
+    dx, dy, dz = (uavs[:, k, None] - users[None, :, k] for k in range(3))
+    horiz2 = dx * dx + dy * dy
+    return np.sqrt(dz * dz + horiz2), np.arctan2(dz, np.sqrt(horiz2))
+
+
+def oracle_in_range(dist, r):
+    """The pairs with dist <= r as flat indices, cells and users, in
+    row-major order."""
+    flat = np.flatnonzero(dist <= r)
+    return flat, flat // dist.shape[1], flat % dist.shape[1]
+
+
+def oracle_power_field(dist, elev, *, f_c=2e9, delta=2.0, eta_los=0.1,
+                       eta_nlos=21.0, theta_env=4.88, xi_env=0.43,
+                       p_t=37.0, form="as_written"):
+    """Received power in mW over whole arrays, as exp of its natural log:
+    ln P = ln(10)/10 * (p_t - eta_nlos - p_los * (eta_los - eta_nlos))
+    + delta * ln(c / (4 pi f_c)) - delta * ln d, the sums taken in the
+    package's order."""
+    per_db = math.log(10.0) / 10.0
+    theta_deg = elev * (180.0 / math.pi)
+    if form == "as_written":
+        expo = theta_deg * -xi_env - theta_env
+    elif form == "standard":
+        expo = (theta_deg - theta_env) * -xi_env
+    else:
+        raise ValueError(form)
+    p_los = 1.0 / (np.exp(expo) * theta_env + 1.0)
+    ln_k = per_db * p_t + delta * math.log(C_LIGHT / (4.0 * math.pi * f_c))
+    ln_p = (p_los * (-per_db * (eta_los - eta_nlos))
+            + (ln_k - per_db * eta_nlos)) - np.log(dist) * delta
+    return np.exp(ln_p)
