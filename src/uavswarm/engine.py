@@ -22,8 +22,9 @@ the near set, the users within r + _SKIN of some cell, dead or alive,
 where the cells were when the set was taken, or every user when it would
 leave out fewer than _NARROW_LINKS links.  The world's first tick takes
 the set, and so does each tick after some cell has moved more than _SKIN
-since; such a tick covers every user.  Users never move, so by the
-triangle inequality every pair within r is among the set's columns.  With
+since, until a set is every user, which is kept; such a tick covers every
+user.  Users never move, so by the triangle inequality every pair within
+r is among the set's columns.  With
 the geometry comes the tick's list of the cell-user pairs within r
 (tick_geometry, a row-major list of flat indices into (cells, users),
 cells and users), which radio builds block by block as it writes the
@@ -70,6 +71,7 @@ from .model import (
     L0,
     PREMIUM,
     QOS_MODE,
+    REGULAR,
     TARGET_RATE,
     ControlGains,
     RadioParams,
@@ -180,23 +182,29 @@ class RunResult:
     world: WorldState
 
 
-def resolve_user_positions(config: ScenarioConfig) -> list[tuple[str, float, float]]:
-    """Expand user specs to (klass, x, y) triples.
+def resolve_user_positions(config: ScenarioConfig) -> tuple[np.ndarray,
+                                                            np.ndarray]:
+    """Expand user specs to arrays: each user's premium flag and its (x, y,
+    0) position, one block of rows per spec, in spec order.
 
     Region entries draw from a stream keyed only by the scenario seed, so
     every run of a sweep sees the same user field.
     """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
-    out = []
+    premium = np.zeros(config.n_users(), dtype=bool)
+    pos = np.zeros((len(premium), 3))
+    start = 0
     for spec in config.users:
-        if spec.position is not None:
-            xs, ys = [spec.position[0]], [spec.position[1]]
+        end = start + (spec.count if spec.region is not None else 1)
+        if spec.region is None:
+            pos[start, :2] = spec.position
         else:
             x0, y0, x1, y1 = spec.region
-            xs = rng.uniform(x0, x1, size=spec.count)
-            ys = rng.uniform(y0, y1, size=spec.count)
-        out.extend((spec.klass, float(x), float(y)) for x, y in zip(xs, ys))
-    return out
+            pos[start:end, 0] = rng.uniform(x0, x1, size=spec.count)
+            pos[start:end, 1] = rng.uniform(y0, y1, size=spec.count)
+        premium[start:end] = spec.klass == PREMIUM
+        start = end
+    return premium, pos
 
 
 def _seed(config: ScenarioConfig, run_seed) -> int:
@@ -207,7 +215,7 @@ def _seed(config: ScenarioConfig, run_seed) -> int:
 def make_world(config: ScenarioConfig, run_seed: Optional[int] = None) -> WorldState:
     config.validate()
     seed = _seed(config, run_seed)
-    placed = resolve_user_positions(config)
+    premium, user_pos = resolve_user_positions(config)
     if config.uav_count == 0:
         starts = np.zeros((0, 2))
     elif config.uav_initial_positions is not None:
@@ -218,20 +226,17 @@ def make_world(config: ScenarioConfig, run_seed: Optional[int] = None) -> WorldS
         xs = rng.uniform(x0, x1, size=config.uav_count)
         ys = rng.uniform(y0, y1, size=config.uav_count)
         starts = np.column_stack([xs, ys])
-    n_cells = len(starts)
-    user_pos = np.array([(x, y, 0.0) for _, x, y in placed],
-                        dtype=float).reshape(-1, 3)
+    n_cells, n_users = len(starts), len(premium)
     return WorldState(
         time=0.0, tick=0,
         uav_pos=np.column_stack([starts, np.full(n_cells, float(config.H))]),
         uav_vel=np.zeros((n_cells, 3)), alive=np.ones(n_cells, dtype=bool),
         channel=np.full(n_cells, L0), last_switch=np.zeros(n_cells),
-        user_pos=user_pos,
-        premium=np.array([k == PREMIUM for k, _, _ in placed], dtype=bool),
-        target=np.array([TARGET_RATE[k] for k, _, _ in placed], dtype=float),
-        serving=np.full(len(placed), -1), rate=np.zeros(len(placed)),
+        user_pos=user_pos, premium=premium,
+        target=np.where(premium, TARGET_RATE[PREMIUM], TARGET_RATE[REGULAR]),
+        serving=np.full(n_users, -1), rate=np.zeros(n_users),
         # users never move, so the flocking goal's centroid is taken once
-        user_centroid=user_pos.mean(axis=0) if len(placed) else np.zeros(3),
+        user_centroid=user_pos.mean(axis=0) if n_users else np.zeros(3),
         failure_rng=np.random.default_rng(np.random.SeedSequence([seed, 2])))
 
 
@@ -282,12 +287,16 @@ def tick_geometry(world: WorldState, r: float):
     first and each one after some cell has moved more than _SKIN since the
     last build, covers every user and takes the next set from its pairs
     within r + _SKIN, or every user when the set would leave out fewer
-    than _NARROW_LINKS links.  The distances hold until the next
-    tick_geometry on that world, the elevations until update_rates writes
-    the power field over them.  Code that keeps two geometries calls
-    radio.geometry."""
+    than _NARROW_LINKS links; a set of every user is never taken again.
+    The distances hold until the next tick_geometry on that world, the
+    elevations until update_rates writes the power field over them.  Code
+    that keeps two geometries calls radio.geometry."""
     ws = _workspace(world)
     n_cells, n_users = ws.buffers.dist.shape
+    if ws.anchor is not None and ws.near is None:
+        # every pair within r is among every user's, wherever cells move
+        return geometry_in_range(world.uav_pos, world.user_pos, r,
+                                 out=ws.buffers)
     if ws.anchor is None or not _stayed_near(world.uav_pos, ws.anchor):
         # a margin no rounding crosses, as _cell_pairs' prefilter takes
         geom, (flat, cell, user) = geometry_in_range(
@@ -306,9 +315,6 @@ def tick_geometry(world: WorldState, r: float):
             ws.column[near] = np.arange(len(near))
         keep = geom.dist.take(flat) <= r
         return geom, (flat[keep], cell[keep], user[keep])
-    if ws.near is None:
-        return geometry_in_range(world.uav_pos, world.user_pos, r,
-                                 out=ws.buffers)
     shape = (n_cells, len(ws.near))
     geom, (_, cell, col) = geometry_in_range(
         world.uav_pos, ws.near_pos, r,
@@ -414,11 +420,12 @@ def _sinr(signal, total, noise_mw: float):
 
 def _apply_rates(world: WorldState, powers: np.ndarray, chan_power: np.ndarray,
                  radio: RadioParams) -> None:
-    rate = world.rate
+    rate, width = world.rate, powers.shape[1]
     served = np.flatnonzero(world.serving >= 0)
-    cells = world.serving[served]
+    cells = world.serving.take(served)
     cols = _columns(world, powers, served)
-    sinr = _sinr(powers[cells, cols], chan_power[world.channel[cells], cols],
+    sinr = _sinr(powers.take(cells * width + cols),
+                 chan_power.take(world.channel.take(cells) * width + cols),
                  float(dbm_to_mw(radio.noise)))
     rate.fill(0.0)
     rate[served] = data_rate(sinr, radio.bandwidth)
@@ -436,7 +443,8 @@ def update_rates(world: WorldState, radio: RadioParams, gains: ControlGains,
     association, each in the geometry's columns.
     """
     powers = received_power_field(geom, radio, out=geom.elev)
-    powers[~world.alive] = 0.0
+    if not world.alive.all():
+        powers[~world.alive] = 0.0
     chan_power = np.zeros((radio.num_channels, powers.shape[1]))
     cells = np.flatnonzero(world.alive)
     channels = world.channel[cells]
@@ -556,14 +564,19 @@ def advance(world: WorldState, controls: np.ndarray, gains: ControlGains,
             height: float) -> None:
     """Semi-implicit Euler step with speed clamp and fixed flight height;
     dead cells are not touched.  Each speed is the root of a stacked-matmul
-    dot product, which has np.linalg.norm's bits; einsum's does not."""
-    live = np.flatnonzero(world.alive)
-    vel = world.uav_vel[live] + controls[live] * gains.dt
+    dot product, which has np.linalg.norm's bits; einsum's does not.  With
+    every cell alive the step reads and writes whole arrays."""
+    every = world.alive.all()
+    live = slice(None) if every else np.flatnonzero(world.alive)
+    vel, pos, ctrl = (a if every else a.take(live, axis=0)
+                      for a in (world.uav_vel, world.uav_pos, controls))
+    vel = vel + ctrl * gains.dt
     vel[:, 2] = 0.0
     speed = np.sqrt(np.matmul(vel[:, None, :], vel[:, :, None]))[:, 0, 0]
     over = speed > gains.v_max
-    vel[over] *= (gains.v_max / speed[over])[:, None]
-    pos = world.uav_pos[live] + vel * gains.dt
+    if over.any():
+        vel[over] *= (gains.v_max / speed[over])[:, None]
+    pos = pos + vel * gains.dt
     pos[:, 2] = height
     world.uav_vel[live] = vel
     world.uav_pos[live] = pos
@@ -583,43 +596,57 @@ def _raise_first(checks) -> None:
 
 def _check_invariants(world: WorldState, config: ScenarioConfig,
                       geom: Geometry) -> None:
+    """Raise for the first breach, as _raise_first orders each group's
+    checks.  A group passes on whole-array reductions and builds its masks
+    and messages only when one of them fails."""
     pos, vel, alive, channel = (world.uav_pos, world.uav_vel, world.alive,
                                 world.channel)
     serving, rate = world.serving, world.rate
-    _raise_first([((serving < -1) | (serving >= len(alive)),
-                   lambda m: f"user {m} served by unknown UAV {serving[m]}")])
+    if serving.min(initial=-1) < -1 or serving.max(initial=-1) >= len(alive):
+        _raise_first([((serving < -1) | (serving >= len(alive)),
+                       lambda m: f"user {m} served by unknown UAV {serving[m]}")])
     loads = _loads(world)
-    _raise_first([
-        (loads > config.gains.n_max, lambda n: f"UAV {n} over capacity: {loads[n]}"),
-        (~np.isfinite(pos).all(axis=1), lambda n: f"UAV {n} position not finite"),
-        (alive & (pos[:, 2] != config.H), lambda n: f"UAV {n} off the flight plane"),
-        (alive & (vel[:, 2] != 0.0), lambda n: f"UAV {n} has vertical velocity"),
-        ((channel < 0) | (channel >= config.radio.num_channels),
-         lambda n: f"UAV {n} on invalid channel {channel[n]}"),
-        (~np.isfinite(vel).all(axis=1), lambda n: f"UAV {n} velocity not finite")])
+    if (loads.max(initial=0) > config.gains.n_max
+            or not np.isfinite(pos).all() or (pos[:, 2] != config.H).any()
+            or vel[:, 2].any() or channel.min(initial=0) < 0
+            or channel.max(initial=0) >= config.radio.num_channels
+            or not np.isfinite(vel).all()):
+        _raise_first([
+            (loads > config.gains.n_max, lambda n: f"UAV {n} over capacity: {loads[n]}"),
+            (~np.isfinite(pos).all(axis=1), lambda n: f"UAV {n} position not finite"),
+            (alive & (pos[:, 2] != config.H), lambda n: f"UAV {n} off the flight plane"),
+            (alive & (vel[:, 2] != 0.0), lambda n: f"UAV {n} has vertical velocity"),
+            ((channel < 0) | (channel >= config.radio.num_channels),
+             lambda n: f"UAV {n} on invalid channel {channel[n]}"),
+            (~np.isfinite(vel).all(axis=1), lambda n: f"UAV {n} velocity not finite")])
     served = np.flatnonzero(serving >= 0)
-    cells = serving[served]
+    cells = serving.take(served)
     # the distances association read, so a user it found in range at
-    # exactly r passes here too
+    # exactly r passes here too; on a tick over the near set a user
+    # outside it has the field's width as its column and is beyond r
     dist, r = geom.dist, config.gains.r
-    if dist.shape[1] == len(serving):
-        far = dist[cells, served] > r
-    else:
-        # a tick over the near set: a user outside it is beyond r
-        cols = world.workspace.column[served]
-        far = cols == dist.shape[1]
+    width = dist.shape[1]
+    cols = _columns(world, dist, served)
+    if not (alive.take(cells).all()
+            and (width == len(serving) or (cols < width).all())
+            and not (dist.take(cells * width + cols) > r).any()
+            and (world.premium.take(served)
+                 | (channel.take(cells) == L0)).all()):
+        far = cols == width
         near = ~far
         far[near] = dist[cells[near], cols[near]] > r
-    _raise_first([
-        (~alive[cells], lambda i: f"user {served[i]} served by dead UAV {cells[i]}"),
-        (far, lambda i: f"user {served[i]} served out of range"),
-        (~world.premium[served] & (channel[cells] != L0),
-         lambda i: f"regular user {served[i]} served off the default channel")])
-    _raise_first([
-        (~np.isfinite(rate) | (rate < 0.0),
-         lambda m: f"user {m} has invalid rate {rate[m]}"),
-        ((serving < 0) & (rate != 0.0),
-         lambda m: f"unserved user {m} has rate {rate[m]}")])
+        _raise_first([
+            (~alive[cells], lambda i: f"user {served[i]} served by dead UAV {cells[i]}"),
+            (far, lambda i: f"user {served[i]} served out of range"),
+            (~world.premium[served] & (channel[cells] != L0),
+             lambda i: f"regular user {served[i]} served off the default channel")])
+    if not 0.0 <= rate.min(initial=0.0) or not rate.max(initial=0.0) < np.inf \
+            or rate.any(where=serving < 0):
+        _raise_first([
+            (~np.isfinite(rate) | (rate < 0.0),
+             lambda m: f"user {m} has invalid rate {rate[m]}"),
+            ((serving < 0) & (rate != 0.0),
+             lambda m: f"unserved user {m} has rate {rate[m]}")])
 
 
 def _record_min_distance(world: WorldState, gains: ControlGains,

@@ -172,7 +172,8 @@ def _cell_pairs(positions: np.ndarray, alive: np.ndarray, p: ControlGains):
     near &= alive
     near.reshape(-1)[::len(x) + 1] = False      # the diagonal
     flat, i, j = _pair_indices(near)
-    grads, dist = _sigma_grads(positions[j] - positions[i], p.eps)
+    grads, dist = _sigma_grads(
+        positions.take(j, axis=0) - positions.take(i, axis=0), p.eps)
     keep = dist <= p.r
     if not keep.all():
         flat, i, j, grads, dist = (flat[keep], i[keep], j[keep], grads[keep],
@@ -219,7 +220,8 @@ def g_term(positions: np.ndarray, velocities: np.ndarray, alive: np.ndarray,
     """
     flat, i, j, _, _, _, window = pairs or _cell_pairs(positions, alive, p)
     n = len(positions)
-    return _pair_sums((n, n), flat, window, velocities[j] - velocities[i])
+    return _pair_sums((n, n), flat, window, velocities.take(j, axis=0)
+                      - velocities.take(i, axis=0))
 
 
 def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
@@ -241,14 +243,15 @@ def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
     tick geometry's (cells, users) distances.
     """
     flat, cell, user = links or _pair_indices(dist <= p.r)
-    rel = user_pos[user] - positions[cell]
+    rel = user_pos.take(user, axis=0) - positions.take(cell, axis=0)
     grads = _sigma_grads(rel, p.eps, out=rel)[0]
     gain = np.where(premium, p.c2_prem, p.c2_reg)
     gate = bump(rates / (p.beta * targets), 0.0)
     pull = gain * gate * phi_sigmoid((targets - rates) / 1e6, p)
     # repulsion runs along the negated sigma-gradient of rel
     push = -p.c1 * (np.maximum(targets - rates, 0.0) / targets)
-    weight = np.where(serving[user] == cell, pull[user], push[user])
+    weight = np.where(serving.take(user) == cell, pull.take(user),
+                      push.take(user))
     return _pair_sums((len(positions), len(user_pos)), flat, weight, grads)
 
 
@@ -290,6 +293,8 @@ def control_input(positions: np.ndarray, velocities: np.ndarray,
     u[:, 2] = 0.0
     norm = np.sqrt(np.einsum("ij,ij->i", u, u))
     over = norm > p.u_max
-    u[over] *= (p.u_max / norm[over])[:, None]
-    u[~alive] = 0.0
+    if over.any():
+        u[over] *= (p.u_max / norm[over])[:, None]
+    if not alive.all():
+        u[~alive] = 0.0
     return u

@@ -274,6 +274,20 @@ def oracle_advance(positions, velocities, alive, controls, gains, height):
     return positions, velocities
 
 
+def oracle_clamp_controls(u, alive, u_max):
+    """control_input's last steps on the summed terms ``u`` in their mask
+    form: z zeroed, the rows over u_max scaled by a fancy-indexed factor and
+    the dead rows zeroed, each mask applied whatever it selects; returns a
+    new array."""
+    u = u.copy()
+    u[:, 2] = 0.0
+    norm = np.sqrt(np.einsum("ij,ij->i", u, u))
+    over = norm > u_max
+    u[over] *= (u_max / norm[over])[:, None]
+    u[~alive] = 0.0
+    return u
+
+
 def oracle_metrics(time, premium, serving, rate, target, active_channels):
     """The tick metrics one user at a time: counts are generators and sums
     are left_sum over Python floats, in user order."""

@@ -56,18 +56,19 @@ def _region_config(seed=5):
 class TestResolveUsers:
     def test_deterministic_and_in_bounds(self):
         cfg = _region_config()
-        a = resolve_user_positions(cfg)
-        b = resolve_user_positions(cfg)
-        assert a == b
-        assert len(a) == 21
-        assert a[0] == ("premium", -40.0, 0.0)
-        for klass, x, y in a[1:]:
-            assert klass == "regular"
-            assert 0.0 <= x <= 200.0 and 0.0 <= y <= 100.0
+        premium, pos = resolve_user_positions(cfg)
+        again = resolve_user_positions(cfg)
+        assert premium.tobytes() == again[0].tobytes()
+        assert pos.tobytes() == again[1].tobytes()
+        assert premium.shape == (21,) and pos.shape == (21, 3)
+        assert premium.tolist() == [True] + [False] * 20
+        assert pos[0].tolist() == [-40.0, 0.0, 0.0]
+        for x, y, z in pos[1:].tolist():
+            assert 0.0 <= x <= 200.0 and 0.0 <= y <= 100.0 and z == 0.0
 
     def test_seed_changes_draw(self):
-        assert resolve_user_positions(_region_config(seed=5)) != \
-            resolve_user_positions(_region_config(seed=6))
+        assert resolve_user_positions(_region_config(seed=5))[1].tobytes() \
+            != resolve_user_positions(_region_config(seed=6))[1].tobytes()
 
 
 class TestMakeWorld:
@@ -216,12 +217,78 @@ class TestAssociation:
         assert world.serving[0] == -1
 
 
+# (breach of a served world, message), for TestInvariants
+BREACHES = [
+    (lambda w: w.alive.__setitem__(0, False), "served by dead UAV"),
+    (lambda w: w.uav_pos.__setitem__((0, 0), -1e-9),
+     "served out of range"),
+    (lambda w: w.channel.__setitem__(0, 3), "off the default channel"),
+    (lambda w: w.uav_pos.__setitem__((1, 1), np.nan),
+     "UAV 1 position not finite"),
+    (lambda w: w.serving.__setitem__(slice(1, None), 1),
+     "UAV 1 over capacity"),
+    (lambda w: w.uav_vel.__setitem__((1, 0), np.nan),
+     "UAV 1 velocity not finite"),
+    (lambda w: w.rate.__setitem__(0, np.nan), "user 0 has invalid rate nan"),
+    (lambda w: w.rate.__setitem__(0, -1.0), "user 0 has invalid rate -1"),
+    (lambda w: w.rate.__setitem__(0, np.inf), "user 0 has invalid rate inf"),
+    (lambda w: w.rate.__setitem__(81, 5e6), "unserved user 81 has rate"),
+    (lambda w: w.serving.__setitem__(0, 2), "user 0 served by unknown UAV 2"),
+    (lambda w: w.serving.__setitem__(0, -2),
+     "user 0 served by unknown UAV -2"),
+    (lambda w: w.uav_pos.__setitem__((1, 2), 200.0),
+     "UAV 1 off the flight plane"),
+    (lambda w: w.uav_vel.__setitem__((1, 2), -0.5),
+     "UAV 1 has vertical velocity"),
+    (lambda w: w.channel.__setitem__(1, 8), "UAV 1 on invalid channel 8"),
+    (lambda w: w.channel.__setitem__(1, -1), "UAV 1 on invalid channel -1"),
+    (lambda w: w.serving.__setitem__(82, 1), "user 82 served out of range"),
+]
+
+
+def _breach(*changes):
+    """One breach made of several (array name, index, value) writes."""
+    def apply(world):
+        for name, index, value in changes:
+            getattr(world, name)[index] = value
+    return apply
+
+
+# Two breaches at once: the lowest index wins within a group, the first
+# check's message at that index, and an earlier group over a later one
+FIRST_BREACHES = [
+    (_breach(("uav_vel", (0, 0), np.inf), ("uav_pos", (1, 2), 170.0)),
+     "UAV 0 velocity not finite"),
+    (_breach(("channel", 0, 9), ("uav_vel", (0, 2), 1.0)),
+     "UAV 0 has vertical velocity"),
+    (_breach(("serving", 81, 7), ("uav_vel", (0, 0), np.nan)),
+     "user 81 served by unknown UAV 7"),
+    (_breach(("rate", 0, -1.0), ("serving", 5, 1)),
+     "user 5 served out of range"),
+    (_breach(("serving", 5, 1), ("alive", 1, False)),
+     "user 5 served by dead UAV 1"),
+    (_breach(("rate", 82, 1.0), ("rate", 81, np.nan)),
+     "user 81 has invalid rate nan"),
+    (_breach(("channel", 0, 2), ("serving", 82, 1)),
+     "regular user 0 served off the default channel"),
+]
+
+
 class TestInvariants:
-    def _served_world(self):
+    """The invariant check on a served world, on full-width ticks and on
+    ticks over the near set, which leaves out user 82."""
+
+    def _served_world(self, monkeypatch=None):
         # 82 users at one spot: cell 0 serves its capacity of 80 of them,
-        # cell 1 is out of everyone's range, and users 80 and 81 go unserved
+        # cell 1 is out of everyone's range, and users 80 and 81 go
+        # unserved; user 82, 5 km away, is beyond every cell's reach.
+        # Given monkeypatch, the world's ticks after the first cover the
+        # near set, users 0-81.
+        if monkeypatch is not None:
+            monkeypatch.setattr(engine, "_NARROW_LINKS", 0)
         cfg = ScenarioConfig(
-            users=[UserSpec(klass="regular", position=(240.0, 0.0))] * 82,
+            users=[UserSpec(klass="regular", position=(240.0, 0.0))] * 82
+            + [UserSpec(klass="regular", position=(5000.0, 0.0))],
             uav_count=2, uav_initial_positions=[(0.0, 0.0), (900.0, 0.0)],
             H=180.0)
         world = make_world(cfg)
@@ -230,34 +297,49 @@ class TestInvariants:
         assert world.serving[0] == 0    # slant range exactly r
         return world, cfg
 
+    def _check(self, world, cfg, near=False):
+        geom = tick_geometry(world, cfg.gains.r)[0]
+        # a position that is not finite rebuilds the near set
+        assert geom.dist.shape[1] == (
+            82 if near and np.isfinite(world.uav_pos).all() else 83)
+        _check_invariants(world, cfg, geom)
+
     def test_consistent_state_passes(self):
         world, cfg = self._served_world()
-        _check_invariants(world, cfg, tick_geometry(world, cfg.gains.r)[0])
+        self._check(world, cfg)
 
-    @pytest.mark.parametrize("breach, message", [
-        (lambda w: w.alive.__setitem__(0, False), "served by dead UAV"),
-        (lambda w: w.uav_pos.__setitem__((0, 0), -1e-9),
-         "served out of range"),
-        (lambda w: w.channel.__setitem__(0, 3), "off the default channel"),
-        (lambda w: w.uav_pos.__setitem__((1, 1), np.nan),
-         "UAV 1 position not finite"),
-        (lambda w: w.serving.__setitem__(slice(1, None), 1),
-         "UAV 1 over capacity"),
-        (lambda w: w.uav_vel.__setitem__((1, 0), np.nan),
-         "UAV 1 velocity not finite"),
-        (lambda w: w.rate.__setitem__(0, np.nan), "user 0 has invalid rate nan"),
-        (lambda w: w.rate.__setitem__(0, -1.0), "user 0 has invalid rate -1"),
-        (lambda w: w.rate.__setitem__(0, np.inf), "user 0 has invalid rate inf"),
-        (lambda w: w.rate.__setitem__(81, 5e6), "unserved user 81 has rate"),
-        (lambda w: w.serving.__setitem__(0, 2), "user 0 served by unknown UAV 2"),
-        (lambda w: w.serving.__setitem__(0, -2),
-         "user 0 served by unknown UAV -2"),
-    ])
+    def test_consistent_state_passes_on_a_near_set_tick(self, monkeypatch):
+        world, cfg = self._served_world(monkeypatch)
+        self._check(world, cfg, near=True)
+
+    def test_dead_cell_off_the_plane_passes(self, monkeypatch):
+        world, cfg = self._served_world(monkeypatch)
+        world.alive[1] = False
+        world.uav_pos[1, 2] = 170.0
+        self._check(world, cfg, near=True)
+
+    @pytest.mark.parametrize("breach, message", BREACHES)
     def test_each_breach_raises(self, breach, message):
         world, cfg = self._served_world()
         breach(world)
         with pytest.raises(RuntimeError, match=message):
-            _check_invariants(world, cfg, tick_geometry(world, cfg.gains.r)[0])
+            self._check(world, cfg)
+
+    @pytest.mark.parametrize("breach, message", BREACHES)
+    def test_each_breach_raises_on_a_near_set_tick(self, monkeypatch, breach,
+                                                   message):
+        world, cfg = self._served_world(monkeypatch)
+        breach(world)
+        with pytest.raises(RuntimeError, match=message):
+            self._check(world, cfg, near=True)
+
+    @pytest.mark.parametrize("near", [False, True])
+    @pytest.mark.parametrize("breach, message", FIRST_BREACHES)
+    def test_first_breach_wins(self, monkeypatch, breach, message, near):
+        world, cfg = self._served_world(monkeypatch if near else None)
+        breach(world)
+        with pytest.raises(RuntimeError, match=f"^{message}"):
+            self._check(world, cfg, near)
 
 
 def _switch_world(num_channels=8, extra_uav=None, regular_too=True,

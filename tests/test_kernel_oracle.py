@@ -20,6 +20,7 @@ from kernel_oracle import (
     oracle_associate,
     oracle_bump,
     oracle_cell_pairs,
+    oracle_clamp_controls,
     oracle_f_term,
     oracle_f_term_dense,
     oracle_flocking_goal_term,
@@ -33,6 +34,7 @@ from uavswarm.engine import advance, associate_users, tick_geometry
 from uavswarm.kernels import (
     _cell_pairs,
     bump,
+    control_input,
     f_term,
     flocking_goal_term,
     g_term,
@@ -40,6 +42,7 @@ from uavswarm.kernels import (
 )
 from uavswarm.model import (
     PREMIUM,
+    QOS_MODE,
     REGULAR,
     TARGET_RATE,
     ControlGains,
@@ -423,3 +426,56 @@ def test_advance_matches_per_cell_loop_bits(seed):
     assert world.uav_vel[dead].tobytes() == before[1][dead].tobytes()
     speeds = np.linalg.norm(world.uav_vel[world.alive], axis=1)
     assert (speeds > GAINS.v_max * (1 - 1e-12)).mean() > 0.5
+
+
+@pytest.mark.parametrize("dead", [0, 3, 8])
+@pytest.mark.parametrize("scale", [0.0, 0.1, 10.0])
+def test_advance_with_masks_that_select_nothing_matches_loop_bits(dead,
+                                                                  scale):
+    # every cell alive (whole arrays), some dead or all dead, against rows
+    # at rest, all under v_max or all over it but cell 7, which stays at
+    # rest: a speed of 0 must not be divided by
+    rng = np.random.default_rng(dead)
+    world = world_of([(0.0, 0.0)] * 8, [], H=HEIGHT)
+    world.uav_pos[:] = rng.uniform(-2e3, 2e3, (8, 3))
+    world.uav_vel[:] = rng.normal(scale=scale * GAINS.v_max, size=(8, 3))
+    world.alive[:dead] = False
+    controls = rng.normal(scale=scale * GAINS.u_max, size=(8, 3))
+    world.uav_vel[7] = controls[7] = 0.0
+    before = world.uav_pos.copy(), world.uav_vel.copy()
+    want = oracle_advance(*before, world.alive, controls, GAINS, HEIGHT)
+    advance(world, controls, GAINS, HEIGHT)
+    assert world.uav_pos.tobytes() == want[0].tobytes()
+    assert world.uav_vel.tobytes() == want[1].tobytes()
+    if dead < 8:
+        speeds = np.linalg.norm(world.uav_vel[world.alive], axis=1)
+        assert speeds[-1] == 0.0
+        assert (speeds[:-1] > GAINS.v_max * (1 - 1e-12)).all() == (scale > 1)
+        assert (speeds[:-1] < GAINS.v_max).all() == (scale < 1)
+
+
+@pytest.mark.parametrize("dead", [0, 2, 6])
+@pytest.mark.parametrize("u_max", [1e-3, 1.0, 1e9])
+def test_control_clamp_matches_mask_form_bits(dead, u_max):
+    # every cell alive, some dead or all dead, against every row, some
+    # rows or no row over u_max; cell 5, far from every cell and user, has
+    # a zero row, which must not be divided by
+    rng = np.random.default_rng(dead)
+    positions, _, loads, velocities = _cells(rng, 6)
+    positions[5] += (1e5, 0.0, 0.0)
+    alive = np.arange(6) >= dead
+    served, user_pos, *rest = _users(rng, 40, positions[0])
+    serving = _serving(rng, positions, user_pos, served)
+    dist = geometry(positions, user_pos).dist
+    gains = ControlGains(u_max=u_max)
+    pairs = _cell_pairs(positions, alive, gains)
+    summed = f_term(positions, loads, alive, gains, pairs=pairs) + \
+        g_term(positions, velocities, alive, gains, pairs=pairs) + \
+        h_term(positions, serving, user_pos, dist, *rest, gains)
+    got = control_input(positions, velocities, loads, alive, serving,
+                        user_pos, dist, *rest, gains, QOS_MODE, pairs=pairs)
+    assert got.tobytes() == oracle_clamp_controls(summed, alive,
+                                                  u_max).tobytes()
+    norms = np.linalg.norm(summed[:, :2], axis=1)
+    assert norms[5] == 0.0 and norms[:5].min() > 1e-3
+    assert (norms[:5].max() > u_max) == (u_max < 1e9)

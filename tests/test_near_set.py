@@ -270,3 +270,20 @@ def test_set_leaving_out_fewer_links_than_the_line_is_every_user(
     widths = [engine.tick_geometry(world, ControlGains().r)[0].dist.shape[1]
               for _ in range(3)]
     assert widths == [3, width, width]
+
+
+def test_set_of_every_user_is_never_taken_again(monkeypatch):
+    # below the line _far_world's set is every user; a move past the skin,
+    # which brings user 2 within r of cell 0, takes no new set and runs no
+    # displacement check
+    monkeypatch.setattr(engine, "_NARROW_LINKS", 3)
+    world = _far_world()
+    r = ControlGains().r
+    engine.tick_geometry(world, r)
+    anchor = world.workspace.anchor.copy()
+    monkeypatch.setattr(engine, "_stayed_near", None)
+    world.uav_pos[0, :2] = (1950.0, 0.0)
+    geom, (_, cell, user) = engine.tick_geometry(world, r)
+    assert geom.dist.shape[1] == 3 and world.workspace.near is None
+    _same(world.workspace.anchor, anchor)
+    assert (0, 2) in zip(cell.tolist(), user.tolist())

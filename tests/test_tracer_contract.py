@@ -31,23 +31,24 @@ def _links_per_tick(result):
     each tick on which some cell is more than engine._SKIN from where it
     was at the last such tick, else the users within (r + _SKIN) * (1 +
     1e-9) of some cell there, dead cells included, or every user when
-    those leave out fewer than engine._NARROW_LINKS links."""
+    those leave out fewer than engine._NARROW_LINKS links; once that is
+    every user, every later tick covers every user too."""
     world, r = result.world, result.config.gains.r
     cells, users = len(world.alive), len(world.serving)
     positions: dict[float, list] = {}
     for time, _, *xyz in (row[:5] for row in result.trace):
         positions.setdefault(time, []).append(xyz)
-    links, anchor = [], None
+    links, anchor, every = [], None, False
     for pos in map(np.array, positions.values()):
-        if anchor is None or (np.linalg.norm(pos - anchor, axis=1)
-                              > engine._SKIN).any():
+        if not every and (anchor is None or (
+                np.linalg.norm(pos - anchor, axis=1) > engine._SKIN).any()):
             anchor = pos
             dist = np.linalg.norm(pos[:, None, :] - world.user_pos[None],
                                   axis=2)
             near = np.count_nonzero(
                 (dist <= (r + engine._SKIN) * (1.0 + 1e-9)).any(axis=0))
             if cells * (users - near) < engine._NARROW_LINKS:
-                near = users
+                near, every = users, True
             links.append(cells * users)
         else:
             links.append(cells * near)
