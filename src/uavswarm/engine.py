@@ -653,7 +653,7 @@ def _record_min_distance(world: WorldState, gains: ControlGains,
                          pairs) -> None:
     """Log each alive pair i < j closer than d < r off the tick's cell
     pairs, whose row-major order is that of a nested loop."""
-    _, i, j, _, dist, _, _ = pairs
+    i, j, _, dist, _, _ = pairs
     close = np.flatnonzero(world.alive[i] & (i < j) & (dist < gains.d))
     world.min_distance_violations.extend(
         (world.time, *pair) for pair in zip(

@@ -30,16 +30,14 @@ pairs whose user is within r of the cell, which the engine also builds
 once per tick and association reads too, and a pair is connected when the
 user's serving id, the one association record, names the cell:
 association serves a user only from a cell within r, so every connected
-pair is on the list.  A list is the flat indices of its pairs in the (cells,
-cells) or (cells, users) grid, in row-major order as np.flatnonzero of a
-mask gives them, with rows and columns by divmod by the row width.  Each term computes its sigma-gradients (g: velocity
-differences) and weights for the listed pairs only, as (pairs, 3) rows,
-scatters them into zero-filled (rows, cols) weights and (rows, cols, 3)
-vectors, and sums each row with one batched matmul.  That matmul sees the
-shapes and the nonzero products it would see over every pair, and a zero
-product leaves each partial sum as it was, so the rows keep the bits of
-the every-pair form.  They sum in BLAS order rather than neighbor order
-and agree with a per-neighbor loop to rounding, within 1e-12 relative.
+pair is on the list.  Both lists are row-major, as np.flatnonzero of a
+(cells, cells) or (cells, users) mask gives them.  Each term computes its
+sigma-gradients (g: velocity differences) and weights for the listed pairs
+only, as (pairs, 3) rows, and sums each cell's products with one
+np.bincount per component over the pairs' rows (_pair_sums).  That adds
+weight * vector into the cell's row from +0.0, one pair at a time in list
+order, so every row has the bits of a literal per-pair loop on any CPU,
+and a row with no pair, or with only -0.0 products, reads +0.0.
 The sigma-norm's sum of squares stays an einsum over (..., 3) rows: any
 other order moves the fig5 goldens.  bump takes its cosine taper over the
 whole input and picks taper or 0 with one select, with the bits of
@@ -125,12 +123,6 @@ def _sigma_grads(rel: np.ndarray, eps: float,
             np.sqrt(sq))
 
 
-def _row_sums(weight: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """sum_j weight[i, j] * vectors[i, j] for each i: (n, k) weights with
-    (n, k, 3) vectors give (n, 3) rows, as one batched matmul."""
-    return np.matmul(weight[:, None, :], vectors)[:, 0, :]
-
-
 def _pair_indices(mask: np.ndarray):
     """The True entries of a 2-D mask in row-major order, as flat indices,
     rows and columns."""
@@ -138,24 +130,23 @@ def _pair_indices(mask: np.ndarray):
     return (flat, *divmod(flat, mask.shape[1]))
 
 
-def _pair_sums(shape: tuple[int, int], flat: np.ndarray, weight: np.ndarray,
+def _pair_sums(n: int, rows: np.ndarray, weight: np.ndarray,
                vectors: np.ndarray) -> np.ndarray:
-    """_row_sums of a (rows, cols) grid of weights and (rows, cols, 3)
-    vectors that are zero except at the flat indices ``flat``, where they
-    hold ``weight`` and the (n, 3) rows of ``vectors``."""
-    dense_w = np.zeros(shape)
-    dense_w.reshape(-1)[flat] = weight
-    dense_v = np.zeros(shape + (3,))
-    dense_v.reshape(-1, 3)[flat] = vectors
-    return _row_sums(dense_w, dense_v)
+    """sum of weight * vectors over the pairs of each row, as (n, 3) rows:
+    each pair's product is added to its row from +0.0 in list order."""
+    out = np.empty((n, 3))
+    for k in range(3):
+        out[:, k] = np.bincount(rows, weights=weight * vectors[:, k],
+                                minlength=n)
+    return out
 
 
 def _cell_pairs(positions: np.ndarray, alive: np.ndarray, p: ControlGains):
     """The pairs (i, j) of a cell i and an alive cell j other than i within
-    r of it, as flat indices into (cells, cells), rows i and columns j,
-    with each pair's sigma-gradient toward j as (pairs, 3) rows, its
-    distance, its sigma-norm and its window bump(sigma-norm / r_sig, 0.2),
-    which f reads in the pair potential and g as its consensus weight.
+    r of it, in row-major order, as rows i and columns j, with each pair's
+    sigma-gradient toward j as (pairs, 3) rows, its distance, its
+    sigma-norm and its window bump(sigma-norm / r_sig, 0.2), which f reads
+    in the pair potential and g as its consensus weight.
 
     The candidates are the pairs whose horizontal squared distance is
     within r and a margin no rounding crosses; only their offsets are
@@ -171,15 +162,14 @@ def _cell_pairs(positions: np.ndarray, alive: np.ndarray, p: ControlGains):
     near = sq <= (p.r * (1.0 + 1e-9)) ** 2
     near &= alive
     near.reshape(-1)[::len(x) + 1] = False      # the diagonal
-    flat, i, j = _pair_indices(near)
+    _, i, j = _pair_indices(near)
     grads, dist = _sigma_grads(
         positions.take(j, axis=0) - positions.take(i, axis=0), p.eps)
     keep = dist <= p.r
     if not keep.all():
-        flat, i, j, grads, dist = (flat[keep], i[keep], j[keep], grads[keep],
-                                   dist[keep])
+        i, j, grads, dist = i[keep], j[keep], grads[keep], dist[keep]
     sig = sigma_norm_scalar(dist, p.eps)
-    return flat, i, j, grads, dist, sig, bump(sig / p.r_sig, 0.2)
+    return i, j, grads, dist, sig, bump(sig / p.r_sig, 0.2)
 
 
 def f_term(positions: np.ndarray, loads: np.ndarray, alive: np.ndarray,
@@ -195,8 +185,8 @@ def f_term(positions: np.ndarray, loads: np.ndarray, alive: np.ndarray,
     exert nothing.  ``pairs``, when given, is _cell_pairs(positions, alive,
     p), shared with g_term and left unchanged.
     """
-    flat, _, j, grads, dist, sig, window = pairs or _cell_pairs(
-        positions, alive, p)
+    i, j, grads, dist, sig, window = pairs or _cell_pairs(positions, alive,
+                                                          p)
     potential = _pair_potential(sig, window, p)
     if (loads > p.n_max).any():
         overload = np.maximum(loads - p.n_max, 0)
@@ -205,8 +195,8 @@ def f_term(positions: np.ndarray, loads: np.ndarray, alive: np.ndarray,
         weight = potential + crowd[j]
     else:
         weight = potential + 0.0    # a zero penalty's bits: -0.0 is +0.0
-    n = len(positions)
-    return _pair_sums((n, n), flat, np.where(dist > 0.0, weight, 0.0), grads)
+    return _pair_sums(len(positions), i, np.where(dist > 0.0, weight, 0.0),
+                      grads)
 
 
 def g_term(positions: np.ndarray, velocities: np.ndarray, alive: np.ndarray,
@@ -218,9 +208,8 @@ def g_term(positions: np.ndarray, velocities: np.ndarray, alive: np.ndarray,
     bump(sigma-norm / r_sig, 0.2).  Coincident neighbors count, with full
     weight.  ``pairs`` is as in f_term.
     """
-    flat, i, j, _, _, _, window = pairs or _cell_pairs(positions, alive, p)
-    n = len(positions)
-    return _pair_sums((n, n), flat, window, velocities.take(j, axis=0)
+    i, j, _, _, _, window = pairs or _cell_pairs(positions, alive, p)
+    return _pair_sums(len(positions), i, window, velocities.take(j, axis=0)
                       - velocities.take(i, axis=0))
 
 
@@ -242,7 +231,7 @@ def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
     unchanged.  Without it, it is _pair_indices(dist <= p.r) of `dist`, the
     tick geometry's (cells, users) distances.
     """
-    flat, cell, user = links or _pair_indices(dist <= p.r)
+    _, cell, user = links or _pair_indices(dist <= p.r)
     rel = user_pos.take(user, axis=0) - positions.take(cell, axis=0)
     grads = _sigma_grads(rel, p.eps, out=rel)[0]
     gain = np.where(premium, p.c2_prem, p.c2_reg)
@@ -252,7 +241,7 @@ def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
     push = -p.c1 * (np.maximum(targets - rates, 0.0) / targets)
     weight = np.where(serving.take(user) == cell, pull.take(user),
                       push.take(user))
-    return _pair_sums((len(positions), len(user_pos)), flat, weight, grads)
+    return _pair_sums(len(positions), cell, weight, grads)
 
 
 def flocking_goal_term(positions: np.ndarray, user_pos: np.ndarray,

@@ -13,10 +13,13 @@ the rewrite did not touch them.  The bump keeps its mask form here
 the bump as one select.  The vector sigma-norm and its gradient, one vector
 at a time, live here: the package only takes batched sigma-gradients.
 
-The dense forms of f, g and h keep the package's arithmetic over every
-cell pair and cell-user pair and zero the pairs that do not interact with
-np.where weights.  The package computes only the interacting pairs, so the
-two must agree bit for bit.
+The pair-loop forms of f, g and h take every cell pair's and cell-user
+pair's weight and vector with the package's arithmetic, as dense (cells,
+cells[, 3]) and (cells, users[, 3]) arrays, select the pairs that interact
+with a mask, and add each selected pair's product into its cell's row one
+pair at a time, in row-major order, from +0.0 (pair_loop).  The package
+computes only the interacting pairs and sums each row with bincount, so the
+two must agree bit for bit, on any CPU.
 """
 
 from collections import deque
@@ -150,41 +153,52 @@ def oracle_cell_pairs(positions, alive, p):
     sq = np.einsum("...k,...k->...", pair_rel, pair_rel)
     dist = np.sqrt(sq)
     sig = sigma_norm_scalar(dist, p.eps)
-    return (flat, *divmod(flat, len(positions)),
+    return (*divmod(flat, len(positions)),
             pair_rel / np.sqrt(1.0 + p.eps * sq)[..., None], dist, sig,
             oracle_bump(sig / p.r_sig, 0.2))
 
 
-def oracle_f_term_dense(positions, loads, alive, p):
-    """f_term for every cell over every ordered cell pair: gradients of all
-    (cells, cells, 3) offsets and np.where weights that zero the pairs out
-    of range, dead, coincident or on the diagonal.  The package computes
-    only the pairs within range, so the two must agree bit for bit."""
+def pair_loop(mask, weight, vectors):
+    """sum_j weight[i, j] * vectors[i, j] over the True entries of the 2-D
+    ``mask`` for each row i, as (rows, 3): each pair's product is added to
+    its row component by component in Python floats, one pair at a time in
+    row-major order, from +0.0."""
+    rows = [[0.0, 0.0, 0.0] for _ in range(mask.shape[0])]
+    for i, j in zip(*np.nonzero(mask)):
+        w = float(weight[i, j])
+        for k, v in enumerate(vectors[i, j].tolist()):
+            rows[i][k] += w * v
+    return np.array(rows, dtype=float).reshape(-1, 3)
+
+
+def oracle_f_term_pair_loop(positions, loads, alive, p):
+    """f_term for every cell: the weights and gradients of every ordered
+    cell pair as (cells, cells[, 3]) arrays, summed by pair_loop over the
+    alive neighbors within r, a coincident one with weight 0."""
     grads, dist, near = _dense_cell_pairs(positions, alive, p)
     weight = oracle_pair_potential(sigma_norm_scalar(dist, p.eps), p) + \
         oracle_crowd(loads, p)
-    weight = np.where(near & (dist > 0.0), weight, 0.0)
-    return np.matmul(weight[:, None, :], grads)[:, 0, :]
+    return pair_loop(near, np.where(dist > 0.0, weight, 0.0), grads)
 
 
-def oracle_g_term_dense(positions, velocities, alive, p):
-    """g_term for every cell over every ordered cell pair, as in
-    oracle_f_term_dense."""
+def oracle_g_term_pair_loop(positions, velocities, alive, p):
+    """g_term for every cell, as in oracle_f_term_pair_loop: the windows
+    and velocity differences of every ordered cell pair, summed over the
+    alive neighbors within r."""
     _, dist, near = _dense_cell_pairs(positions, alive, p)
-    weight = np.where(near, oracle_bump(
-        sigma_norm_scalar(dist, p.eps) / p.r_sig, 0.2), 0.0)
-    return np.matmul(weight[:, None, :],
-                     velocities[None, :, :] - velocities[:, None, :])[:, 0, :]
+    weight = oracle_bump(sigma_norm_scalar(dist, p.eps) / p.r_sig, 0.2)
+    return pair_loop(near, weight,
+                     velocities[None, :, :] - velocities[:, None, :])
 
 
-def oracle_h_term_dense(positions, connected, user_pos, dist, rates, targets,
-                        premium, p):
-    """h_term for every cell over every cell-user pair: gradients of all
-    (cells, users, 3) offsets and np.where weights that zero the users
-    neither connected nor within r, the range read from ``dist`` as h_term
-    reads it.  The package computes only the in-range pairs and reads the
-    connected ones off serving ids, so given a ``connected`` matrix built
-    from ids of users within r, the two must agree bit for bit."""
+def oracle_h_term_pair_loop(positions, connected, user_pos, dist, rates,
+                            targets, premium, p):
+    """h_term for every cell: the weights and gradients of every cell-user
+    pair as (cells, users[, 3]) arrays, summed by pair_loop over the pairs
+    within r, the range read from ``dist`` as h_term reads it.  The package
+    reads the connected pairs off serving ids, so given a ``connected``
+    matrix built from ids of users within r, the two must agree bit for
+    bit."""
     rel = user_pos[None, :, :] - positions[:, None, :]
     sq = np.einsum("...k,...k->...", rel, rel)
     grads = rel / np.sqrt(1.0 + p.eps * sq)[..., None]
@@ -192,8 +206,7 @@ def oracle_h_term_dense(positions, connected, user_pos, dist, rates, targets,
     gate = oracle_bump(rates / (p.beta * targets), 0.0)
     pull = gain * gate * phi_sigmoid((targets - rates) / 1e6, p)
     push = -p.c1 * (np.maximum(targets - rates, 0.0) / targets)
-    weight = np.where(connected, pull, np.where(dist <= p.r, push, 0.0))
-    return np.matmul(weight[:, None, :], grads)[:, 0, :]
+    return pair_loop(dist <= p.r, np.where(connected, pull, push), grads)
 
 
 def oracle_flocking_goal_term(uav_pos, user_pos, p):

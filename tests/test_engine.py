@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kernel_oracle import oracle_f_term_dense
+from kernel_oracle import oracle_f_term_pair_loop
 from radio_oracle import oracle_sinr
 from uavswarm import engine, kernels
 from uavswarm.engine import (
@@ -575,8 +575,8 @@ class TestControlAll:
     def test_crowding_term_never_acts_in_a_run(self, monkeypatch):
         # association caps every load at n_max, so f's crowding penalty of
         # the load past n_max is +0.0 at every control pass: f with the
-        # world's loads has the bytes of f with no load, and of the dense
-        # form, which runs the crowding arithmetic whatever the loads
+        # world's loads has the bytes of f with no load, and of the pair
+        # loop, which runs the crowding arithmetic whatever the loads
         config = replace(load_scenario(SCENARIOS / "fig5_parade.yaml"),
                          duration=16.0)         # through the failure wave
         seen = []
@@ -587,7 +587,7 @@ class TestControlAll:
             idle = f_term(positions, np.zeros_like(loads), alive, p,
                           pairs=pairs)
             assert got.tobytes() == idle.tobytes()
-            assert got.tobytes() == oracle_f_term_dense(
+            assert got.tobytes() == oracle_f_term_pair_loop(
                 positions, loads, alive, p).tobytes()
             seen.append(int(loads.max()))
             return got

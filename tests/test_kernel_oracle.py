@@ -22,12 +22,12 @@ from kernel_oracle import (
     oracle_cell_pairs,
     oracle_clamp_controls,
     oracle_f_term,
-    oracle_f_term_dense,
+    oracle_f_term_pair_loop,
     oracle_flocking_goal_term,
     oracle_g_term,
-    oracle_g_term_dense,
+    oracle_g_term_pair_loop,
     oracle_h_term,
-    oracle_h_term_dense,
+    oracle_h_term_pair_loop,
     oracle_mean_rates,
 )
 from uavswarm.engine import advance, associate_users, tick_geometry
@@ -169,8 +169,8 @@ def test_cell_pairs_at_exactly_r_are_in_range():
     # level and across heights, from either end
     positions = np.array([(0.0, 0.0, 100.0), (240.0, 0.0, 280.0),
                           (180.0, 240.0, 100.0)])
-    _, i, j, _, dist, sig, window = _cell_pairs(positions, np.ones(3, bool),
-                                                GAINS)
+    i, j, _, dist, sig, window = _cell_pairs(positions, np.ones(3, bool),
+                                             GAINS)
     assert sorted(zip(i.tolist(), j.tolist())) == [
         (0, 1), (0, 2), (1, 0), (2, 0)]
     assert (dist == GAINS.r).all()
@@ -214,9 +214,10 @@ def test_cell_pairs_built_inside_or_passed_in_give_the_same_bytes():
 
 
 def test_spacing_and_consensus_keep_dense_form_bits():
-    # each world gets one more cell far from the rest, so some cell has no
-    # neighbor; across the worlds, dead cells, coincident alive pairs and
-    # alive pairs at exactly r must all occur
+    # every pair's weight and vector in the dense form, summed by a pair
+    # loop in list order.  Each world gets one more cell far from the rest,
+    # so some cell has no neighbor; across the worlds, dead cells,
+    # coincident alive pairs and alive pairs at exactly r must all occur
     seen = dict(dead=0, coincident=0, at_range=0)
     for seed in range(200):
         rng = np.random.default_rng(seed)
@@ -228,14 +229,14 @@ def test_spacing_and_consensus_keep_dense_form_bits():
         velocities = np.vstack([velocities, (2.0, -1.0, 0.0)])
         f = f_term(positions, loads, alive, GAINS)
         g = g_term(positions, velocities, alive, GAINS)
-        assert f.tobytes() == oracle_f_term_dense(
+        assert f.tobytes() == oracle_f_term_pair_loop(
             positions, loads, alive, GAINS).tobytes(), seed
         # loads within capacity skip the crowding arithmetic, whose
         # penalty is then +0.0
         capped = np.minimum(loads, GAINS.n_max)
         assert f_term(positions, capped, alive, GAINS).tobytes() == \
-            oracle_f_term_dense(positions, capped, alive, GAINS).tobytes()
-        assert g.tobytes() == oracle_g_term_dense(
+            oracle_f_term_pair_loop(positions, capped, alive, GAINS).tobytes()
+        assert g.tobytes() == oracle_g_term_pair_loop(
             positions, velocities, alive, GAINS).tobytes(), seed
         assert not f[-1].any() and not g[-1].any()
         dist = np.linalg.norm(positions[:, None] - positions[None], axis=2)
@@ -268,9 +269,10 @@ def test_user_coupling_matches_loop(seed):
 
 @pytest.mark.parametrize("seed", range(50))
 def test_user_coupling_keeps_allocating_form_bits(seed):
-    # the random world, then the same world with a cell far from every user
-    # (a row with no pair), a huddle where every user is within r of every
-    # cell, no users, and one cell
+    # every pair's weight and gradient in the dense form, summed by a pair
+    # loop in list order, on the random world, then the same world with a
+    # cell far from every user (a row with no pair), a huddle where every
+    # user is within r of every cell, no users, and one cell
     rng = np.random.default_rng(seed)
     positions, _, _, _ = _cells(rng, int(rng.integers(1, 6)))
     n = int(rng.integers(0, 60))
@@ -289,11 +291,43 @@ def test_user_coupling_keeps_allocating_form_bits(seed):
     for cells, users, tail, ids in worlds:
         dist = geometry(cells, users).dist
         got = h_term(cells, ids, users, dist, *tail, GAINS)
-        want = oracle_h_term_dense(cells, _connected(ids, len(cells)), users,
-                                   dist, *tail, GAINS)
+        want = oracle_h_term_pair_loop(cells, _connected(ids, len(cells)),
+                                       users, dist, *tail, GAINS)
         assert got.tobytes() == want.tobytes()
     assert not (geometry(lone, user_pos).dist[-1] <= GAINS.r).any()
     assert (geometry(huddle, near).dist <= GAINS.r).all()
+
+
+def test_rows_of_negative_zero_products_read_positive_zero():
+    # a row whose products in a component are all -0.0 sums to +0.0, as a
+    # loop from +0.0 does; a sum that starts from the row's first product
+    # would keep -0.0
+    positions = np.array([[0.0, 0.0, HEIGHT], [50.0, 0.0, HEIGHT]])
+    alive = np.ones(2, bool)
+    # f: level cells closer than d repel along x, so their y and z
+    # products are a negative weight times +0.0
+    f = f_term(positions, np.zeros(2), alive, GAINS)
+    assert f[0, 0] < 0.0 < f[1, 0]
+    # g: a neighbor at -0.0 m/s seen from a cell at +0.0 m/s
+    velocities = np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, 0.0]])
+    g = g_term(positions, velocities, alive, GAINS)
+    # h: an unserved user at its target pushes with weight -0.0, here from
+    # exactly r along x
+    cell, user = positions[:1], positions[:1] + USER_AT_RANGE[0]
+    target = np.array([TARGET_RATE[REGULAR]])
+    dist = geometry(cell, user).dist
+    h = h_term(cell, np.array([-1]), user, dist, target, target,
+               np.array([False]), GAINS)
+    assert f[:, 1:].tobytes() == np.zeros((2, 2)).tobytes()
+    assert g.tobytes() == np.zeros((2, 3)).tobytes()
+    assert h[:, :2].tobytes() == np.zeros((1, 2)).tobytes()
+    assert f.tobytes() == oracle_f_term_pair_loop(positions, np.zeros(2),
+                                                  alive, GAINS).tobytes()
+    assert g.tobytes() == oracle_g_term_pair_loop(positions, velocities,
+                                                  alive, GAINS).tobytes()
+    assert h.tobytes() == oracle_h_term_pair_loop(
+        cell, np.array([[False]]), user, dist, target, target,
+        np.array([False]), GAINS).tobytes()
 
 
 def test_user_coupling_counts_unconnected_user_at_exact_range():

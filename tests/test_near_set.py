@@ -217,13 +217,11 @@ def test_non_finite_position_rebuilds(monkeypatch):
 def test_users_beyond_every_cells_reach_change_nothing(monkeypatch, mode):
     # the same worlds with 40 more users 100 km away, after the others:
     # the first users' rates and serving ids, the switch events, the near
-    # set and the power field on its columns keep their bits.  The far
-    # users move the flocking goal's centroid by design, so the wider
-    # world takes the first one's, and then every control keeps its bits
-    # too.  h's dense (cells, users) operands round their row sums by the
-    # user count, far users or not (kernels._pair_sums), so in QoS mode
-    # the controls agree to 1e-12 m/s^2 and the wider world starts each
-    # tick from the first one's cells.
+    # set, the power field on its columns and every control keep their
+    # bits.  h sums over its in-range pairs alone (kernels._pair_sums), so
+    # users out of every cell's reach add nothing to it.  The far users
+    # move the flocking goal's centroid by design, so the wider world
+    # takes the first one's.
     monkeypatch.setattr(engine, "_NARROW_LINKS", 0)
     recorder = _Recorder(monkeypatch)
     seen = dict(narrowed=0, switches=0 if mode == QOS_MODE else 1)
@@ -237,9 +235,6 @@ def test_users_beyond_every_cells_reach_change_nothing(monkeypatch, mode):
         n_users = len(world.serving)
         _same(other.user_pos[:n_users], world.user_pos)
         for _ in range(config.ticks() + 1):
-            if mode == QOS_MODE:
-                other.uav_pos[:] = world.uav_pos
-                other.uav_vel[:] = world.uav_vel
             got, events = recorder.step(world, config)
             want, want_events = recorder.step(other, wider)
             _same(world.rate, other.rate[:n_users])
@@ -250,11 +245,7 @@ def test_users_beyond_every_cells_reach_change_nothing(monkeypatch, mode):
                 seen["narrowed"] += 1
                 for name in ("powers", "chan_power"):
                     _same(got[name], want[name])
-            if mode == QOS_MODE:
-                np.testing.assert_allclose(got["controls"], want["controls"],
-                                           rtol=0.0, atol=1e-12)
-            else:
-                _same(got["controls"], want["controls"])
+            _same(got["controls"], want["controls"])
             seen["switches"] += len(events)
     assert min(seen.values()) > 0, seen
 
