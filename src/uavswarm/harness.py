@@ -25,6 +25,8 @@ from .model import (
     PREMIUM,
     QOS_MODE,
     REGULAR,
+    AtLeastOne,
+    Fraction,
     ScenarioConfig,
     ScenarioError,
     UserSpec,
@@ -32,6 +34,9 @@ from .model import (
     read_value,
     round_half_up,
 )
+
+
+_REGION = tuple[float, float, float, float]
 
 
 def generate_scenario(n_users: int, premium_fraction: float,
@@ -46,10 +51,15 @@ def generate_scenario(n_users: int, premium_fraction: float,
 
     The premium count is the round-half-up share of n_users.  User draws go
     through the same seeded resolver as any region-based scenario, so the
-    generated config is reproducible from its seed alone.
+    generated config is reproducible from its seed alone.  Each argument
+    is read as its schema type before any arithmetic, so a bad one fails
+    with a ScenarioError that starts with its name.
     """
-    ax0, ay0, ax1, ay1 = area
-    px0, py0, px1, py1 = premium_area
+    n_users = read_value(AtLeastOne, n_users, "n_users")
+    premium_fraction = read_value(Fraction, premium_fraction,
+                                  "premium_fraction")
+    ax0, ay0, ax1, ay1 = area = read_value(_REGION, area, "area")
+    px0, py0, px1, py1 = read_value(_REGION, premium_area, "premium_area")
     if not (px0 == ax0 and py0 == ay0 and py1 == ay1 and ax0 < px1 < ax1):
         raise ScenarioError(
             "premium_area must be a left slice of area sharing its y extent")
@@ -64,7 +74,7 @@ def generate_scenario(n_users: int, premium_fraction: float,
     config = ScenarioConfig(
         users=users,
         uav_count=uav_count,
-        uav_region=tuple(area),
+        uav_region=area,
         duration=duration,
         seed=seed,
         controller_mode=controller_mode,

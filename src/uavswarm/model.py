@@ -28,6 +28,9 @@ over a config built in code.  Both fail alike, and every field error starts
 with the field's path: a non-finite number, a fractional integer, a list
 of the wrong length or a value past its bound.  A run may span at most
 MAX_TICKS ticks, so every valid scenario ends.
+
+Scenario files are YAML.  PyYAML is imported on the first scenario read
+or write, not with this module: a config built in code never loads it.
 """
 
 from __future__ import annotations
@@ -35,13 +38,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import re
 from array import array
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Annotated, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
-import yaml
 
 UserClass = Literal["premium", "regular"]
 PREMIUM, REGULAR = USER_CLASSES = get_args(UserClass)
@@ -469,28 +470,40 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     return _plain(config)
 
 
-class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """The safe loader (libyaml's where PyYAML has it), reading an exponent
-    without a dot or a sign, such as 2e9, as YAML 1.2 does: as a float."""
+@functools.cache
+def _yaml():
+    """PyYAML and the loader of scenario files, imported and built on the
+    first read or write, so a config built in code never imports PyYAML.
+    The loader is the safe one (libyaml's where PyYAML has it), reading an
+    exponent without a dot or a sign, such as 2e9, as YAML 1.2 does: as a
+    float."""
+    import re
 
+    import yaml
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)"
-               r"[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"))
+    class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        pass
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)"
+                   r"[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"))
+    return yaml, Loader
 
 
 def load_scenario(path) -> ScenarioConfig:
     """Load, parse, and validate a scenario file."""
+    yaml, loader = _yaml()
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = yaml.load(fh, Loader=_Loader)
+            data = yaml.load(fh, Loader=loader)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
     return scenario_from_dict(data)
 
 
 def save_scenario(config: ScenarioConfig, path) -> None:
+    yaml, _ = _yaml()
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(scenario_to_dict(config), fh, sort_keys=False)

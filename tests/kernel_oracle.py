@@ -1,7 +1,8 @@
-"""Per-neighbor loop forms of the controller terms and of greedy association,
-the (time, rate) pair form of the trailing rate window, the per-cell form
-of the integration step and the per-user form of the tick metrics, with
-left_sum, the sequential float sum every reported sum is held to.
+"""Per-neighbor loop forms of the controller terms, of greedy association
+and of the channel-switching pass, the (time, rate) pair form of the
+trailing rate window, the per-cell form of the integration step and the
+per-user form of the tick metrics, with left_sum, the sequential float sum
+every reported sum is held to.
 
 These are the scalar reference versions that the package's masked array
 reductions replace.  They walk one cell, neighbor or user at a time,
@@ -22,6 +23,7 @@ computes only the interacting pairs and sums each row with bincount, so the
 two must agree bit for bit, on any CPU.
 """
 
+import math
 from collections import deque
 from operator import itemgetter
 
@@ -267,6 +269,99 @@ def oracle_mean_rates(times, rates, tau):
             window.popleft()
         means.append(left_sum(map(itemgetter(1), window)) / len(window))
     return means
+
+
+def oracle_channel_switching(world, histories, powers, radio, gains):
+    """One channel-switching pass in plain loops, from channel_switching's
+    docstring, leaving the world untouched.
+
+    ``histories`` holds each user's recorded (time, rate) pairs and
+    ``powers`` the tick's received powers as (cells, users) rows, dead rows
+    0.  Each cell's trigger is its served premium user below target and at
+    or below its oracle_mean_rates mean with the largest deficit, the
+    lowest id on ties, on an alive cell whose cooldown has elapsed.  Cells
+    go in ascending id.  The candidate is the lowest free channel other than
+    the default and the cell's own, else the one with the least co-channel
+    power at the trigger.  A switch needs a strict drop of that power, each
+    side summed with math.fsum over the other alive cells on its channel;
+    leaving the default channel releases regular users.  The channel sums
+    are kept as a tick keeps them, one += per alive cell in ascending id
+    from 0.0 and one -= / += per switch, so later cells see the updated
+    occupancy and sums and a least-power tie falls as the engine's does.
+    The SINRs are signal / (noise + interference), the interference an
+    fsum over the other alive cells on the channel.
+
+    Returns the events as (cell, old channel, new channel, retained ids,
+    SINRs before, SINRs after) and the channel, last_switch, serving and
+    rate lists after the pass.
+    """
+    time, tau, noise_mw = world.time, gains.tau, 10.0 ** (radio.noise / 10.0)
+    alive, premium = world.alive.tolist(), world.premium.tolist()
+    target = world.target.tolist()
+    channel, last_switch = world.channel.tolist(), world.last_switch.tolist()
+    serving, rate = world.serving.tolist(), world.rate.tolist()
+    powers = powers.tolist()
+    cells, users = range(len(alive)), range(len(serving))
+    usage = [0] * radio.num_channels
+    sums = [[0.0] * len(serving) for _ in range(radio.num_channels)]
+    for n in cells:
+        if alive[n]:
+            usage[channel[n]] += 1
+            for m in users:
+                sums[channel[n]][m] += powers[n][m]
+
+    def interference(n, k, m):
+        return math.fsum(powers[o][m] for o in cells
+                         if o != n and alive[o] and channel[o] == k)
+
+    def sinr(n, m):
+        return powers[n][m] / (noise_mw + interference(n, channel[n], m))
+
+    # every trigger is found before the pass, as a switch rewrites only its
+    # own cell's users
+    triggers = {}
+    for m in users:
+        n = serving[m]
+        if n < 0 or not premium[m] or not alive[n] or rate[m] >= target[m]:
+            continue
+        if time - last_switch[n] < tau:
+            continue
+        times, rates = zip(*histories[m])
+        if rate[m] > oracle_mean_rates(times, rates, tau)[-1]:
+            continue
+        if n not in triggers or target[m] - rate[m] > triggers[n][0]:
+            triggers[n] = (target[m] - rate[m], m)
+    events = []
+    for n in cells:
+        if n not in triggers:
+            continue
+        trig, current = triggers[n][1], channel[n]
+        candidates = [k for k in range(1, radio.num_channels) if k != current]
+        if not candidates:
+            continue
+        best = next((k for k in candidates if usage[k] == 0), None)
+        if best is None:
+            best = candidates[0]
+            for k in candidates:
+                if sums[k][trig] < sums[best][trig]:
+                    best = k
+        if not interference(n, best, trig) < interference(n, current, trig):
+            continue
+        retained = [m for m in users if serving[m] == n
+                    and (current != L0 or premium[m])]
+        before = [sinr(n, m) for m in retained]
+        usage[current] -= 1
+        usage[best] += 1
+        for m in users:
+            sums[current][m] -= powers[n][m]
+            sums[best][m] += powers[n][m]
+        channel[n], last_switch[n] = best, time
+        after = [sinr(n, m) for m in retained]
+        for m in users:
+            if serving[m] == n and m not in retained:
+                serving[m], rate[m] = -1, 0.0
+        events.append((n, current, best, retained, before, after))
+    return events, channel, last_switch, serving, rate
 
 
 def oracle_advance(positions, velocities, alive, controls, gains, height):

@@ -5,6 +5,7 @@ triggered it and raises that user's SINR."""
 
 import math
 
+import hypothesis
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from uavswarm.model import (
     UserSpec,
 )
 from uavswarm.radio import geometry
+from kernel_oracle import oracle_channel_switching
 from worlds import world_of
 
 # Users spread over twice the default range, so some fall out of it; cells
@@ -147,6 +149,88 @@ def test_switch_raises_the_sinr_of_the_user_that_triggered_it(case):
         channels[event.uav_id] = event.new_channel
         assert new < old
         assert event.sinr_after[trigger] > event.sinr_before[trigger]
+
+
+@st.composite
+def switching_runs(draw):
+    """A switching world recorded for 2-6 ticks of 0.25 s with a rate window
+    and cooldown of 2 or 3 ticks or of 5 s, all exact in binary, so a
+    cooldown can end exactly at a tick; between ticks its cells move up to
+    60 m and are put on drawn channels, so cells out of cooldown find
+    crowded channels again."""
+    world, radio = draw(switching_worlds())
+    cells, ticks = len(world.alive), draw(st.integers(2, 6))
+    channels = st.lists(st.integers(0, radio.num_channels - 1),
+                        min_size=cells, max_size=cells)
+    steps = draw(st.lists(st.tuples(_points(cells, -60.0, 60.0), channels),
+                          min_size=ticks - 1, max_size=ticks - 1))
+    gains = ControlGains(dt=0.25, tau=draw(st.sampled_from([0.5, 0.75, 5.0])))
+    return world, radio, gains, steps
+
+
+def _switch_as_oracle_does(world, radio, gains, histories):
+    """Records one tick, then holds channel_switching to its oracle."""
+    powers, chan_power = _rated(world, radio, gains)
+    # every user is a column of a world this small
+    assert powers.shape == (len(world.alive), len(world.serving))
+    for m, rate in enumerate(world.rate.tolist()):
+        histories[m].append((world.time, rate))
+    want, *state = oracle_channel_switching(world, histories, powers, radio,
+                                            gains)
+    got = channel_switching(world, powers, chan_power, radio, gains)
+    assert [(e.uav_id, e.old_channel, e.new_channel, e.user_ids)
+            for e in got] == [w[:4] for w in want]
+    for e, w in zip(got, want):
+        assert e.time == world.time
+        np.testing.assert_allclose(e.sinr_before, w[4], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(e.sinr_after, w[5], rtol=1e-9, atol=0)
+    assert [world.channel.tolist(), world.last_switch.tolist(),
+            world.serving.tolist(), world.rate.tolist()] == state
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(switching_worlds())
+def test_switching_matches_oracle_after_one_recorded_tick(case):
+    world, radio = case
+    histories = [[] for _ in world.users]
+    events = _switch_as_oracle_does(world, radio, ControlGains(), histories)
+    hypothesis.event("switched" if events else "no switch")
+
+
+@settings(max_examples=100, deadline=None)
+@given(switching_runs())
+def test_switching_matches_oracle_after_several_recorded_ticks(case):
+    # earlier switches start cooldowns, and the windows' means part from
+    # the rates as the cells move
+    world, radio, gains, steps = case
+    histories = [[] for _ in world.users]
+    switched = []
+    for move, channels in steps:
+        switched.append(bool(_switch_as_oracle_does(world, radio, gains,
+                                                    histories)))
+        world.uav_pos[:, :2] += move
+        world.channel[:] = channels
+        world.time += gains.dt
+    switched.append(bool(_switch_as_oracle_does(world, radio, gains,
+                                                histories)))
+    hypothesis.event("switched after the first tick" if any(switched[1:])
+                     else "switched on the first tick only" if switched[0]
+                     else "no switch")
+
+
+def test_equal_deficits_trigger_the_lowest_id():
+    # users 0 and 1 sit mirrored about cell 0, so their rates have the same
+    # bits; cells 1 and 2, one per candidate channel, are each nearer one
+    # of them, so the trigger decides the channel
+    radio = RadioParams(num_channels=4)
+    world = world_of([(0.0, 0.0), (-200.0, 0.0), (200.0, 0.0), (0.0, 200.0),
+                      (0.0, -200.0)],
+                     [(PREMIUM, -50.0, 0.0), (PREMIUM, 50.0, 0.0)],
+                     channels=[3, 1, 2, 3, 3], time=10.0, radio=radio)
+    events = _switch_as_oracle_does(world, radio, ControlGains(), [[], []])
+    assert world.rate[0] == world.rate[1]
+    assert [(e.uav_id, e.new_channel) for e in events] == [(0, 2)]
 
 
 def test_no_switch_onto_a_channel_with_the_same_interference():

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -49,6 +51,27 @@ class TestGenerateScenario:
                     area=(0.0, 0.0, 1000.0, 500.0),
                     premium_area=(0.0, 0.0, 300.0, 500.0),
                     uav_count=2)
+
+    @pytest.mark.parametrize("name, value", [
+        ("premium_fraction", math.nan),
+        ("premium_fraction", math.inf),
+        ("premium_fraction", "0.2"),
+        ("premium_fraction", 1.5),
+        ("n_users", True),
+        ("n_users", 100.5),
+        ("n_users", 0),
+        ("area", (0.0, math.nan, 1000.0, 500.0)),
+        ("area", (0.0, 0.0, 1000.0)),
+        ("premium_area", (0.0, 0.0, math.inf, 500.0)),
+        ("premium_area", None),
+    ])
+    def test_bad_argument_named_before_any_arithmetic(self, name, value):
+        args = dict(n_users=100, premium_fraction=0.2,
+                    area=(0.0, 0.0, 1000.0, 500.0),
+                    premium_area=(0.0, 0.0, 300.0, 500.0), uav_count=2)
+        with pytest.raises(ScenarioError) as err:
+            generate_scenario(**{**args, name: value})
+        assert re.match(rf"{name}[:\[]", str(err.value)), str(err.value)
 
 
 class TestRunSweep:

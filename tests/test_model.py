@@ -3,8 +3,11 @@
 import gc
 import math
 import pathlib
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import is_dataclass, replace
 from typing import Annotated, get_args, get_origin, get_type_hints
@@ -273,6 +276,32 @@ class TestFiles:
         assert names == SHIPPED
         for name in names:
             load_scenario(SCENARIOS / name)
+
+    def test_config_built_in_code_runs_without_pyyaml(self, tmp_path):
+        # a fresh interpreter, so no other test has imported PyYAML yet
+        code = """if True:
+            import sys
+            from uavswarm.engine import run
+            from uavswarm.harness import export_run, generate_scenario
+            from uavswarm.model import load_scenario
+            config = generate_scenario(
+                n_users=40, premium_fraction=0.25,
+                area=(0.0, 0.0, 1000.0, 500.0),
+                premium_area=(0.0, 0.0, 250.0, 500.0), uav_count=3,
+                duration=0.5, seed=3)
+            config.validate()
+            export_run(run(config), sys.argv[2])
+            assert "yaml" not in sys.modules, "set-up imported PyYAML"
+            load_scenario(sys.argv[1])
+            assert "yaml" in sys.modules, "a scenario read without PyYAML"
+        """
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code,
+             str(SCENARIOS / "fig3_three_users.yaml"), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "summary.json").exists()
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_shipped_scenario_round_trips(self, name, tmp_path):
