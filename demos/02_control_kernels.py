@@ -9,8 +9,7 @@ the target is met.
 import numpy as np
 
 from uavswarm import bump, pair_potential, phi_sigmoid
-from uavswarm.engine import (advance, associate_users, control_all,
-                             make_world, tick_geometry, update_rates)
+from uavswarm.engine import make_world, step
 from uavswarm.kernels import sigma_norm_scalar
 from uavswarm.model import ControlGains, RadioParams, ScenarioConfig, UserSpec
 
@@ -40,12 +39,7 @@ world = make_world(cfg)
 print()
 print("two UAVs released 40 m apart, spacing term only:")
 for tick in range(1200):
-    geom, links = tick_geometry(world, gains.r)
-    associate_users(world, gains, geom, links)
-    update_rates(world, cfg.radio, gains, geom)
-    controls = control_all(world, gains, "qos_driven", geom.dist,
-                           links=links)
-    advance(world, controls, gains, cfg.H)
+    step(world, cfg)
     if tick % 200 == 199:
         sep = float(np.linalg.norm(world.uav_pos[0] - world.uav_pos[1]))
         print(f"  t={world.time:5.1f}s separation {sep:7.2f} m")
@@ -62,12 +56,7 @@ world = make_world(cfg)
 print()
 print("single cell chasing one premium user 250 m away:")
 for tick in range(600):
-    geom, links = tick_geometry(world, gains.r)
-    associate_users(world, gains, geom, links)
-    update_rates(world, cfg.radio, gains, geom)
-    controls = control_all(world, gains, "qos_driven", geom.dist,
-                           links=links)
-    advance(world, controls, gains, cfg.H)
+    step(world, cfg)
     if tick % 100 == 99:
         gap = float(np.linalg.norm(world.uav_pos[0, :2] - world.user_pos[0, :2]))
         print(f"  t={world.time:5.1f}s offset {gap:6.1f} m "

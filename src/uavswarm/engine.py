@@ -53,8 +53,9 @@ at most radio._CHUNK elements in all, however many blocks run at once.
 The distances tick_geometry returns stay valid until the next
 tick_geometry on that world, its elevations until update_rates (the power
 field then holds until the next tick_geometry); nothing reads either
-after its tick.  run() drops the workspace and its near set when it
-returns, and a later step() builds both again.
+after its tick, and the control pass reads neither: it takes the tick's
+cell pairs and in-range list.  run() drops the workspace and its near set
+when it returns, and a later step() builds both again.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import _cell_pairs, _pair_indices, control_input
+from .kernels import _cell_pairs, control_input
 from .metrics import TickMetrics, compute_metrics
 from .model import (
     L0,
@@ -320,7 +321,9 @@ def tick_geometry(world: WorldState, r: float):
         world.uav_pos, ws.near_pos, r,
         out=Geometry(*(buf.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
                        for buf in ws.buffers)))
-    return geom, _as_users(world, cell, col)
+    # back to user ids; the set is ascending, so the list stays row-major
+    user = ws.near[col]
+    return geom, (cell * n_users + user, cell, user)
 
 
 def _columns(world: WorldState, field: np.ndarray, users):
@@ -332,24 +335,8 @@ def _columns(world: WorldState, field: np.ndarray, users):
     return world.workspace.column[users]
 
 
-def _as_users(world: WorldState, cell: np.ndarray, col: np.ndarray):
-    """The in-range list of pairs of cells and near-set columns, as flat
-    indices into (cells, users), cells and users; the set is ascending, so
-    the list stays row-major."""
-    user = world.workspace.near[col]
-    return cell * len(world.serving) + user, cell, user
-
-
-def _in_range(world: WorldState, dist: np.ndarray, r: float):
-    """The in-range list of a tick's distances, as tick_geometry gives it."""
-    flat, cell, col = _pair_indices(dist <= r)
-    if dist.shape[1] == len(world.serving):
-        return flat, cell, col
-    return _as_users(world, cell, col)
-
-
 def associate_users(world: WorldState, gains: ControlGains,
-                    geom: Geometry, links=None) -> None:
+                    geom: Geometry, links) -> None:
     """Greedy nearest-feasible association with per-UAV capacity.
 
     A UAV is eligible for a user when alive, within range r, and (for
@@ -357,8 +344,7 @@ def associate_users(world: WorldState, gains: ControlGains,
     distance to their nearest eligible UAV; each takes the nearest eligible
     UAV with spare capacity, spilling to the next nearest when full.
     Distances come from the tick's geometry, and the eligible pairs from
-    ``links``, the tick's in-range list (tick_geometry), built from the
-    distances when not given.
+    ``links``, the tick's in-range list (tick_geometry).
 
     When no UAV is the nearest eligible one of more than n_max users, no
     user ever finds its nearest UAV full, so every user takes it; the
@@ -368,7 +354,7 @@ def associate_users(world: WorldState, gains: ControlGains,
     world.serving.fill(-1)
     if not n_cells or not n_users:
         return
-    flat, cell, user = links or _in_range(world, geom.dist, gains.r)
+    flat, cell, user = links
     keep = world.alive[cell] & (world.premium[user]
                                 | (world.channel[cell] == L0))
     flat, cell, user = flat[keep], cell[keep], user[keep]
@@ -542,22 +528,20 @@ def channel_switching(world: WorldState, powers: np.ndarray,
     return events
 
 
-def control_all(world: WorldState, gains: ControlGains, mode: str,
-                dist: np.ndarray, pairs=None, links=None) -> np.ndarray:
+def control_all(world: WorldState, gains: ControlGains, mode: str, pairs,
+                links) -> np.ndarray:
     """Control inputs for all UAVs from one frozen state snapshot.
 
     Each controller term runs once for the whole fleet, on the world's
-    arrays; dead UAVs get zero rows.  ``dist`` is the tick geometry's
-    distances at these positions (tick_geometry), and h reads the users'
-    serving ids as they are.  ``pairs``, the tick's kernels._cell_pairs at
-    these positions, and ``links``, its in-range list, h's range test, are
-    built when not given.
+    arrays; dead UAVs get zero rows.  ``pairs`` is the tick's
+    kernels._cell_pairs at these positions and ``links`` its in-range list
+    (tick_geometry), h's range test; h reads the users' serving ids as
+    they are.
     """
     return control_input(world.uav_pos, world.uav_vel, _loads(world),
-                         world.alive, world.serving, world.user_pos, dist,
+                         world.alive, world.serving, world.user_pos,
                          world.rate, world.target, world.premium, gains, mode,
-                         pairs, links or _in_range(world, dist, gains.r),
-                         world.user_centroid)
+                         pairs, links, world.user_centroid)
 
 
 def advance(world: WorldState, controls: np.ndarray, gains: ControlGains,
@@ -664,15 +648,15 @@ def step(world: WorldState,
          config: ScenarioConfig) -> tuple[TickMetrics, list[SwitchEvent]]:
     """One full evaluate-and-integrate tick for callers driving a world by
     hand: the same two halves run() uses."""
-    metrics, events, geom, pairs, links = _evaluate(world, config)
-    _integrate(world, config, geom, pairs, links)
+    metrics, events, pairs, links = _evaluate(world, config)
+    _integrate(world, config, pairs, links)
     return metrics, events
 
 
 def _evaluate(world: WorldState, config: ScenarioConfig):
     """Phases 1-5 of a tick on frozen positions; fills the world's logs and
-    returns the tick's metrics, switch events, geometry, cell pairs and
-    in-range cell-user pairs."""
+    returns the tick's metrics, switch events, cell pairs and in-range
+    cell-user pairs."""
     for idx, ev in enumerate(config.failure_events):
         if idx in world.fired or world.time < ev.at_time:
             continue
@@ -696,15 +680,15 @@ def _evaluate(world: WorldState, config: ScenarioConfig):
                               world.rate, world.target, active)
     _check_invariants(world, config, geom)
     _record_min_distance(world, config.gains, pairs)
-    return metrics, events, geom, pairs, links
+    return metrics, events, pairs, links
 
 
-def _integrate(world: WorldState, config: ScenarioConfig, geom: Geometry,
-               pairs, links) -> None:
-    """Phase 6: control inputs from the evaluated state, its distances, its
-    cell pairs and its in-range list, then one step."""
+def _integrate(world: WorldState, config: ScenarioConfig, pairs,
+               links) -> None:
+    """Phase 6: control inputs from the evaluated state, its cell pairs and
+    its in-range list, then one step."""
     controls = control_all(world, config.gains, config.controller_mode,
-                           geom.dist, pairs, links)
+                           pairs, links)
     advance(world, controls, config.gains, config.H)
 
 
@@ -731,7 +715,7 @@ def run(config: ScenarioConfig, run_seed: Optional[int] = None,
     user_trace: list[tuple] = []
     switch_events: list[SwitchEvent] = []
     for k in range(ticks + 1):
-        metrics, events, geom, pairs, links = _evaluate(world, config)
+        metrics, events, pairs, links = _evaluate(world, config)
         switch_events.extend(events)
         metrics_rows.append(metrics)
         if trace:
@@ -747,7 +731,7 @@ def run(config: ScenarioConfig, run_seed: Optional[int] = None,
                 in enumerate(zip(world.users, world.serving.tolist(),
                                  world.rate.tolist())))
         if k < ticks:
-            _integrate(world, config, geom, pairs, links)
+            _integrate(world, config, pairs, links)
     world.workspace = None      # a later step() on the world rebuilds it
     return RunResult(config=config, seed=_seed(config, run_seed),
                      metrics=metrics_rows, trace=cell_trace,

@@ -91,7 +91,8 @@ class SweepResult:
 
 
 def run_sweep(base: ScenarioConfig, counts) -> SweepResult:
-    """Run the same scenario at several fleet sizes.
+    """Run the same scenario at several fleet sizes, ``counts``, strictly
+    ascending and each at least 1.
 
     The user field stays identical across the whole sweep (it is drawn from
     base.seed).  Per-count starts come either from the first n entries of an
@@ -106,8 +107,8 @@ def run_sweep(base: ScenarioConfig, counts) -> SweepResult:
         raise ScenarioError("run_sweep requires at least one uav count")
     if any(n < 1 for n in counts):
         raise ScenarioError("uav counts must be >= 1")
-    if counts != sorted(counts):
-        raise ScenarioError("uav counts must be ascending")
+    if any(b <= a for a, b in zip(counts, counts[1:])):
+        raise ScenarioError("uav counts must be strictly ascending")
     check_seed(base.seed + counts[-1], f"seed + the largest count {counts[-1]}")
     if base.uav_initial_positions is not None:
         if len(base.uav_initial_positions) < counts[-1]:

@@ -16,12 +16,14 @@ The controller output for UAV i is u_i = f_i + g_i + h_i:
 All kernels are built on the sigma-norm, a smooth everywhere-differentiable
 surrogate for the Euclidean norm.  They take the scenario's ControlGains
 directly; the sigma-norm images of r, d and n_max and the sigmoid shift are
-read-only properties on it.
+read-only properties on it.  bump, sigma_norm_scalar, phi_sigmoid and
+pair_potential return numpy values, 0-d for a scalar argument.
 
 The terms follow Olfati-Saber's flocking construction, which is defined over
 neighbor sets, so each term is evaluated for the whole fleet at once,
 returns one (cells, 3) row per cell, and does per-pair work only for the
-pairs that interact.  f and g share one list (_cell_pairs) of the ordered
+pairs that interact.  The pair lists are arguments, built by the caller;
+no term builds one.  f and g share one list (_cell_pairs) of the ordered
 pairs (i, j) with j alive and within r of i, which the engine builds once
 per tick and its spacing log reads too; the list carries each pair's
 sigma-norm and its window bump(sigma-norm / r_sig, 0.2), which f's pair
@@ -63,21 +65,14 @@ def bump(z, gamma: float):
     if gamma < 1.0:
         t = np.minimum(np.maximum(z, gamma), 1.0)
         taper = 0.5 * (1.0 + np.cos(np.pi * (t - gamma) / (1.0 - gamma)))
-        out = np.where(z < 1.0, taper, 0.0)
-    else:
-        out = np.where(z < gamma, 1.0, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        return np.where(z < 1.0, taper, 0.0)
+    return np.where(z < gamma, 1.0, 0.0)
 
 
 def sigma_norm_scalar(x, eps: float):
     """Sigma-norm of a non-negative magnitude: ((1 + eps x^2)^0.5 - 1)/eps."""
     x = np.asarray(x, dtype=float)
-    val = (np.sqrt(1.0 + eps * x * x) - 1.0) / eps
-    if val.ndim == 0:
-        return float(val)
-    return val
+    return (np.sqrt(1.0 + eps * x * x) - 1.0) / eps
 
 
 def phi_sigmoid(z, p: ControlGains):
@@ -89,10 +84,7 @@ def phi_sigmoid(z, p: ControlGains):
     z = np.asarray(z, dtype=float)
     y = z + p.c_sig
     s = y / np.sqrt(1.0 + y * y)
-    val = 0.5 * ((p.a + p.b) * s + (p.a - p.b))
-    if val.ndim == 0:
-        return float(val)
-    return val
+    return 0.5 * ((p.a + p.b) * s + (p.a - p.b))
 
 
 def pair_potential(z_sig, p: ControlGains):
@@ -102,10 +94,7 @@ def pair_potential(z_sig, p: ControlGains):
     at the sigma-image of the communication range r.
     """
     z_sig = np.asarray(z_sig, dtype=float)
-    val = _pair_potential(z_sig, bump(z_sig / p.r_sig, 0.2), p)
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
+    return _pair_potential(z_sig, bump(z_sig / p.r_sig, 0.2), p)
 
 
 def _pair_potential(z_sig, window, p: ControlGains):
@@ -172,8 +161,8 @@ def _cell_pairs(positions: np.ndarray, alive: np.ndarray, p: ControlGains):
     return i, j, grads, dist, sig, bump(sig / p.r_sig, 0.2)
 
 
-def f_term(positions: np.ndarray, loads: np.ndarray, alive: np.ndarray,
-           p: ControlGains, pairs=None) -> np.ndarray:
+def f_term(positions: np.ndarray, loads: np.ndarray, p: ControlGains,
+           pairs) -> np.ndarray:
     """Inter-UAV spacing force on every cell, as (cells, 3) rows.
 
     For each alive neighbor within range r: pair potential of the
@@ -182,11 +171,10 @@ def f_term(positions: np.ndarray, loads: np.ndarray, alive: np.ndarray,
     neighbor.  The penalty is +0.0 for a load at or below n_max, which
     association never exceeds, so in a run it never acts; it is computed
     only when some load is past n_max.  Coincident neighbors (distance 0)
-    exert nothing.  ``pairs``, when given, is _cell_pairs(positions, alive,
-    p), shared with g_term and left unchanged.
+    exert nothing.  ``pairs`` is _cell_pairs(positions, alive, p), shared
+    with g_term and left unchanged.
     """
-    i, j, grads, dist, sig, window = pairs or _cell_pairs(positions, alive,
-                                                          p)
+    i, j, grads, dist, sig, window = pairs
     potential = _pair_potential(sig, window, p)
     if (loads > p.n_max).any():
         overload = np.maximum(loads - p.n_max, 0)
@@ -199,8 +187,8 @@ def f_term(positions: np.ndarray, loads: np.ndarray, alive: np.ndarray,
                       grads)
 
 
-def g_term(positions: np.ndarray, velocities: np.ndarray, alive: np.ndarray,
-           p: ControlGains, pairs=None) -> np.ndarray:
+def g_term(positions: np.ndarray, velocities: np.ndarray, p: ControlGains,
+           pairs) -> np.ndarray:
     """Velocity consensus force on every cell over its alive neighbors
     within r, as (cells, 3) rows.
 
@@ -208,14 +196,14 @@ def g_term(positions: np.ndarray, velocities: np.ndarray, alive: np.ndarray,
     bump(sigma-norm / r_sig, 0.2).  Coincident neighbors count, with full
     weight.  ``pairs`` is as in f_term.
     """
-    i, j, _, _, _, window = pairs or _cell_pairs(positions, alive, p)
+    i, j, _, _, _, window = pairs
     return _pair_sums(len(positions), i, window, velocities.take(j, axis=0)
                       - velocities.take(i, axis=0))
 
 
 def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
-           dist: np.ndarray, rates: np.ndarray, targets: np.ndarray,
-           premium: np.ndarray, p: ControlGains, links=None) -> np.ndarray:
+           rates: np.ndarray, targets: np.ndarray, premium: np.ndarray,
+           p: ControlGains, links) -> np.ndarray:
     """User-coupling force on every cell, as (cells, 3) rows.
 
     `serving` holds each user's serving cell id, -1 while unserved, and a
@@ -228,10 +216,9 @@ def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
     Range is read from ``links``, the tick's in-range list that
     association read too, as flat indices into (cells, users), cells and
     users, so a user at exactly r is in range for both; it is left
-    unchanged.  Without it, it is _pair_indices(dist <= p.r) of `dist`, the
-    tick geometry's (cells, users) distances.
+    unchanged.
     """
-    _, cell, user = links or _pair_indices(dist <= p.r)
+    _, cell, user = links
     rel = user_pos.take(user, axis=0) - positions.take(cell, axis=0)
     grads = _sigma_grads(rel, p.eps, out=rel)[0]
     gain = np.where(premium, p.c2_prem, p.c2_reg)
@@ -245,36 +232,32 @@ def h_term(positions: np.ndarray, serving: np.ndarray, user_pos: np.ndarray,
 
 
 def flocking_goal_term(positions: np.ndarray, user_pos: np.ndarray,
-                       p: ControlGains, centroid=None) -> np.ndarray:
+                       p: ControlGains, centroid: np.ndarray) -> np.ndarray:
     """Baseline navigation force on every cell: pull toward the user
-    centroid, as (cells, 3) rows.  ``centroid``, when given, is
-    user_pos.mean(axis=0), which a world whose users never move takes
-    once."""
+    centroid, as (cells, 3) rows.  ``centroid`` is user_pos.mean(axis=0),
+    which a world whose users never move takes once; with no users the
+    force is zero."""
     if len(user_pos) == 0:
         return np.zeros_like(positions)
-    if centroid is None:
-        centroid = user_pos.mean(axis=0)
     return p.c1 * _sigma_grads(centroid - positions, p.eps)[0]
 
 
 def control_input(positions: np.ndarray, velocities: np.ndarray,
                   loads: np.ndarray, alive: np.ndarray,
                   serving: np.ndarray, user_pos: np.ndarray,
-                  dist: np.ndarray, rates: np.ndarray, targets: np.ndarray,
-                  premium: np.ndarray, p: ControlGains,
-                  mode: str = QOS_MODE, pairs=None, links=None,
-                  centroid=None) -> np.ndarray:
+                  rates: np.ndarray, targets: np.ndarray,
+                  premium: np.ndarray, p: ControlGains, mode: str, pairs,
+                  links, centroid: np.ndarray) -> np.ndarray:
     """Control inputs for every cell as (cells, 3) rows: z zeroed, each row
-    clamped to p.u_max, dead cells zero.  ``serving``, ``dist`` and
-    ``links`` are as in h_term and read in QoS mode only, ``centroid`` is
-    as in flocking_goal_term and read in flocking mode only; ``pairs`` is
-    as in f_term, built here when not given."""
-    pairs = pairs or _cell_pairs(positions, alive, p)
-    u = f_term(positions, loads, alive, p, pairs=pairs) + \
-        g_term(positions, velocities, alive, p, pairs=pairs)
+    clamped to p.u_max, dead cells zero.  ``pairs`` is as in f_term,
+    ``serving`` and ``links`` are as in h_term and read in QoS mode only,
+    ``centroid`` is as in flocking_goal_term and read in flocking mode
+    only."""
+    u = f_term(positions, loads, p, pairs) + \
+        g_term(positions, velocities, p, pairs)
     if mode == QOS_MODE:
-        u += h_term(positions, serving, user_pos, dist, rates, targets,
-                    premium, p, links)
+        u += h_term(positions, serving, user_pos, rates, targets, premium, p,
+                    links)
     elif mode == FLOCKING_MODE:
         u += flocking_goal_term(positions, user_pos, p, centroid)
     else:

@@ -498,7 +498,7 @@ def load_scenario(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = yaml.load(fh, Loader=loader)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
     return scenario_from_dict(data)
 

@@ -34,12 +34,12 @@ private block helpers, never a public function, and a forked child drops
 the pool whose threads it does not have.
 
 The only (cells, users) arrays are the geometry's two and the field, which
-the engine writes over the elevations.  Users at one height, as every
-engine world's are, make dz one number per cell row, a column that the
-distance's sum and the elevation's arctan2 broadcast, so the geometry's
-passes run over whole blocks.  The steps that need a third array, delta *
-ln d for the field, the in-range list's mask and dz for users at several
-heights, run a tile of the block at a time in a temporary that each
+the engine writes over the elevations.  The users must all be at one
+height, as every engine world's are (on the ground), so dz is one number
+per cell row, a column that the distance's sum and the elevation's arctan2
+broadcast, and the geometry's passes run over whole blocks.  The steps
+that need a third array, delta * ln d for the field and the in-range
+list's mask, run a tile of the block at a time in a temporary that each
 thread keeps from call to call.  A block's tiles take at most its share
 of the field's rows times _CHUNK elements, so the blocks of a split field
 use at most _CHUNK elements of temporaries together, on any CPU count.
@@ -99,8 +99,9 @@ def geometry(uav_positions, user_positions,
 
     The distance is sqrt((dx*dx + dy*dy) + dz*dz), the squares summed in
     x, y, z order as np.linalg.norm over the last axis does; the elevation
-    is arctan2(dz, sqrt(dx*dx + dy*dy)), with dz taken once per cell when
-    every user has one height.  It is the one cell-user distance
+    is arctan2(dz, sqrt(dx*dx + dy*dy)), with dz taken once per cell.  The
+    users must all be at one height: ValueError otherwise, a NaN height
+    included.  It is the one cell-user distance
     code: association, the invariant check, the power field and h's range
     test all read it, so a user at exactly r is at exactly r everywhere.
 
@@ -127,12 +128,14 @@ def _geometry(uav_positions, user_positions, out, r):
     users = np.ascontiguousarray(
         np.asarray(user_positions, dtype=float).reshape(-1, 3).T)
     shape = (len(uavs), users.shape[1])
+    uz = users[2]
+    # a NaN height fails the comparison too
+    if len(uz) and not (uz == uz[0]).all():
+        raise ValueError("users must all be at one height")
     if out is None:
         out = Geometry(np.empty(shape), np.empty(shape))
-    # every user at one height: dz is then one number per cell row
-    uz = users[2]
-    level = len(uz) and (uz == uz[0]).all()
-    dz = (uavs[:, 2] - uz[0])[:, None] if level else None
+    # dz is one number per cell row
+    dz = (uavs[:, 2] - (uz[0] if len(uz) else 0.0))[:, None]
     found: dict[int, np.ndarray] = {}   # flat start of a tile: its pairs
     _by_rows(_geometry_rows, shape, uavs, users, dz, *out, r, found)
     if r is None:
@@ -181,46 +184,31 @@ def _like(buffer: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _geometry_rows(rows: slice, uavs, users, dz, dist, elev, r,
                    found) -> None:
     tiles, room = _tiles(rows, dist.shape)
-    uavs, dist, h = uavs[rows], dist[rows], elev[rows]
+    uavs, dist, h, dz = uavs[rows], dist[rows], elev[rows], dz[rows]
     # h holds dx, then dx*dx + dy*dy, then its root, until the arctan2
     np.subtract.outer(uavs[:, 0], users[0], out=h)
     np.multiply(h, h, out=h)
     np.subtract.outer(uavs[:, 1], users[1], out=dist)         # dy
     np.multiply(dist, dist, out=dist)
     h += dist
-    if dz is not None:
-        # users at one height: dz is a (rows, 1) column, broadcast along
-        # each row by the sum and the arctan2
-        dz = dz[rows]
-        np.add(dz * dz, h, out=dist)
-        np.sqrt(dist, out=dist)
-        np.sqrt(h, out=h)
-        np.arctan2(dz, h, out=h)
-        if r is None:
-            return
+    # dz is a (rows, 1) column, broadcast along each row by the sum and
+    # the arctan2
+    np.add(dz * dz, h, out=dist)
+    np.sqrt(dist, out=dist)
+    np.sqrt(h, out=h)
+    np.arctan2(dz, h, out=h)
+    if r is None:
+        return
     buf = _temporary(room)
     for tile in tiles:
-        d, h_t = dist[tile], h[tile]
-        if dz is None:
-            # users at several heights: dz a tile at a time
-            z = np.subtract.outer(uavs[tile[0], 2], users[2, tile[1]],
-                                  out=_like(buf, d))
-            np.multiply(z, z, out=d)
-            d += h_t
-            np.sqrt(d, out=d)
-            np.sqrt(h_t, out=h_t)
-            np.arctan2(z, h_t, out=h_t)
-        _list_in_range(d, r, buf, (rows.start + tile[0].start)
+        _list_in_range(dist[tile], r, buf, (rows.start + tile[0].start)
                        * dist.shape[1] + tile[1].start, found)
 
 
 def _list_in_range(dist, r, spent, start, found) -> None:
     """found[start] = the flat indices of ``dist`` <= r, plus ``start``,
     ``dist``'s flat index in the field; the mask takes the first bytes of
-    ``spent``, a contiguous float temporary no longer read.  Nothing
-    without an ``r``."""
-    if r is None:
-        return
+    ``spent``, a contiguous float temporary no longer read."""
     near = np.flatnonzero(np.less_equal(
         dist, r, out=_like(spent.view(bool), dist)))
     if start:

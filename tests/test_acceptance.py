@@ -24,6 +24,8 @@ from radio_oracle import (
 from uavswarm.engine import run
 from uavswarm.harness import export_run, run_sweep
 from uavswarm.kernels import (
+    _cell_pairs,
+    _pair_indices,
     _sigma_grads,
     bump,
     control_input,
@@ -33,6 +35,7 @@ from uavswarm.kernels import (
 from uavswarm.metrics import steady_state
 from uavswarm.model import (
     FLOCKING_MODE,
+    QOS_MODE,
     ControlGains,
     RadioParams,
     load_scenario,
@@ -168,8 +171,10 @@ def test_03_equilibrium_fixed_point(capsys):
     premium = np.array([True, True])
     serving = np.array([0, 1])
     u = control_input(positions, velocities, loads, alive, serving,
-                      user_pos, geometry(positions, user_pos).dist, rates,
-                      targets, premium, gains)
+                      user_pos, rates, targets, premium, gains, QOS_MODE,
+                      _cell_pairs(positions, alive, gains),
+                      _pair_indices(geometry(positions, user_pos).dist
+                                    <= gains.r), user_pos.mean(axis=0))
     for i in range(2):
         if not np.array_equal(u[i], np.zeros(3)):
             problems.append(f"uav {i} control {u[i]} not exactly zero")

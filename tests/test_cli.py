@@ -46,9 +46,14 @@ class TestValidate:
 
     def test_invalid_scenario_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
-        path.write_text("users: []\nuav_count: -3\n")
-        assert main(["validate", "--scenario", str(path)]) == 1
-        assert "uav_count" in capsys.readouterr().err
+        # a bad field; bytes that are not UTF-8
+        for text, named in ((b"users: []\nuav_count: -3\n", "uav_count"),
+                            (b"users: [\xff\xfe]\n", "not valid YAML")):
+            path.write_bytes(text)
+            assert main(["validate", "--scenario", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert named in err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestUsage:

@@ -1,8 +1,8 @@
 """Smoke test: the narrative demos run to completion from the repo root.
 
-Demos 02-04 import engine functions (control_all, associate_users,
-update_rates, advance, run) directly, so this catches a change to their
-names or signatures.  Demo 05, a two-minute sweep, is left out.
+Demos 02-04 import engine functions (make_world, step, run) directly, so
+this catches a change to their names or signatures.  Demo 05, a
+two-minute sweep, is left out.
 """
 
 import os

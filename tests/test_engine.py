@@ -167,6 +167,7 @@ def test_distances_match_linalg_norm_bits():
     rng = np.random.default_rng(3)
     a = rng.uniform(-5e3, 5e3, size=(7, 3))
     b = rng.uniform(-5e3, 5e3, size=(11, 3))
+    b[:, 2] = b[0, 2]                   # users share one height
     assert np.array_equal(geometry(a, b).dist,
                           np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
 
@@ -519,19 +520,26 @@ class TestControlAll:
         world.uav_vel[2] = (3.0, 1.0, 0.0)
         geom, links = tick_geometry(world, cfg.gains.r)
         associate_users(world, cfg.gains, geom, links)
-        return world, cfg, geom.dist
+        return world, cfg, links
+
+    def _controls(self, world, gains, mode, links):
+        return control_all(world, gains, mode,
+                           kernels._cell_pairs(world.uav_pos, world.alive,
+                                               gains), links)
 
     def test_dead_cell_row_is_exactly_zero(self):
-        world, cfg, dist = self._world()
-        controls = control_all(world, cfg.gains, cfg.controller_mode, dist)
+        world, cfg, links = self._world()
+        controls = self._controls(world, cfg.gains, cfg.controller_mode,
+                                  links)
         assert controls.shape == (4, 3)
         assert np.array_equal(controls[2], np.zeros(3))
 
     def test_row_above_u_max_is_clamped(self):
-        world, cfg, dist = self._world()
-        controls = control_all(world, cfg.gains, cfg.controller_mode, dist)
-        loose = control_all(world, replace(cfg.gains, u_max=1e9),
-                            cfg.controller_mode, dist)
+        world, cfg, links = self._world()
+        controls = self._controls(world, cfg.gains, cfg.controller_mode,
+                                  links)
+        loose = self._controls(world, replace(cfg.gains, u_max=1e9),
+                               cfg.controller_mode, links)
         for i in (0, 1):
             assert np.linalg.norm(loose[i]) > cfg.gains.u_max
             assert np.linalg.norm(controls[i]) == pytest.approx(
@@ -542,8 +550,9 @@ class TestControlAll:
                 rtol=1e-12)
 
     def test_zero_row_stays_zero(self):
-        world, cfg, dist = self._world()
-        controls = control_all(world, cfg.gains, cfg.controller_mode, dist)
+        world, cfg, links = self._world()
+        controls = self._controls(world, cfg.gains, cfg.controller_mode,
+                                  links)
         assert np.array_equal(controls[3], np.zeros(3))
         assert np.isfinite(controls).all()
 
@@ -553,7 +562,8 @@ class TestControlAll:
         # each cell, not of all cells x users
         config = load_scenario(SCENARIOS / "fig5_parade.yaml")
         world = make_world(config)
-        geom = _evaluate(world, config)[2]
+        links = _evaluate(world, config)[3]
+        dist = geometry(world.uav_pos, world.user_pos).dist
         rows = []
         sigma_grads = kernels._sigma_grads
 
@@ -562,15 +572,17 @@ class TestControlAll:
             return sigma_grads(rel, eps, out)
 
         monkeypatch.setattr(kernels, "_sigma_grads", recording)
-        control_all(world, config.gains, config.controller_mode, geom.dist)
+        control_all(world, config.gains, config.controller_mode,
+                    kernels._cell_pairs(world.uav_pos, world.alive,
+                                        config.gains), links)
         pos = world.uav_pos
         rel = pos[None, :, :] - pos[:, None, :]
         near = world.alive[None, :] & (
             np.sqrt(np.einsum("...k,...k->...", rel, rel)) <= config.gains.r)
         np.fill_diagonal(near, False)
-        h_pairs = int((geom.dist <= config.gains.r).sum())
+        h_pairs = int((dist <= config.gains.r).sum())
         assert rows == [(int(near.sum()), 3), (h_pairs, 3)]
-        assert 0 < h_pairs < geom.dist.size / 5
+        assert 0 < h_pairs < dist.size / 5
 
     def test_crowding_term_never_acts_in_a_run(self, monkeypatch):
         # association caps every load at n_max, so f's crowding penalty of
@@ -581,19 +593,22 @@ class TestControlAll:
                          duration=16.0)         # through the failure wave
         seen = []
         f_term = kernels.f_term
+        world = make_world(config)
 
-        def checking(positions, loads, alive, p, pairs=None):
-            got = f_term(positions, loads, alive, p, pairs=pairs)
-            idle = f_term(positions, np.zeros_like(loads), alive, p,
-                          pairs=pairs)
+        def checking(positions, loads, p, pairs):
+            got = f_term(positions, loads, p, pairs)
+            idle = f_term(positions, np.zeros_like(loads), p, pairs)
             assert got.tobytes() == idle.tobytes()
             assert got.tobytes() == oracle_f_term_pair_loop(
-                positions, loads, alive, p).tobytes()
+                positions, loads, world.alive, p).tobytes()
             seen.append(int(loads.max()))
             return got
 
         monkeypatch.setattr(kernels, "f_term", checking)
-        run(config)
+        # step() runs run()'s ticks, on a world whose alive flags f's
+        # oracle reads
+        for _ in range(config.ticks()):
+            step(world, config)
         assert len(seen) == config.ticks()
         assert max(seen) == config.gains.n_max
 

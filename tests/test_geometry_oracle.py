@@ -7,9 +7,10 @@ come out with the bits of dist = sqrt(dz*dz + (dx*dx + dy*dy)), elev =
 arctan2(dz, sqrt(dx*dx + dy*dy)) and the closed-form field over whole
 arrays: on one user, on fields just under and over radio._CHUNK and
 radio._SPLIT_LINKS on one CPU and on two, on users all at one height
-(radio then takes dz as one column per cell row) or at several, with a
-cell at the users' height, a NaN height, and the users' positions in any
-memory layout.
+(radio takes dz as one column per cell row), with a cell at the users'
+height, a NaN cell height, and the users' positions in any memory layout.
+Users at several heights, a NaN one included, radio rejects before any
+block runs.
 """
 
 import numpy as np
@@ -21,7 +22,9 @@ from radio_oracle import (
     oracle_power_field,
 )
 from uavswarm import radio
+from uavswarm.engine import tick_geometry
 from uavswarm.model import PLOS_FORMS, RadioParams
+from worlds import world_of
 
 R = 300.0
 CHUNK, SPLIT = radio._CHUNK, radio._SPLIT_LINKS
@@ -32,7 +35,7 @@ SHAPES = [(1, 1), (7, 1), (16, CHUNK // 16 - 1), (16, CHUNK // 16 + 1),
           (20, SPLIT // 20 - 1), (20, SPLIT // 20 + 1)]
 
 # the users' heights: all at the ground, all at one height above it, and
-# spread over 0-10 m
+# spread over 0-10 m, which radio rejects
 HEIGHTS = ["ground", "level", "varied"]
 
 
@@ -63,6 +66,13 @@ def _same(got, want):
 
 
 def _check(cells, users, params=RadioParams()):
+    if not (users[:, 2] == users[0, 2]).all():
+        for layout in _layouts(users).values():
+            with pytest.raises(ValueError, match="one height"):
+                radio.geometry(cells, layout)
+            with pytest.raises(ValueError, match="one height"):
+                radio.geometry_in_range(cells, layout, R)
+        return
     dist, elev = oracle_geometry(cells, users)
     want_field = oracle_power_field(
         dist, elev, f_c=params.f_c, delta=params.delta,
@@ -91,7 +101,7 @@ def test_field_matches_whole_array_oracle(cpus, n_cells, n_users, heights,
     cells, users = _positions(n_cells * n_users, n_cells, n_users, heights)
     _check(cells, users)
     assert (radio._pool is not None) == (
-        n_cpus > 1 and n_cells * n_users >= SPLIT)
+        n_cpus > 1 and n_cells * n_users >= SPLIT and heights != "varied")
 
 
 @pytest.mark.parametrize("plos_form", PLOS_FORMS)
@@ -106,10 +116,17 @@ def test_cell_at_the_users_height(cpus, heights, plos_form):
     _check(cells, users, RadioParams(plos_form=plos_form))
 
 
+def test_tick_geometry_rejects_users_at_several_heights():
+    world = world_of([(0.0, 0.0)], [("premium", 10.0, 0.0)] * 3)
+    world.user_pos[1, 2] = 1.5
+    with pytest.raises(ValueError, match="one height"):
+        tick_geometry(world, R)
+
+
 @pytest.mark.parametrize("where", ["user", "cell"])
 def test_nan_height(cpus, where):
-    # a NaN user height takes the several-heights passes, a NaN cell
-    # height the one-height passes with a NaN row
+    # a NaN user height is not the others' height, so radio rejects it;
+    # a NaN cell height gives a NaN row
     cpus(2)
     cells, users = _positions(12, 21, 5003, "ground")
     if where == "user":
@@ -119,3 +136,4 @@ def test_nan_height(cpus, where):
     dist, _ = oracle_geometry(cells, users)
     assert np.isnan(dist).any() and not np.isnan(dist).all()
     _check(cells, users)
+    assert radio._pool is None or where == "cell"

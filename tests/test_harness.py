@@ -93,7 +93,7 @@ class TestRunSweep:
             sweep.steady[2]["all_served_pct"]
 
     def test_counts_validation(self, fig3_config):
-        for bad in ([], [0], [2, 1]):
+        for bad in ([], [0], [2, 1], [1, 1]):
             with pytest.raises(ScenarioError):
                 run_sweep(fig3_config, bad)
 

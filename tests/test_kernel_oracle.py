@@ -33,6 +33,7 @@ from kernel_oracle import (
 from uavswarm.engine import advance, associate_users, tick_geometry
 from uavswarm.kernels import (
     _cell_pairs,
+    _pair_indices,
     bump,
     control_input,
     f_term,
@@ -122,8 +123,9 @@ def test_spacing_and_consensus_match_loops(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 9))
     positions, alive, loads, velocities = _cells(rng, n)
-    f = f_term(positions, loads, alive, GAINS)
-    g = g_term(positions, velocities, alive, GAINS)
+    pairs = _cell_pairs(positions, alive, GAINS)
+    f = f_term(positions, loads, GAINS, pairs)
+    g = g_term(positions, velocities, GAINS, pairs)
     assert f.shape == g.shape == (n, 3)
     for i in range(n):
         _assert_close(f[i], oracle_f_term(i, positions, loads, alive, GAINS), n)
@@ -136,9 +138,10 @@ def test_coincident_cells_count_in_consensus_only():
     velocities = np.array([[0.0, 0.0, 0.0], [3.0, -1.0, 0.0]])
     alive = np.array([True, True])
     loads = np.array([GAINS.n_max * 2, 0])
-    assert np.array_equal(f_term(positions, loads, alive, GAINS)[0],
+    pairs = _cell_pairs(positions, alive, GAINS)
+    assert np.array_equal(f_term(positions, loads, GAINS, pairs)[0],
                           np.zeros(3))
-    assert np.array_equal(g_term(positions, velocities, alive, GAINS)[0],
+    assert np.array_equal(g_term(positions, velocities, GAINS, pairs)[0],
                           velocities[1])
 
 
@@ -193,24 +196,25 @@ def test_bump_keeps_the_mask_form_bits(gamma):
     for x in edges:
         for arg in (x, np.float64(x), np.array(x)):
             b = bump(arg, gamma)
-            assert type(b) is float
             assert np.float64(b).tobytes() == np.float64(
                 oracle_bump(arg, gamma)).tobytes(), (x, arg)
 
 
-def test_cell_pairs_built_inside_or_passed_in_give_the_same_bytes():
+def test_terms_leave_the_shared_cell_pairs_unchanged():
+    # f and g read one list a tick: each call on the shared list, after the
+    # others, gives the bytes of a call on a list of its own
     for seed in range(50):
         rng = np.random.default_rng(seed)
         positions, alive, loads, velocities = _cells(
             rng, int(rng.integers(1, 12)))
         pairs = _cell_pairs(positions, alive, GAINS)
         for loads_now in (loads, np.minimum(loads, GAINS.n_max)):
-            assert f_term(positions, loads_now, alive, GAINS,
-                          pairs=pairs).tobytes() == f_term(
-                positions, loads_now, alive, GAINS).tobytes(), seed
-        assert g_term(positions, velocities, alive, GAINS,
-                      pairs=pairs).tobytes() == g_term(
-            positions, velocities, alive, GAINS).tobytes(), seed
+            assert f_term(positions, loads_now, GAINS, pairs).tobytes() == \
+                f_term(positions, loads_now, GAINS, _cell_pairs(
+                    positions, alive, GAINS)).tobytes(), seed
+        assert g_term(positions, velocities, GAINS, pairs).tobytes() == \
+            g_term(positions, velocities, GAINS, _cell_pairs(
+                positions, alive, GAINS)).tobytes(), seed
 
 
 def test_spacing_and_consensus_keep_dense_form_bits():
@@ -227,14 +231,15 @@ def test_spacing_and_consensus_keep_dense_form_bits():
         alive = np.append(alive, True)
         loads = np.append(loads, GAINS.n_max)
         velocities = np.vstack([velocities, (2.0, -1.0, 0.0)])
-        f = f_term(positions, loads, alive, GAINS)
-        g = g_term(positions, velocities, alive, GAINS)
+        pairs = _cell_pairs(positions, alive, GAINS)
+        f = f_term(positions, loads, GAINS, pairs)
+        g = g_term(positions, velocities, GAINS, pairs)
         assert f.tobytes() == oracle_f_term_pair_loop(
             positions, loads, alive, GAINS).tobytes(), seed
         # loads within capacity skip the crowding arithmetic, whose
         # penalty is then +0.0
         capped = np.minimum(loads, GAINS.n_max)
-        assert f_term(positions, capped, alive, GAINS).tobytes() == \
+        assert f_term(positions, capped, GAINS, pairs).tobytes() == \
             oracle_f_term_pair_loop(positions, capped, alive, GAINS).tobytes()
         assert g.tobytes() == oracle_g_term_pair_loop(
             positions, velocities, alive, GAINS).tobytes(), seed
@@ -259,8 +264,8 @@ def test_user_coupling_matches_loop(seed):
     others, _, _, _ = _cells(rng, int(rng.integers(0, 4)))
     positions = np.vstack([uav_pos, others])
     serving = _serving(rng, positions, user_pos, served)
-    h = h_term(positions, serving, user_pos,
-               geometry(positions, user_pos).dist, *rest, GAINS)
+    h = h_term(positions, serving, user_pos, *rest, GAINS, _pair_indices(
+        geometry(positions, user_pos).dist <= GAINS.r))
     assert h.shape == positions.shape
     for i, cell in enumerate(positions):
         _assert_close(h[i], oracle_h_term(cell, serving == i, user_pos, *rest,
@@ -290,7 +295,8 @@ def test_user_coupling_keeps_allocating_form_bits(seed):
                _serving(rng, positions[:1], user_pos, served))]
     for cells, users, tail, ids in worlds:
         dist = geometry(cells, users).dist
-        got = h_term(cells, ids, users, dist, *tail, GAINS)
+        got = h_term(cells, ids, users, *tail, GAINS,
+                     _pair_indices(dist <= GAINS.r))
         want = oracle_h_term_pair_loop(cells, _connected(ids, len(cells)),
                                        users, dist, *tail, GAINS)
         assert got.tobytes() == want.tobytes()
@@ -304,20 +310,21 @@ def test_rows_of_negative_zero_products_read_positive_zero():
     # would keep -0.0
     positions = np.array([[0.0, 0.0, HEIGHT], [50.0, 0.0, HEIGHT]])
     alive = np.ones(2, bool)
+    pairs = _cell_pairs(positions, alive, GAINS)
     # f: level cells closer than d repel along x, so their y and z
     # products are a negative weight times +0.0
-    f = f_term(positions, np.zeros(2), alive, GAINS)
+    f = f_term(positions, np.zeros(2), GAINS, pairs)
     assert f[0, 0] < 0.0 < f[1, 0]
     # g: a neighbor at -0.0 m/s seen from a cell at +0.0 m/s
     velocities = np.array([[0.0, 0.0, 0.0], [-0.0, -0.0, 0.0]])
-    g = g_term(positions, velocities, alive, GAINS)
+    g = g_term(positions, velocities, GAINS, pairs)
     # h: an unserved user at its target pushes with weight -0.0, here from
     # exactly r along x
     cell, user = positions[:1], positions[:1] + USER_AT_RANGE[0]
     target = np.array([TARGET_RATE[REGULAR]])
     dist = geometry(cell, user).dist
-    h = h_term(cell, np.array([-1]), user, dist, target, target,
-               np.array([False]), GAINS)
+    h = h_term(cell, np.array([-1]), user, target, target, np.array([False]),
+               GAINS, _pair_indices(dist <= GAINS.r))
     assert f[:, 1:].tobytes() == np.zeros((2, 2)).tobytes()
     assert g.tobytes() == np.zeros((2, 3)).tobytes()
     assert h[:, :2].tobytes() == np.zeros((1, 2)).tobytes()
@@ -335,8 +342,8 @@ def test_user_coupling_counts_unconnected_user_at_exact_range():
     user_pos = np.array([uav_pos + USER_AT_RANGE[0]])
     rest = (np.array([0.0]), np.array([TARGET_RATE[REGULAR]]),
             np.array([False]))
-    got = h_term(uav_pos[None], np.array([-1]), user_pos,
-                 geometry(uav_pos, user_pos).dist, *rest, GAINS)[0]
+    got = h_term(uav_pos[None], np.array([-1]), user_pos, *rest, GAINS,
+                 _pair_indices(geometry(uav_pos, user_pos).dist <= GAINS.r))[0]
     assert got[0] < 0.0
     _assert_close(got, oracle_h_term(uav_pos, np.array([False]), user_pos,
                                      *rest, GAINS), 1)
@@ -353,9 +360,9 @@ def test_user_coupling_range_is_the_geometry_distance():
     assert dist[0, 0] == GAINS.r
     assert np.sqrt(np.einsum("ik,ik->i", rel, rel))[0] == math.nextafter(
         GAINS.r, math.inf)
-    got = h_term(uav_pos, np.array([-1]), user_pos, dist,
-                 np.array([0.0]), np.array([TARGET_RATE[PREMIUM]]),
-                 np.array([True]), GAINS)[0]
+    got = h_term(uav_pos, np.array([-1]), user_pos, np.array([0.0]),
+                 np.array([TARGET_RATE[PREMIUM]]), np.array([True]), GAINS,
+                 _pair_indices(dist <= GAINS.r))[0]
     assert (got[:2] > 0.0).all()        # away from the user
 
 
@@ -365,7 +372,8 @@ def test_flocking_goal_matches_loop(seed):
     positions, _, _, _ = _cells(rng, int(rng.integers(1, 9)))
     n = int(rng.integers(0, 30))
     _, user_pos, _, _, _ = _users(rng, n, positions[0])
-    goal = flocking_goal_term(positions, user_pos, GAINS)
+    centroid = user_pos.mean(axis=0) if n else np.zeros(3)
+    goal = flocking_goal_term(positions, user_pos, GAINS, centroid)
     assert goal.shape == positions.shape
     for i, cell in enumerate(positions):
         _assert_close(goal[i], oracle_flocking_goal_term(cell, user_pos, GAINS),
@@ -503,11 +511,13 @@ def test_control_clamp_matches_mask_form_bits(dead, u_max):
     dist = geometry(positions, user_pos).dist
     gains = ControlGains(u_max=u_max)
     pairs = _cell_pairs(positions, alive, gains)
-    summed = f_term(positions, loads, alive, gains, pairs=pairs) + \
-        g_term(positions, velocities, alive, gains, pairs=pairs) + \
-        h_term(positions, serving, user_pos, dist, *rest, gains)
+    links = _pair_indices(dist <= gains.r)
+    summed = f_term(positions, loads, gains, pairs) + \
+        g_term(positions, velocities, gains, pairs) + \
+        h_term(positions, serving, user_pos, *rest, gains, links)
     got = control_input(positions, velocities, loads, alive, serving,
-                        user_pos, dist, *rest, gains, QOS_MODE, pairs=pairs)
+                        user_pos, *rest, gains, QOS_MODE, pairs, links,
+                        user_pos.mean(axis=0))
     assert got.tobytes() == oracle_clamp_controls(summed, alive,
                                                   u_max).tobytes()
     norms = np.linalg.norm(summed[:, :2], axis=1)

@@ -5,6 +5,8 @@ import pytest
 
 from kernel_oracle import sigma_norm
 from uavswarm.kernels import (
+    _cell_pairs,
+    _pair_indices,
     _sigma_grads,
     bump,
     control_input,
@@ -16,10 +18,21 @@ from uavswarm.kernels import (
     phi_sigmoid,
     sigma_norm_scalar,
 )
-from uavswarm.model import FLOCKING_MODE, ControlGains
+from uavswarm.model import FLOCKING_MODE, QOS_MODE, ControlGains
 from uavswarm.radio import geometry
 
 KP = ControlGains()
+
+
+def _control(positions, velocities, loads, alive, serving, user_pos, rates,
+             targets, premium, p, mode=QOS_MODE):
+    """control_input with the relations and centroid a tick would give it
+    at these positions."""
+    centroid = user_pos.mean(axis=0) if len(user_pos) else np.zeros(3)
+    return control_input(
+        positions, velocities, loads, alive, serving, user_pos, rates,
+        targets, premium, p, mode, _cell_pairs(positions, alive, p),
+        _pair_indices(geometry(positions, user_pos).dist <= p.r), centroid)
 
 
 class TestBump:
@@ -131,44 +144,51 @@ class TestFTerm:
             alive = np.array([True, True])
             if np.linalg.norm(offset) < 1.0:
                 continue
-            fi, fj = f_term(positions, loads, alive, KP)
+            fi, fj = f_term(positions, loads, KP,
+                            _cell_pairs(positions, alive, KP))
             assert np.array_equal(fi, -fj)
 
     def test_zero_at_rest_distance(self):
         positions, loads, alive = _pair_state(KP.d)
-        assert np.array_equal(f_term(positions, loads, alive, KP)[0],
-                              np.zeros(3))
+        assert np.array_equal(
+            f_term(positions, loads, KP, _cell_pairs(positions, alive, KP))[0],
+            np.zeros(3))
 
     def test_dead_and_out_of_range_ignored(self):
         positions, loads, alive = _pair_state(150.0)
         dead = np.array([True, False])
-        assert np.array_equal(f_term(positions, loads, dead, KP)[0],
-                              np.zeros(3))
+        assert np.array_equal(
+            f_term(positions, loads, KP, _cell_pairs(positions, dead, KP))[0],
+            np.zeros(3))
         positions, loads, alive = _pair_state(KP.r + 1.0)
-        assert np.array_equal(f_term(positions, loads, alive, KP)[0],
-                              np.zeros(3))
+        assert np.array_equal(
+            f_term(positions, loads, KP, _cell_pairs(positions, alive, KP))[0],
+            np.zeros(3))
 
     def test_overloaded_neighbor_attracts_assistance(self):
         # pair force is zero at rest spacing, so only the crowd term acts
         positions, loads, alive = _pair_state(KP.d)
         crowded = np.array([0, KP.n_max + 40])
-        f = f_term(positions, crowded, alive, KP)[0]
+        pairs = _cell_pairs(positions, alive, KP)
+        f = f_term(positions, crowded, KP, pairs)[0]
         assert f[0] > 0.0  # neighbor sits at +x
-        assert np.array_equal(f_term(positions, np.array([0, KP.n_max]),
-                                     alive, KP)[0], np.zeros(3))
+        assert np.array_equal(f_term(positions, np.array([0, KP.n_max]), KP,
+                                     pairs)[0], np.zeros(3))
 
 
 class TestGTerm:
     def test_matched_velocities_give_zero(self):
         positions, _, alive = _pair_state(150.0)
         velocities = np.array([[3.0, -1.0, 0.0], [3.0, -1.0, 0.0]])
-        assert np.array_equal(g_term(positions, velocities, alive, KP)[0],
-                              np.zeros(3))
+        assert np.array_equal(
+            g_term(positions, velocities, KP,
+                   _cell_pairs(positions, alive, KP))[0], np.zeros(3))
 
     def test_points_toward_neighbor_velocity(self):
         positions, _, alive = _pair_state(150.0)
         velocities = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
-        g = g_term(positions, velocities, alive, KP)[0]
+        g = g_term(positions, velocities, KP,
+                   _cell_pairs(positions, alive, KP))[0]
         assert g[0] > 0.0 and g[1] == 0.0
 
 
@@ -180,9 +200,9 @@ class TestHTerm:
         users = np.array([[offset, 0.0, 0.0]])
         rates = np.array([rate])
         targets = np.array([300e6 if premium else 100e6])
-        return h_term(uav, np.array([0 if connected else -1]), users,
-                      geometry(uav, users).dist, rates, targets,
-                      np.array([premium]), KP)[0]
+        return h_term(uav, np.array([0 if connected else -1]), users, rates,
+                      targets, np.array([premium]), KP,
+                      _pair_indices(geometry(uav, users).dist <= KP.r))[0]
 
     def test_connected_at_target_is_exactly_zero(self):
         assert np.array_equal(self._single_user(300e6), np.zeros(3))
@@ -203,9 +223,9 @@ class TestHTerm:
     def test_premium_gain_outweighs_regular(self):
         hp = self._single_user(200e6, premium=True)
         uav, user = np.array([[0.0, 0.0, 100.0]]), np.array([[80.0, 0.0, 0.0]])
-        hr = h_term(uav, np.array([0]), user, geometry(uav, user).dist,
-                    np.array([50e6]), np.array([100e6]), np.array([False]),
-                    KP)[0]
+        hr = h_term(uav, np.array([0]), user, np.array([50e6]),
+                    np.array([100e6]), np.array([False]), KP,
+                    _pair_indices(geometry(uav, user).dist <= KP.r))[0]
         assert hp[0] > hr[0] > 0.0
 
     def test_non_connected_deficient_repels(self):
@@ -235,29 +255,27 @@ class TestControlInput:
         targets = np.array([300e6, 300e6])
         premium = np.array([True, True])
         serving = np.array([0, 1])
-        u = control_input(positions, velocities, loads, alive, serving,
-                          user_pos, geometry(positions, user_pos).dist, rates,
-                          targets, premium, gains)
+        u = _control(positions, velocities, loads, alive, serving, user_pos,
+                     rates, targets, premium, gains)
         assert np.array_equal(u, np.zeros((2, 3)))
 
     def test_z_component_always_zero(self):
         positions = np.array([[0.0, 0.0, 100.0], [40.0, 10.0, 100.0]])
         velocities = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
-        u = control_input(positions, velocities, np.array([0, 0]),
-                          np.array([True, True]), np.zeros(0, dtype=int),
-                          np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(0),
-                          np.zeros(0), np.zeros(0, dtype=bool), KP)
+        u = _control(positions, velocities, np.array([0, 0]),
+                     np.array([True, True]), np.zeros(0, dtype=int),
+                     np.zeros((0, 3)), np.zeros(0), np.zeros(0),
+                     np.zeros(0, dtype=bool), KP)
         assert np.array_equal(u[:, 2], np.zeros(2))
 
     def test_norm_clamped_to_u_max(self):
         # 40 m spacing drives a strong repulsion
         positions = np.array([[0.0, 0.0, 100.0], [40.0, 0.0, 100.0]])
         velocities = np.zeros((2, 3))
-        u = control_input(positions, velocities, np.array([0, 0]),
-                          np.array([True, True]), np.zeros(0, dtype=int),
-                          np.zeros((0, 3)), np.zeros((2, 0)), np.zeros(0),
-                          np.zeros(0), np.zeros(0, dtype=bool),
-                          ControlGains(u_max=2.0))
+        u = _control(positions, velocities, np.array([0, 0]),
+                     np.array([True, True]), np.zeros(0, dtype=int),
+                     np.zeros((0, 3)), np.zeros(0), np.zeros(0),
+                     np.zeros(0, dtype=bool), ControlGains(u_max=2.0))
         assert np.linalg.norm(u[0]) == pytest.approx(2.0, rel=1e-12)
 
     def test_flocking_mode_ignores_rates(self):
@@ -265,28 +283,26 @@ class TestControlInput:
         velocities = np.zeros((1, 3))
         user_pos = np.array([[500.0, 0.0, 0.0]])
         args = (positions, velocities, np.array([1]), np.array([True]),
-                np.array([0]), user_pos, geometry(positions, user_pos).dist)
+                np.array([0]), user_pos)
         tail = (np.array([300e6]), np.array([True]), KP)
-        starved = control_input(*args, np.array([0.0]), *tail,
-                                mode=FLOCKING_MODE)
-        sated = control_input(*args, np.array([450e6]), *tail,
-                              mode=FLOCKING_MODE)
+        starved = _control(*args, np.array([0.0]), *tail, mode=FLOCKING_MODE)
+        sated = _control(*args, np.array([450e6]), *tail, mode=FLOCKING_MODE)
         assert np.array_equal(starved, sated)
         assert starved[0, 0] > 0.0  # pulled toward the user centroid
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            control_input(np.zeros((1, 3)), np.zeros((1, 3)),
-                          np.array([0]), np.array([True]),
-                          np.zeros(0, dtype=int), np.zeros((0, 3)),
-                          np.zeros((1, 0)), np.zeros(0), np.zeros(0),
-                          np.zeros(0, dtype=bool), KP, mode="hover")
+            _control(np.zeros((1, 3)), np.zeros((1, 3)), np.array([0]),
+                     np.array([True]), np.zeros(0, dtype=int),
+                     np.zeros((0, 3)), np.zeros(0), np.zeros(0),
+                     np.zeros(0, dtype=bool), KP, mode="hover")
 
 
 def test_flocking_goal_pulls_toward_centroid():
     users = np.array([[100.0, 0.0, 0.0], [300.0, 0.0, 0.0]])
     g, g_at = flocking_goal_term(
-        np.array([[0.0, 0.0, 100.0], [200.0, 0.0, 0.0]]), users, KP)
+        np.array([[0.0, 0.0, 100.0], [200.0, 0.0, 0.0]]), users, KP,
+        users.mean(axis=0))
     assert g[0] > 0.0
     assert np.array_equal(g_at, np.zeros(3))
 

@@ -242,11 +242,13 @@ class TestFiles:
 
     def test_bad_yaml_raises_scenario_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
-        path.write_text("users: [unclosed\n")
-        with pytest.raises(ScenarioError, match="YAML"):
-            load_scenario(path)
-        with pytest.raises(ScenarioError, match=re.escape(f"{path}: ")):
-            load_scenario(path)
+        # unclosed flow sequence; bytes that are not UTF-8
+        for text in (b"users: [unclosed\n", b"users: [\xff\xfe]\n"):
+            path.write_bytes(text)
+            with pytest.raises(ScenarioError, match="YAML"):
+                load_scenario(path)
+            with pytest.raises(ScenarioError, match=re.escape(f"{path}: ")):
+                load_scenario(path)
 
     @pytest.mark.parametrize("name", SHIPPED)
     def test_shipped_scenario_reads_as_pure_python_parser_does(self, name):
